@@ -18,8 +18,8 @@ from typing import Iterable, Optional
 
 from .errors import DimensionMismatch
 from .graphs import Certificate, Digraph
-from .intervals import (Interval, IntervalRep, normalize, require_reflexive,
-                        set_is_absorbing, set_is_dominating,
+from .intervals import (Interval, IntervalRep, StabIndex, normalize,
+                        require_reflexive, set_is_absorbing, set_is_dominating,
                         verify_representation)
 
 
@@ -102,11 +102,12 @@ def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
     big = Bigraph(g.n, g.n, edges)
     brep = None
     if rep is not None:
+        rep = normalize(rep)
         if rep.n != g.n:
             raise DimensionMismatch(f"representation has {rep.n} vertices, digraph {g.n}")
         if not verify_representation(rep, g):
             raise DimensionMismatch("representation does not realize the digraph")
-        brep = IntervalBigraphRep(rep.source, rep.target)
+        brep = IntervalBigraphRep(zip(rep.ls, rep.rs), zip(rep.lt, rep.rt))
     return big, brep
 
 
@@ -159,18 +160,6 @@ def _endpoint_ranks(a_intervals, b_intervals):
     return a, b
 
 
-def _prefix_best(pairs):
-    """pairs sorted by lo; returns lo list plus prefix (max hi, payload)."""
-    los = [lo for lo, _, _ in pairs]
-    pref = []
-    best = None
-    for _, hi, payload in pairs:
-        if best is None or hi > best[0]:
-            best = (hi, payload)
-        pref.append(best)
-    return los, pref
-
-
 def build_red_blue_state(rep: IntervalBigraphRep) -> Optional[RedBlueState]:
     """The sweep state, or None when some A-vertex has no B-neighbour."""
     t = rep.a_size
@@ -179,23 +168,16 @@ def build_red_blue_state(rep: IntervalBigraphRep) -> Optional[RedBlueState]:
     if rep.b_size == 0:
         return None
     a_ivs, b_ivs = _endpoint_ranks(rep.a_intervals, rep.b_intervals)
-
-    b_sorted = sorted((lo, hi, j) for j, (lo, hi) in enumerate(b_ivs))
-    b_los, b_pref = _prefix_best(b_sorted)
+    index = StabIndex((lo, hi, j) for j, (lo, hi) in enumerate(b_ivs))
 
     slots = sorted(range(t), key=lambda i: a_ivs[i][1])
     rho = [None] * t
     cover = [None] * t
     for s, i in enumerate(slots):
-        lo, hi = a_ivs[i]
-        idx = bisect_right(b_los, hi)
-        if idx == 0:
+        best = index.stab(*a_ivs[i])
+        if best is None:
             return None
-        best_hi, best_j = b_pref[idx - 1]
-        if best_hi < lo:
-            return None
-        rho[s] = best_hi
-        cover[s] = best_j
+        rho[s], cover[s] = best
 
     by_left = sorted(range(t), key=lambda s: a_ivs[slots[s]][0])
     left_vals = [a_ivs[slots[s]][0] for s in by_left]
@@ -225,7 +207,8 @@ def red_blue_min_dominating(rep: IntervalBigraphRep) -> Optional[Certificate]:
     while s is not None and s < len(state.a_by_right):
         picks.append(state.cover[s])
         nxt = state.jump[s]
-        assert nxt is None or nxt > s, "sweep failed to advance"
+        if nxt is not None and nxt <= s:
+            raise RuntimeError("red-blue sweep failed to advance")
         s = nxt
     vertices = tuple(sorted(set(picks)))
     covered = _a_fully_covered(rep, vertices)
@@ -237,16 +220,8 @@ def red_blue_min_dominating(rep: IntervalBigraphRep) -> Optional[Certificate]:
 
 
 def _a_fully_covered(rep: IntervalBigraphRep, picks: Iterable[int]) -> bool:
-    chosen = sorted(set(picks))
-    if not chosen:
-        return rep.a_size == 0
-    pairs = sorted((rep.b_intervals[j].lo, rep.b_intervals[j].hi, j) for j in chosen)
-    los, pref = _prefix_best(pairs)
-    for iv in rep.a_intervals:
-        idx = bisect_right(los, iv.hi)
-        if idx == 0 or pref[idx - 1][0] < iv.lo:
-            return False
-    return True
+    index = StabIndex((rep.b_intervals[j].lo, rep.b_intervals[j].hi, j) for j in set(picks))
+    return all(index.stab(iv.lo, iv.hi) is not None for iv in rep.a_intervals)
 
 
 def min_absorbing_reflexive(rep: IntervalRep) -> Certificate:
@@ -258,9 +233,10 @@ def min_absorbing_reflexive(rep: IntervalRep) -> Certificate:
     """
     nrep = normalize(rep)
     require_reflexive(nrep)
-    brep = IntervalBigraphRep(nrep.source, nrep.target)
+    brep = IntervalBigraphRep(zip(nrep.ls, nrep.rs), zip(nrep.lt, nrep.rt))
     inner = red_blue_min_dominating(brep)
-    assert inner is not None, "reflexive representation cannot have isolated copies"
+    if inner is None:
+        raise RuntimeError("reflexive representation produced an isolated copy")
     vertices = inner.vertices
     if not set_is_absorbing(nrep, vertices):
         raise RuntimeError("absorbing sweep produced a non-absorbing set")

@@ -160,14 +160,14 @@ def emit_bigraph_rep(rep: IntervalBigraphRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_ordering(text: str, role: str = "duf") -> Ordering:
+def parse_ordering(text: str) -> Ordering:
     rows = list(_lines(text))
     if len(rows) != 1:
         raise ParseError(rows[1][0] if len(rows) > 1 else 1,
                          "ordering files hold a single line of vertex ids")
     lineno, tokens = rows[0]
     try:
-        return Ordering(tuple(_int(t, lineno) for t in tokens), role=role)
+        return Ordering(tuple(_int(t, lineno) for t in tokens))
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
 
@@ -200,13 +200,3 @@ def detect_kind(text: str) -> str:
         return "ordering"
     raise ParseError(1, "empty instance file")
 
-
-def parse_instance(text: str):
-    kind = detect_kind(text)
-    if kind == "digraph":
-        return parse_digraph(text)
-    if kind == "intervals":
-        return parse_interval_rep(text)
-    if kind == "bigraph":
-        return parse_bigraph_rep(text)
-    return parse_ordering(text)

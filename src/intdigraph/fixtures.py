@@ -33,7 +33,7 @@ def no_kernel_duf() -> tuple[Digraph, Ordering]:
     independent sets.  Returned with its DUF-ordering (0, 1, 2, 3).
     """
     g = Digraph(4, [(0, 1), (1, 0), (2, 0), (0, 3), (1, 2), (3, 1), (2, 3), (3, 2)])
-    return g, Ordering((0, 1, 2, 3), role="duf")
+    return g, Ordering((0, 1, 2, 3))
 
 
 def oriented_k33_with_loops() -> Digraph:
@@ -75,4 +75,4 @@ def two_vertex_example_rep() -> IntervalRep:
 def reflexive_path(n: int) -> tuple[Digraph, Ordering]:
     """Arcs i -> i+1 with loops everywhere and the natural ordering."""
     g = Digraph(n, [(i, i + 1) for i in range(n - 1)], loops=range(n))
-    return g, Ordering(range(n), role="duf")
+    return g, Ordering(range(n))

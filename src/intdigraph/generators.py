@@ -21,7 +21,8 @@ def gen_reflexive_interval(n: int, seed: int, grid: Optional[int] = None,
     so every vertex is reflexive.
 
     ``grid`` defaults to 4n.  ``max_len`` caps each interval's length,
-    which keeps the realized digraph sparse on large grids.
+    which keeps the realized digraph sparse on large grids; lengths never
+    exceed ``grid``, so every interval stays on it.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -36,12 +37,12 @@ def gen_reflexive_interval(n: int, seed: int, grid: Optional[int] = None,
             lo_t = rng.randint(0, anchor)
             hi_t = rng.randint(anchor, grid)
         else:
-            len_s = rng.randint(0, max_len)
-            lo_s = rng.randint(0, max(0, grid - len_s))
+            len_s = rng.randint(0, min(max_len, grid))
+            lo_s = rng.randint(0, grid - len_s)
             hi_s = lo_s + len_s
             anchor = rng.randint(lo_s, hi_s)
-            len_t = rng.randint(0, max_len)
-            lo_t = rng.randint(max(0, anchor - len_t), min(anchor, max(0, grid - len_t)))
+            len_t = rng.randint(0, min(max_len, grid))
+            lo_t = rng.randint(max(0, anchor - len_t), min(anchor, grid - len_t))
             hi_t = lo_t + len_t
         pairs.append((Interval(lo_s, hi_s), Interval(lo_t, hi_t)))
     return IntervalRep(pairs)

@@ -210,6 +210,22 @@ def symmetric_digraph(h: UndirectedGraph) -> Digraph:
     return Digraph(h.n, arcs)
 
 
+def check_weights(weights, n: int) -> list[int]:
+    """Per-vertex weights: unit weights for None, else n non-negative ints.
+
+    ``bool`` is rejected although it subclasses ``int``.
+    """
+    if weights is None:
+        return [1] * n
+    weights = list(weights)
+    if len(weights) != n:
+        raise ValueError(f"expected {n} weights, got {len(weights)}")
+    for w in weights:
+        if isinstance(w, bool) or not isinstance(w, int) or w < 0:
+            raise ValueError(f"weights must be non-negative integers, got {w!r}")
+    return weights
+
+
 def _check_independent(g: Digraph, sset: set[int]) -> bool:
     for u in sset:
         for v in g.out_adj[u]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NotDufOrdered
-from .graphs import Certificate, Digraph, verify_set
+from .graphs import Certificate, Digraph, check_weights, verify_set
 from .ordering import Ordering, verify_duf_ordering
 
 
@@ -42,12 +42,7 @@ def chain_dag(g: Digraph, ordering: Ordering,
     """Fill the chain table; assumes the ordering is already verified DUF."""
     n = g.n
     perm, pos = ordering.perm, ordering.positions
-    if weights is None:
-        w = [1] * n
-    else:
-        w = list(weights)
-        if len(w) != n or any(not isinstance(x, int) or x < 0 for x in w):
-            raise ValueError("weights must be n non-negative integers")
+    w = check_weights(weights, n)
     adj_pos = [set() for _ in range(n)]
     for p in range(n):
         v = perm[p]

@@ -10,23 +10,24 @@ Only the relative order of endpoints matters, so :func:`normalize` replaces
 exact rational endpoints by their ranks under a fixed total event order:
 coordinates compare first; at equal coordinates every left endpoint precedes
 every right endpoint (the unique order-preserving perturbation for closed
-intervals); remaining ties break by (vertex id, S-before-T).  All downstream
-algorithms run on these distinct integer ranks, so there is no floating
-point anywhere.
+intervals); remaining ties break by (vertex id, S-before-T).  The result,
+a :class:`NormalizedRep`, is nothing but the four rank sequences ``ls``,
+``rs``, ``lt`` and ``rt``.  All downstream algorithms run on these distinct
+integer ranks, so there is no floating point anywhere.  Every function here
+accepts a raw :class:`IntervalRep` too and normalizes it on entry.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DimensionMismatch, MalformedInterval, NotReflexive
 from .graphs import Digraph
 
-# Event codes in normalization order at a shared coordinate: lefts first.
+# Endpoint codes of a sweep: the S and T left ends, then the S and T right ends.
 _SL, _TL, _SR, _TR = 0, 1, 2, 3
-_IS_LEFT = (True, True, False, False)
 
 
 def _coerce(x):
@@ -97,83 +98,83 @@ class IntervalRep:
         return f"{type(self).__name__}(n={self.n})"
 
 
-class NormalizedRep(IntervalRep):
-    """An :class:`IntervalRep` whose 4n endpoints are distinct integers.
+class NormalizedRep:
+    """A representation as four flat rank sequences.
 
-    ``events[rank]`` is the (vertex, code) pair placed at that rank, codes
-    being S-left, T-left, S-right, T-right.  ``ls``/``rs``/``lt``/``rt``
-    expose the endpoint ranks as flat tuples for the sweep algorithms.
-    The ``adjusted`` flag reports whether the *source* representation had
-    matching left endpoints; ranks themselves are never equal.
+    Vertex ``v`` has ``S_v = [ls[v], rs[v]]`` and ``T_v = [lt[v], rt[v]]``,
+    where the 4n ranks are distinct integers, so closed intervals meet
+    exactly when each one's left rank is below the other's right rank.
+    ``adjusted`` reports whether the raw representation had matching left
+    endpoints; the ranks themselves are never equal.
     """
 
-    __slots__ = ("events", "ls", "rs", "lt", "rt", "_adjusted")
+    __slots__ = ("ls", "rs", "lt", "rt", "adjusted")
 
-    def __init__(self, pairs, events, adjusted: bool):
-        super().__init__(pairs)
-        self.events: tuple[tuple[int, int], ...] = tuple(events)
-        self.ls = tuple(iv.lo for iv in self.source)
-        self.rs = tuple(iv.hi for iv in self.source)
-        self.lt = tuple(iv.lo for iv in self.target)
-        self.rt = tuple(iv.hi for iv in self.target)
-        self._adjusted = adjusted
-        seen = set(self.ls + self.rs + self.lt + self.rt)
-        if len(seen) != 4 * self.n:
-            raise MalformedInterval("normalized endpoints are not distinct")
+    def __init__(self, ls, rs, lt, rt, adjusted: bool):
+        if len(set(ls + rs + lt + rt)) != 4 * len(ls) or not all(
+                a < b and c < d for a, b, c, d in zip(ls, rs, lt, rt)):
+            raise MalformedInterval("normalized endpoints are not distinct ranks "
+                                    "with each left below its right")
+        self.ls, self.rs, self.lt, self.rt = ls, rs, lt, rt
+        self.adjusted = adjusted
 
     @property
-    def adjusted(self) -> bool:
-        return self._adjusted
+    def n(self) -> int:
+        return len(self.ls)
 
     def swapped(self) -> "NormalizedRep":
-        """The representation of the reversal: S and T exchanged per vertex."""
-        return normalize(IntervalRep((t, s) for s, t in zip(self.source, self.target)))
+        """The representation of the reversal: S and T exchanged per vertex.
+
+        Distinct ranks re-normalize to themselves, so relabelling them is
+        exactly the normalization of the swapped intervals.
+        """
+        return NormalizedRep(self.lt, self.rt, self.ls, self.rs, self.adjusted)
+
+    def __repr__(self):
+        return f"NormalizedRep(n={self.n})"
 
 
-def normalize(rep: IntervalRep) -> NormalizedRep:
-    """Rank-normalize endpoints; the realized digraph is unchanged."""
+def normalize(rep) -> NormalizedRep:
+    """Rank-normalize endpoints; the realized digraph is unchanged.
+
+    Endpoints are ranked by (coordinate, left before right, vertex, S
+    before T).  Their ids list every left before every right, each as S_v,
+    T_v by vertex, so a stable sort by coordinate alone breaks every tie
+    in that order.
+    """
     if isinstance(rep, NormalizedRep):
         return rep
-    adjusted = rep.adjusted
-    events = []
-    for v in range(rep.n):
-        s, t = rep.source[v], rep.target[v]
-        events.append((s.lo, 0, v, 0, _SL))
-        events.append((t.lo, 0, v, 1, _TL))
-        events.append((s.hi, 1, v, 0, _SR))
-        events.append((t.hi, 1, v, 1, _TR))
-    events.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-    ls = [0] * rep.n
-    rs = [0] * rep.n
-    lt = [0] * rep.n
-    rt = [0] * rep.n
-    order = []
-    for rank, (_, _, v, _, code) in enumerate(events):
-        order.append((v, code))
-        if code == _SL:
-            ls[v] = rank
-        elif code == _TL:
-            lt[v] = rank
-        elif code == _SR:
-            rs[v] = rank
-        else:
-            rt[v] = rank
-    pairs = [(Interval(ls[v], rs[v]), Interval(lt[v], rt[v])) for v in range(rep.n)]
-    return NormalizedRep(pairs, order, adjusted)
+    n = rep.n
+    coords = [None] * (4 * n)
+    coords[0:2 * n:2] = [iv.lo for iv in rep.source]
+    coords[1:2 * n:2] = [iv.lo for iv in rep.target]
+    coords[2 * n::2] = [iv.hi for iv in rep.source]
+    coords[2 * n + 1::2] = [iv.hi for iv in rep.target]
+    rank = [0] * (4 * n)
+    for r, i in enumerate(sorted(range(4 * n), key=coords.__getitem__)):
+        rank[i] = r
+    return NormalizedRep(tuple(rank[0:2 * n:2]), tuple(rank[2 * n::2]),
+                         tuple(rank[1:2 * n:2]), tuple(rank[2 * n + 1::2]),
+                         rep.adjusted)
 
 
-def realize_digraph(rep: IntervalRep) -> Digraph:
+def realize_digraph(rep) -> Digraph:
     """The digraph realized by ``rep``: edge (u, v) iff S_u meets T_v.
 
-    Runs a single sweep over the normalized event order, so the cost is
+    Runs a single sweep over the endpoints in rank order, so the cost is
     O(n log n) plus the number of realized edges.
     """
-    nrep = normalize(rep)
-    n = nrep.n
+    rep = normalize(rep)
+    owner = [0] * (4 * rep.n)
+    codes = [0] * (4 * rep.n)
+    for code, ranks in enumerate((rep.ls, rep.lt, rep.rs, rep.rt)):
+        for v, r in enumerate(ranks):
+            owner[r] = v
+            codes[r] = code
     active_s: set[int] = set()
     active_t: set[int] = set()
     edges: list[tuple[int, int]] = []
-    for v, code in nrep.events:
+    for v, code in zip(owner, codes):
         if code == _SL:
             for t in active_t:
                 edges.append((v, t))
@@ -186,28 +187,30 @@ def realize_digraph(rep: IntervalRep) -> Digraph:
             active_s.discard(v)
         else:
             active_t.discard(v)
-    return Digraph(n, edges)
+    return Digraph(rep.n, edges)
 
 
-def verify_representation(rep: IntervalRep, g: Digraph) -> bool:
+def verify_representation(rep, g: Digraph) -> bool:
     """Exact equality of the realized digraph with ``g``, loops included."""
     if rep.n != g.n:
         raise DimensionMismatch(f"representation has {rep.n} vertices, digraph {g.n}")
     return realize_digraph(rep) == g
 
 
-def is_reflexive(rep: IntervalRep) -> bool:
+def is_reflexive(rep) -> bool:
     """True when S_u and T_u intersect for every vertex u."""
-    return all(s.intersects(t) for s, t in zip(rep.source, rep.target))
+    rep = normalize(rep)
+    return all(ls < rt and lt < rs for ls, rs, lt, rt in zip(rep.ls, rep.rs, rep.lt, rep.rt))
 
 
-def require_reflexive(rep: IntervalRep) -> None:
-    for v, (s, t) in enumerate(zip(rep.source, rep.target)):
-        if not s.intersects(t):
+def require_reflexive(rep) -> None:
+    rep = normalize(rep)
+    for v, (ls, rs, lt, rt) in enumerate(zip(rep.ls, rep.rs, rep.lt, rep.rt)):
+        if not (ls < rt and lt < rs):
             raise NotReflexive(v)
 
 
-def extract_duf_ordering(rep: NormalizedRep):
+def extract_duf_ordering(rep):
     """Vertices sorted by the left end of S_v ∩ T_v.
 
     The resulting ordering is directed umbrella-free for the realized
@@ -218,84 +221,71 @@ def extract_duf_ordering(rep: NormalizedRep):
 
     rep = normalize(rep)
     require_reflexive(rep)
-    xs = []
-    for v in range(rep.n):
-        xs.append((max(rep.ls[v], rep.lt[v]), v))
-    xs.sort()
-    return Ordering(tuple(v for _, v in xs), role="duf")
+    return Ordering(sorted(range(rep.n), key=lambda v: max(rep.ls[v], rep.lt[v])))
 
 
 # --- definitional set checks computed through the representation ----------
 #
 # These evaluate exactly the same properties as graphs.verify_set but walk
-# the intervals instead of adjacency lists, so they stay O(n log n) even
-# when the realized digraph is too large to materialize.
+# the ranks instead of adjacency lists, so they stay O(n log n) even when
+# the realized digraph is too large to materialize.
 
-def _sorted_prefix_max(items: Sequence[tuple]):
-    """items are (lo, hi); returns (sorted lo list, prefix max of hi)."""
-    items = sorted(items)
-    los = [lo for lo, _ in items]
-    pref = []
-    best = None
-    for _, hi in items:
-        best = hi if best is None or hi > best else best
-        pref.append(best)
-    return los, pref
+class StabIndex:
+    """Closed intervals with payloads, queried by the interval they meet.
+
+    Built from (lo, hi, payload) items; :meth:`stab` returns the (hi,
+    payload) of the stored interval meeting [lo, hi] that reaches furthest
+    right, the first in (lo, hi, payload) order on ties, or None.
+    """
+
+    __slots__ = ("los", "best")
+
+    def __init__(self, items):
+        self.los = []
+        self.best = []
+        top = None
+        for lo, hi, payload in sorted(items):
+            if top is None or hi > top[0]:
+                top = (hi, payload)
+            self.los.append(lo)
+            self.best.append(top)
+
+    def stab(self, lo, hi):
+        i = bisect_right(self.los, hi)
+        if i and self.best[i - 1][0] >= lo:
+            return self.best[i - 1]
+        return None
 
 
-def _covered(lo_list, prefmax, left, right) -> bool:
-    """True when some stored [lo, hi] intersects [left, right] (closed)."""
-    idx = bisect_right(lo_list, right)
-    if idx == 0:
-        return False
-    return prefmax[idx - 1] >= left
-
-
-def set_is_absorbing(rep: IntervalRep, s: Iterable[int]) -> bool:
+def set_is_absorbing(rep, s: Iterable[int]) -> bool:
     """Every vertex outside ``s`` has an out-neighbour in ``s``."""
+    rep = normalize(rep)
     sset = set(s)
-    if not sset:
-        return rep.n == 0
-    los, pref = _sorted_prefix_max([(rep.target[u].lo, rep.target[u].hi) for u in sset])
-    for v in range(rep.n):
-        if v in sset:
-            continue
-        if not _covered(los, pref, rep.source[v].lo, rep.source[v].hi):
-            return False
-    return True
+    index = StabIndex((rep.lt[u], rep.rt[u], u) for u in sset)
+    return all(v in sset or index.stab(rep.ls[v], rep.rs[v]) is not None
+               for v in range(rep.n))
 
 
-def set_is_dominating(rep: IntervalRep, s: Iterable[int]) -> bool:
+def set_is_dominating(rep, s: Iterable[int]) -> bool:
     """Every vertex outside ``s`` has an in-neighbour in ``s``."""
-    sset = set(s)
-    if not sset:
-        return rep.n == 0
-    los, pref = _sorted_prefix_max([(rep.source[u].lo, rep.source[u].hi) for u in sset])
-    for v in range(rep.n):
-        if v in sset:
-            continue
-        if not _covered(los, pref, rep.target[v].lo, rep.target[v].hi):
-            return False
-    return True
+    return set_is_absorbing(normalize(rep).swapped(), s)
 
 
-def set_is_independent(rep: IntervalRep, s: Iterable[int]) -> bool:
+def set_is_independent(rep, s: Iterable[int]) -> bool:
     """No two distinct vertices of ``s`` are adjacent (either direction)."""
-    sset = sorted(set(s))
-    events = []
-    for u in sset:
-        for iv, code in ((rep.source[u], _SL), (rep.target[u], _TL)):
-            events.append((iv.lo, 0, u, code))
-            events.append((iv.hi, 1, u, code))
-    events.sort(key=lambda e: (e[0], e[1]))
+    rep = normalize(rep)
+    sweep = sorted((r, u, code) for u in set(s)
+                   for code, r in enumerate((rep.ls[u], rep.lt[u], rep.rs[u], rep.rt[u])))
     active_s: set[int] = set()
     active_t: set[int] = set()
-    for _, side, u, code in events:
-        if side == 1:
-            (active_s if code == _SL else active_t).discard(u)
-            continue
-        other = active_t if code == _SL else active_s
-        if len(other) - (1 if u in other else 0) > 0:
-            return False
-        (active_s if code == _SL else active_t).add(u)
+    for _, u, code in sweep:
+        if code == _SR:
+            active_s.discard(u)
+        elif code == _TR:
+            active_t.discard(u)
+        else:
+            own, other = (active_s, active_t) if code == _SL else (active_t, active_s)
+            if len(other) - (1 if u in other else 0) > 0:
+                return False
+            own.add(u)
     return True

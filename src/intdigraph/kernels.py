@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
-from .graphs import (Certificate, Digraph, UndirectedGraph, symmetric_digraph,
-                     verify_set)
+from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
+                     symmetric_digraph, verify_set)
 from .intervals import (IntervalRep, normalize, realize_digraph,
                         require_reflexive, set_is_absorbing,
                         set_is_independent)
@@ -40,18 +40,6 @@ OBJECTIVES = ("min", "max")
 def _check_objective(objective: str) -> None:
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
-
-def _check_weights(weights, n: int) -> list[int]:
-    if weights is None:
-        return [1] * n
-    weights = list(weights)
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weights, got {len(weights)}")
-    for w in weights:
-        if not isinstance(w, int) or w < 0:
-            raise ValueError(f"weights must be non-negative integers, got {w!r}")
-    return weights
 
 
 # --------------------------------------------------------------------------
@@ -238,7 +226,7 @@ def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
     _check_objective(objective)
     n = g.n
     perm, pos = ordering.perm, ordering.positions
-    w = _check_weights(weights, n)
+    w = check_weights(weights, n)
     wpos = [w[perm[p]] for p in range(n)]
     in_pos = [sorted(pos[u] for u in g.in_adj[perm[p]]) for p in range(n)]
     in_pos_set = [set(ps) for ps in in_pos]
@@ -424,8 +412,9 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
     if witness is not None:
         raise NotCocompOrdered(witness)
     d = symmetric_digraph(h)
-    cert = optimal_kernel_duf(d, Ordering(ordering.perm, role="duf"), "min")
-    assert cert is not None, "symmetric digraphs always have kernels"
+    cert = optimal_kernel_duf(d, ordering, "min")
+    if cert is None:
+        raise RuntimeError("symmetric digraph without a kernel")
     sset = set(cert.vertices)
     independent = all(v not in sset for u in sset for v in h.adj[u])
     dominating = all(v in sset or any(u in sset for u in h.adj[v]) for v in range(h.n))

@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 from .errors import BudgetExceeded
-from .graphs import Certificate, Digraph, UndirectedGraph, verify_set
+from .graphs import Certificate, Digraph, UndirectedGraph, check_weights, verify_set
 from .domination import Bigraph, IntervalBigraphRep
 from .ordering import (Ordering, check_reflexive_interval_ordering,
                        verify_duf_ordering)
@@ -64,9 +64,7 @@ def brute_kernel(g: Digraph, objective: str = "exists",
     _refuse("kernel", g.n, budget.subset_n)
     deadline = _Deadline(budget)
     n = g.n
-    w = list(weights) if weights is not None else [1] * n
-    if len(w) != n or any(not isinstance(x, int) or x < 0 for x in w):
-        raise ValueError("weights must be n non-negative integers")
+    w = check_weights(weights, n)
     und = [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(n)]
 
     blocked = [0] * n
@@ -134,7 +132,8 @@ def brute_kernel(g: Digraph, objective: str = "exists",
         return None
     vertices = state["best_set"]
     cert = verify_set(g, vertices, "kernel")
-    assert cert.all_checks_pass()
+    if not cert.all_checks_pass():
+        raise RuntimeError(f"kernel oracle produced an invalid set: {cert.checks}")
     return Certificate(vertices=vertices, checks=cert.checks,
                        algorithm="brute-kernel",
                        optimal=objective != "exists",
@@ -156,11 +155,13 @@ def brute_min_absorbing(g: Digraph, budget: OracleBudget = DEFAULT_BUDGET) -> Ce
             sset = set(comb)
             if all(v in sset or any(u in sset for u in g.out_adj[v]) for v in range(n)):
                 cert = verify_set(g, comb, "absorbing")
-                assert cert.all_checks_pass()
+                if not cert.all_checks_pass():
+                    raise RuntimeError(f"absorbing oracle produced an invalid set: "
+                                       f"{cert.checks}")
                 return Certificate(vertices=tuple(comb), checks=cert.checks,
                                    algorithm="brute-absorbing", optimal=True,
                                    objective="min", value=r)
-    raise AssertionError("the full vertex set always absorbs")
+    raise RuntimeError("the full vertex set always absorbs")
 
 
 def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
@@ -169,9 +170,7 @@ def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
     _refuse("independent-set", g.n, budget.subset_n)
     deadline = _Deadline(budget)
     n = g.n
-    w = list(weights) if weights is not None else [1] * n
-    if len(w) != n or any(not isinstance(x, int) or x < 0 for x in w):
-        raise ValueError("weights must be n non-negative integers")
+    w = check_weights(weights, n)
     und = [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(n)]
     suffix = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
@@ -203,7 +202,8 @@ def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
 
     dfs(0, 0)
     cert = verify_set(g, best["set"], "independent")
-    assert cert.all_checks_pass()
+    if not cert.all_checks_pass():
+        raise RuntimeError(f"independent-set oracle produced an invalid set: {cert.checks}")
     return Certificate(vertices=best["set"], checks=cert.checks,
                        algorithm="brute-independent", optimal=True,
                        objective="max", value=best["val"])
@@ -237,7 +237,7 @@ def brute_red_blue(instance, budget: OracleBudget = DEFAULT_BUDGET) -> Optional[
                                    checks={"a-dominating": True},
                                    algorithm="brute-red-blue", optimal=True,
                                    objective="min", value=r)
-    raise AssertionError("all of B dominates when no A-vertex is isolated")
+    raise RuntimeError("all of B dominates when no A-vertex is isolated")
 
 
 def find_induced_k33(h: UndirectedGraph, budget: OracleBudget = DEFAULT_BUDGET
@@ -290,7 +290,7 @@ def brute_ordering_search(g: Digraph, kind: str = "duf",
         ticks += 1
         if ticks % 256 == 0:
             deadline.check()
-        ordering = Ordering(perm, role=kind)
+        ordering = Ordering(perm)
         if kind == "duf":
             if verify_duf_ordering(g, ordering) is None:
                 return ordering

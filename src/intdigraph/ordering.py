@@ -23,18 +23,16 @@ from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
 from .graphs import Digraph, UndirectedGraph
 from .intervals import Interval, IntervalRep, realize_digraph
 
-ROLES = ("duf", "reflexive-interval", "cocomparability", "adjusted")
-
 # Largest n for which a failing check still locates a concrete quadruple.
 WITNESS_SEARCH_CAP = 2000
 
 
 class Ordering:
-    """A permutation of [0, n) with a role tag."""
+    """A permutation of [0, n) with each vertex's position."""
 
-    __slots__ = ("perm", "role", "positions")
+    __slots__ = ("perm", "positions")
 
-    def __init__(self, perm: Iterable[int], role: str = "duf"):
+    def __init__(self, perm: Iterable[int]):
         perm = tuple(perm)
         n = len(perm)
         pos = [-1] * n
@@ -42,10 +40,7 @@ class Ordering:
             if not (0 <= v < n) or pos[v] != -1:
                 raise InvalidOrdering(f"{perm} is not a permutation of [0, {n})")
             pos[v] = p
-        if role not in ROLES:
-            raise InvalidOrdering(f"unknown ordering role {role!r}")
         self.perm = perm
-        self.role = role
         self.positions = tuple(pos)
 
     @property
@@ -55,13 +50,13 @@ class Ordering:
     def __eq__(self, other):
         if not isinstance(other, Ordering):
             return NotImplemented
-        return self.perm == other.perm and self.role == other.role
+        return self.perm == other.perm
 
     def __hash__(self):
-        return hash((self.perm, self.role))
+        return hash(self.perm)
 
     def __repr__(self):
-        return f"Ordering({self.perm}, role={self.role!r})"
+        return f"Ordering({self.perm})"
 
 
 @dataclass(frozen=True)
@@ -246,7 +241,8 @@ def check_reflexive_interval_ordering(
         return None
     if find_witness and g.n <= WITNESS_SEARCH_CAP:
         witness = find_forbidden_structure(g, ordering)
-        assert witness is not None, "verification failed but no pattern found"
+        if witness is None:
+            raise RuntimeError("verification failed but no pattern found")
         return witness
     return StructureWitness("unlocated", (), ())
 

@@ -201,7 +201,9 @@ def lift_set(sub: SubdivisionMap, s: Iterable[int], mode: str = "kernel") -> tup
         else:
             lifted.update(path[1::2])  # positions 2, 4, ..., k
     result = tuple(sorted(lifted))
-    assert len(result) == len(sset) + half * sub.origin.m
+    if len(result) != len(sset) + half * sub.origin.m:
+        raise RuntimeError(f"lifted set has {len(result)} vertices, expected "
+                           f"{len(sset) + half * sub.origin.m}")
     cert = verify_set(sub.host, result, mode)
     if not cert.all_checks_pass():
         raise RuntimeError(f"lifted set fails {mode} check: {cert.checks}")
@@ -222,7 +224,9 @@ def project_set(sub: SubdivisionMap, s_host: Iterable[int], mode: str = "kernel"
     n = sub.origin.n
     if mode == "kernel":
         result = tuple(sorted(v for v in sset if v < n))
-        assert len(result) == len(sset) - half * sub.origin.m
+        if len(result) != len(sset) - half * sub.origin.m:
+            raise RuntimeError(f"projected kernel has {len(result)} vertices, expected "
+                               f"{len(sset) - half * sub.origin.m}")
     else:
         working = set(sset)
         for (i, j), path in sub.paths.items():
@@ -232,7 +236,9 @@ def project_set(sub: SubdivisionMap, s_host: Iterable[int], mode: str = "kernel"
                 working.update(path[0::2])
                 working.add(j)
         result = tuple(sorted(v for v in working if v < n))
-        assert len(result) <= len(sset) - half * sub.origin.m
+        if len(result) > len(sset) - half * sub.origin.m:
+            raise RuntimeError(f"projected absorbing set has {len(result)} vertices, "
+                               f"more than {len(sset) - half * sub.origin.m}")
     cert = verify_set(sub.origin, result, mode)
     if not cert.all_checks_pass():
         raise RuntimeError(f"projected set fails {mode} check: {cert.checks}")

@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import intdigraph
 from intdigraph import Digraph, verify_representation
 from intdigraph.cli import main
 from intdigraph.fileio import (emit_digraph, emit_interval_rep, emit_ordering,
@@ -239,6 +242,17 @@ class TestGen:
                                  "--p", "0", "--json")
         assert code == 0 and payload["instance"].startswith("digraph 3")
 
+    def test_max_len_above_grid(self, capsys):
+        from intdigraph.generators import gen_reflexive_interval
+        code, out = run(capsys, "gen", "reflexive-interval", "--n", "1", "--max-len", "6")
+        assert code == 0 and parse_interval_rep(out).n == 1
+        for grid in range(4):
+            for max_len in range(grid, grid + 4):
+                for seed in range(20):
+                    rep = gen_reflexive_interval(5, seed, grid=grid, max_len=max_len)
+                    assert all(0 <= iv.lo and iv.hi <= grid
+                               for iv in rep.source + rep.target)
+
     def test_subdivided(self, capsys):
         _, out = run(capsys, "gen", "subdivided", "--n", "4", "--p", "0.5",
                      "--k", "2", "--seed", "5")
@@ -258,3 +272,12 @@ class TestErrors:
     def test_wrong_input_combination(self, files, capsys):
         code, payload = run_json(capsys, "min-kernel", files["nk.dg"])
         assert code == 1 and payload["status"] == "error"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, and the CLI reports RuntimeError, not AssertionError
+    package = Path(intdigraph.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from intdigraph import Digraph, Interval, IntervalBigraphRep, IntervalRep, Ordering
+from intdigraph import Digraph, Interval, IntervalBigraphRep, Ordering
 from intdigraph.errors import ParseError
 from intdigraph.fileio import (detect_kind, emit_bigraph_rep, emit_digraph,
                                emit_interval_rep, emit_ordering,
-                               parse_bigraph_rep, parse_digraph, parse_instance,
+                               parse_bigraph_rep, parse_digraph,
                                parse_interval_rep, parse_ordering,
                                parse_vertex_set, parse_weights)
 from intdigraph.fixtures import no_kernel_duf, two_vertex_example_rep
@@ -103,9 +103,6 @@ def test_detect_and_dispatch():
     assert detect_kind(emit_interval_rep(two_vertex_example_rep())) == "intervals"
     assert detect_kind("bigraph 1 1\nA 0 0 1\nB 0 0 1\n") == "bigraph"
     assert detect_kind(emit_ordering(ordering)) == "ordering"
-    assert isinstance(parse_instance(emit_digraph(g)), Digraph)
-    assert isinstance(parse_instance(emit_interval_rep(two_vertex_example_rep())),
-                      IntervalRep)
     with pytest.raises(ParseError):
         detect_kind("   \n\n")
 

@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings
 
-from intdigraph import (Digraph, UndirectedGraph, brute_kernel, induced_subgraph,
-                        reverse, symmetric_digraph, underlying_undirected,
-                        verify_set)
+from intdigraph import (Digraph, Ordering, UndirectedGraph, brute_kernel,
+                        brute_max_independent, induced_subgraph,
+                        max_independent_duf, optimal_kernel_duf, reverse,
+                        symmetric_digraph, underlying_undirected, verify_set)
 from intdigraph.errors import InvalidVertex
 from intdigraph.fixtures import no_kernel_duf
 
@@ -173,3 +174,18 @@ def test_brute_kernel_matches_verify_set_enumeration():
     g2 = Digraph(3, [(0, 1), (1, 2)])
     cert = brute_kernel(g2, "min")
     assert cert.vertices == (0, 2)
+
+
+WEIGHTED_SOLVERS = {
+    "optimal_kernel_duf": lambda g, w: optimal_kernel_duf(g, Ordering(range(g.n)), "min", w),
+    "max_independent_duf": lambda g, w: max_independent_duf(g, Ordering(range(g.n)), w),
+    "brute_kernel": lambda g, w: brute_kernel(g, "min", w),
+    "brute_max_independent": lambda g, w: brute_max_independent(g, w),
+}
+
+
+@pytest.mark.parametrize("solver", WEIGHTED_SOLVERS)
+@pytest.mark.parametrize("weights", [[True, False], [1, -1]], ids=["bool", "negative"])
+def test_weighted_solvers_reject_bool_and_negative_weights(solver, weights):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        WEIGHTED_SOLVERS[solver](Digraph(2), weights)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from intdigraph import (Digraph, Interval, IntervalRep, extract_duf_ordering,
-                        is_reflexive, normalize, realize_digraph,
+                        is_reflexive, normalize, realize_digraph, reverse,
                         set_is_absorbing, set_is_dominating, set_is_independent,
                         verify_representation, verify_set,
                         check_reflexive_interval_ordering, verify_duf_ordering)
@@ -107,7 +107,7 @@ class TestIsReflexive:
 class TestExtractDufOrdering:
     def test_two_vertex_example(self):
         ordering = extract_duf_ordering(normalize(two_vertex_example_rep()))
-        assert ordering.perm == (0, 1) and ordering.role == "duf"
+        assert ordering.perm == (0, 1)
 
     def test_single_vertex(self):
         nrep = normalize(IntervalRep([(Interval(0, 1), Interval(0, 1))]))
@@ -161,3 +161,40 @@ def test_reflexive_reps_yield_valid_orderings(rep):
     ordering = extract_duf_ordering(nrep)
     assert verify_duf_ordering(g, ordering) is None
     assert check_reflexive_interval_ordering(g, ordering) is None
+
+
+def reference_ranks(rep: IntervalRep):
+    """(ls, rs, lt, rt) by the event sort ``normalize`` used to run.
+
+    One (coordinate, right?, vertex, T?) tuple per endpoint, sorted; the
+    position of an endpoint's tuple is its rank.
+    """
+    events = sorted((x, side, v, kind)
+                    for v, ivs in enumerate(zip(rep.source, rep.target))
+                    for kind, iv in enumerate(ivs)
+                    for side, x in enumerate((iv.lo, iv.hi)))
+    ranks = {(v, kind, side): r for r, (_, side, v, kind) in enumerate(events)}
+    return tuple(tuple(ranks[(v, kind, side)] for v in range(rep.n))
+                 for kind, side in ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+def ranks(nrep):
+    return nrep.ls, nrep.rs, nrep.lt, nrep.rt
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_reps())
+def test_normalize_and_swapped_match_the_event_sort(rep):
+    # the adjusted variant gives T_v the left end of S_v
+    adjusted = IntervalRep((s, Interval(s.lo, max(s.lo, t.hi)))
+                           for s, t in zip(rep.source, rep.target))
+    for raw in (rep, adjusted):
+        nrep = normalize(raw)
+        assert ranks(nrep) == reference_ranks(raw)
+        ls, rs, lt, rt = ranks(nrep)
+        reversal = IntervalRep(zip(zip(lt, rt), zip(ls, rs)))
+        swapped = nrep.swapped()
+        assert ranks(swapped) == reference_ranks(reversal)
+        assert realize_digraph(swapped) == reverse(realize_digraph(raw))
+        assert swapped.adjusted == raw.adjusted
+    assert adjusted.adjusted

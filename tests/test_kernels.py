@@ -208,7 +208,7 @@ class TestMinIndependentDominatingCocomp:
         for trial in range(60):
             rep = normalize(gen_reflexive_interval(rng.randint(1, 10), seed=4000 + trial))
             h = underlying_undirected(realize_digraph(rep))
-            ordering = Ordering(extract_duf_ordering(rep).perm, role="cocomparability")
+            ordering = extract_duf_ordering(rep)
             cert = min_independent_dominating_cocomp(h, ordering)
             from intdigraph import symmetric_digraph
             ref = brute_kernel(symmetric_digraph(h), "min")

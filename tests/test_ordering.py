@@ -24,8 +24,6 @@ class TestOrdering:
             Ordering((0, 0, 1))
         with pytest.raises(InvalidOrdering):
             Ordering((0, 2))
-        with pytest.raises(InvalidOrdering):
-            Ordering((0, 1), role="mystery")
 
     def test_positions(self):
         assert Ordering((2, 0, 1)).positions == (1, 2, 0)
