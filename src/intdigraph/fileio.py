@@ -39,6 +39,22 @@ def _int(token: str, lineno: int) -> int:
         raise ParseError(lineno, f"expected an integer, got {token!r}") from None
 
 
+def _counts(tokens: list[str], lineno: int, records: int) -> list[int]:
+    """Header counts, checked before anything is allocated.
+
+    Every item needs exactly one record line, so a sum above the number of
+    records leaves some item missing; once it is at most that number, the
+    per-record range and duplicate checks make every item present.
+    """
+    counts = [_int(t, lineno) for t in tokens]
+    if any(c < 0 for c in counts):
+        raise ParseError(lineno, f"negative count in header: {' '.join(tokens)}")
+    if sum(counts) > records:
+        raise ParseError(lineno, f"missing intervals: header declares {sum(counts)}, "
+                                 f"file has {records} records")
+    return counts
+
+
 def _rational(token: str, lineno: int):
     try:
         if "/" in token:
@@ -90,7 +106,7 @@ def parse_interval_rep(text: str) -> IntervalRep:
     lineno, header = rows[0]
     if len(header) != 2:
         raise ParseError(lineno, "expected 'intervals <n>' header")
-    n = _int(header[1], lineno)
+    n, = _counts(header[1:], lineno, len(rows) - 1)
     pairs: list = [None] * n
     for lineno, tokens in rows[1:]:
         if len(tokens) != 5:
@@ -105,9 +121,6 @@ def parse_interval_rep(text: str) -> IntervalRep:
             pairs[v] = (Interval(vals[0], vals[1]), Interval(vals[2], vals[3]))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
-    for v in range(n):
-        if pairs[v] is None:
-            raise ParseError(rows[0][0], f"missing intervals for vertex {v}")
     return IntervalRep(pairs)
 
 
@@ -127,8 +140,7 @@ def parse_bigraph_rep(text: str) -> IntervalBigraphRep:
     lineno, header = rows[0]
     if len(header) != 3:
         raise ParseError(lineno, "expected 'bigraph <|A|> <|B|>' header")
-    a_size = _int(header[1], lineno)
-    b_size = _int(header[2], lineno)
+    a_size, b_size = _counts(header[1:], lineno, len(rows) - 1)
     a_ivs: list = [None] * a_size
     b_ivs: list = [None] * b_size
     for lineno, tokens in rows[1:]:
@@ -144,10 +156,6 @@ def parse_bigraph_rep(text: str) -> IntervalBigraphRep:
             store[idx] = Interval(_rational(tokens[2], lineno), _rational(tokens[3], lineno))
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
-    for part, store in (("A", a_ivs), ("B", b_ivs)):
-        for idx, iv in enumerate(store):
-            if iv is None:
-                raise ParseError(rows[0][0], f"missing interval for {part} {idx}")
     return IntervalBigraphRep(a_ivs, b_ivs)
 
 

@@ -4,42 +4,25 @@ Under a directed umbrella-free ordering, non-adjacency of the underlying
 undirected graph is transitive along the order, so independent sets are
 exactly the chains of the complement relation restricted to increasing
 positions.  A right-to-left longest-chain dynamic program therefore finds
-a maximum-weight independent set in O(n^2).
+a maximum-weight independent set in O(n^2), as a 'max'
+:class:`~intdigraph.ordering.SuffixTable` where any position may start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import NotDufOrdered
-from .graphs import Certificate, Digraph, check_weights, verify_set
-from .ordering import Ordering, verify_duf_ordering
-
-
-@dataclass(frozen=True)
-class ChainDag:
-    """Longest-chain values over the non-adjacency relation in order.
-
-    ``values[p]`` is the best total weight of an independent set starting
-    at position p and using positions >= p; ``succ[p]`` the next position
-    on one such set (None at chain ends).
-    """
-
-    ordering: Ordering
-    values: tuple[int, ...]
-    succ: tuple[Optional[int], ...]
-
-    def chain_positions(self, p: int) -> list[int]:
-        out = [p]
-        while self.succ[out[-1]] is not None:
-            out.append(self.succ[out[-1]])
-        return out
+from .graphs import Certificate, Digraph, check_weights
+from .ordering import Ordering, SuffixTable, verify_duf_ordering
 
 
 def chain_dag(g: Digraph, ordering: Ordering,
-              weights: Optional[Iterable[int]] = None) -> ChainDag:
-    """Fill the chain table; assumes the ordering is already verified DUF."""
+              weights: Optional[Iterable[int]] = None) -> SuffixTable:
+    """Fill the chain table; assumes the ordering is already verified DUF.
+
+    A chain continues only on the first best tail of positive weight.
+    """
     n = g.n
     perm, pos = ordering.perm, ordering.positions
     w = check_weights(weights, n)
@@ -61,7 +44,7 @@ def chain_dag(g: Digraph, ordering: Ordering,
                 best_val, best_q = values[q], q
         values[p] = w[perm[p]] + best_val
         succ[p] = best_q
-    return ChainDag(ordering=ordering, values=tuple(values), succ=tuple(succ))
+    return SuffixTable(ordering, "max", tuple(values), tuple(succ), tuple(range(n)))
 
 
 def max_independent_duf(g: Digraph, ordering: Ordering,
@@ -74,14 +57,4 @@ def max_independent_duf(g: Digraph, ordering: Ordering,
         return Certificate(vertices=(), checks={"independent": True},
                            algorithm="chain-dp", optimal=True, objective="max",
                            value=0)
-    dag = chain_dag(g, ordering, weights)
-    best_p = 0
-    for p in range(1, g.n):
-        if dag.values[p] > dag.values[best_p]:
-            best_p = p
-    vertices = tuple(sorted(ordering.perm[q] for q in dag.chain_positions(best_p)))
-    cert = verify_set(g, vertices, "independent")
-    if not cert.all_checks_pass():
-        raise RuntimeError(f"chain DP produced a dependent set: {cert.checks}")
-    return Certificate(vertices=vertices, checks=cert.checks, algorithm="chain-dp",
-                       optimal=True, objective="max", value=dag.values[best_p])
+    return chain_dag(g, ordering, weights).certify(g, "independent", "chain-dp")

@@ -19,6 +19,7 @@ accepts a raw :class:`IntervalRep` too and normalizes it on entry.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable
@@ -36,6 +37,8 @@ def _coerce(x):
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise MalformedInterval(f"endpoint {x!r} is not finite")
         return Fraction(x)
     raise MalformedInterval(f"endpoint {x!r} is not an int, Fraction or float")
 

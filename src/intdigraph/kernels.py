@@ -18,6 +18,8 @@ Three routes, by input:
 * :func:`optimal_kernel_adjusted` finds the same optimum in O(n^2) when the
   representation has matching left endpoints, exploiting that each
   vertex's higher neighbourhoods are then contiguous runs.
+
+Both fill a :class:`~intdigraph.ordering.SuffixTable`, which certifies the kernel.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ from typing import Iterable, Optional
 
 from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
 from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
-                     symmetric_digraph, verify_set)
+                     symmetric_digraph)
 from .intervals import (IntervalRep, normalize, realize_digraph,
                         require_reflexive, set_is_absorbing,
                         set_is_independent)
-from .ordering import Ordering, verify_cocomparability_ordering, verify_duf_ordering
+from .ordering import (Ordering, SuffixTable, argbest, umbrella_triple,
+                       verify_duf_ordering)
 
 OBJECTIVES = ("min", "max")
 
@@ -186,37 +189,8 @@ def kernel_linear(rep: IntervalRep) -> Certificate:
 # min/max kernel on digraphs with a DUF-ordering
 
 
-@dataclass(frozen=True)
-class KernelTable:
-    """Suffix dynamic program over an ordering, in position space.
-
-    ``values[p]`` is the optimal kernel weight of the subgraph induced by
-    positions [p, n) among kernels containing p, or None when no such
-    kernel exists; ``succ[p]`` the next chosen position.  ``candidates``
-    are the positions usable as the first element of a kernel of the whole
-    digraph (every earlier position is one of their in-neighbours).
-    """
-
-    ordering: Ordering
-    objective: str
-    values: tuple[Optional[int], ...]
-    succ: tuple[Optional[int], ...]
-    candidates: tuple[int, ...]
-
-    def chain_positions(self, p: int) -> list[int]:
-        if self.values[p] is None:
-            raise ValueError(f"position {p} has no kernel containing it")
-        out = [p]
-        while self.succ[out[-1]] is not None:
-            out.append(self.succ[out[-1]])
-        return out
-
-    def kernel_vertices(self, p: int) -> tuple[int, ...]:
-        return tuple(sorted(self.ordering.perm[q] for q in self.chain_positions(p)))
-
-
 def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
-                         weights: Optional[Iterable[int]] = None) -> KernelTable:
+                         weights: Optional[Iterable[int]] = None) -> SuffixTable:
     """Fill the suffix table; assumes ``ordering`` is already verified DUF.
 
     For each position i the admissible continuations are the non-neighbours
@@ -231,7 +205,6 @@ def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
     in_pos = [sorted(pos[u] for u in g.in_adj[perm[p]]) for p in range(n)]
     in_pos_set = [set(ps) for ps in in_pos]
     out_pos_set = [set(pos[u] for u in g.out_adj[perm[p]]) for p in range(n)]
-    prefer_high = objective == "max"
 
     values: list[Optional[int]] = [None] * n
     succ: list[Optional[int]] = [None] * n
@@ -241,7 +214,6 @@ def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
         in_above = len(in_pos[i]) - bisect_right(in_pos[i], i)
         if in_above == n - 1 - i:
             values[i] = wpos[i]
-            succ[i] = None
             continue
         chain = []
         for j in range(i + 1, n):
@@ -249,8 +221,7 @@ def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
                 stamp[j] = i
                 lindex[j] = len(chain)
                 chain.append(j)
-        best_val: Optional[int] = None
-        best_j: Optional[int] = None
+        admissible = []
         for idx, j in enumerate(chain):
             if j in out_pos_set[i] or values[j] is None:
                 continue
@@ -258,19 +229,15 @@ def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
             for u in in_pos[j]:
                 if stamp[u] == i and lindex[u] < idx:
                     covered += 1
-            if covered != idx:
-                continue
-            val = values[j]
-            if best_val is None or (val > best_val if prefer_high else val < best_val):
-                best_val, best_j = val, j
+            if covered == idx:
+                admissible.append(j)
+        best_j = argbest(values, admissible, objective)
         if best_j is not None:
-            values[i] = wpos[i] + best_val
+            values[i] = wpos[i] + values[best_j]
             succ[i] = best_j
 
     candidates = tuple(p for p in range(n) if bisect_left(in_pos[p], p) == p)
-    return KernelTable(ordering=ordering, objective=objective,
-                       values=tuple(values), succ=tuple(succ),
-                       candidates=candidates)
+    return SuffixTable(ordering, objective, tuple(values), tuple(succ), candidates)
 
 
 def optimal_kernel_duf(g: Digraph, ordering: Ordering, objective: str = "min",
@@ -290,23 +257,7 @@ def optimal_kernel_duf(g: Digraph, ordering: Ordering, objective: str = "min",
                            algorithm="kernel-dp", optimal=True, objective=objective,
                            value=0)
     table = compute_kernel_table(g, ordering, objective, weights)
-    prefer_high = objective == "max"
-    best_p: Optional[int] = None
-    best_val: Optional[int] = None
-    for p in table.candidates:
-        val = table.values[p]
-        if val is None:
-            continue
-        if best_val is None or (val > best_val if prefer_high else val < best_val):
-            best_val, best_p = val, p
-    if best_p is None:
-        return None
-    vertices = table.kernel_vertices(best_p)
-    cert = verify_set(g, vertices, "kernel")
-    if not cert.all_checks_pass():
-        raise RuntimeError(f"kernel DP produced an invalid set: {cert.checks}")
-    return Certificate(vertices=vertices, checks=cert.checks, algorithm="kernel-dp",
-                       optimal=True, objective=objective, value=best_val)
+    return table.certify(g, "kernel", "kernel-dp")
 
 
 # --------------------------------------------------------------------------
@@ -330,10 +281,8 @@ def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optiona
                            algorithm="kernel-dp-adjusted", optimal=True,
                            objective=objective, value=0)
     g = realize_digraph(rep)
-    perm = sorted(range(n), key=rep.ls.__getitem__)
-    pos = [0] * n
-    for p, v in enumerate(perm):
-        pos[v] = p
+    ordering = Ordering(sorted(range(n), key=rep.ls.__getitem__))
+    perm, pos = ordering.perm, ordering.positions
 
     # self-loops count: reflexivity makes every vertex its own neighbour here
     max_out = list(range(n))
@@ -351,49 +300,23 @@ def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optiona
     for p in range(n - 1, -1, -1):
         suffix_min_out[p] = min(max_out[p], suffix_min_out[p + 1])
 
-    prefer_high = objective == "max"
     values: list[Optional[int]] = [None] * n
     succ: list[Optional[int]] = [None] * n
     for i in range(n - 1, -1, -1):
         if max_in[i] == n - 1:
             values[i] = 1
-            succ[i] = None
             continue
         lo = max(max_out[i], max_in[i]) + 1
         x = suffix_min_out[max_in[i] + 1]
-        best_val: Optional[int] = None
-        best_j: Optional[int] = None
-        for j in range(lo, min(x, n - 1) + 1):
-            val = values[j]
-            if val is None:
-                continue
-            if best_val is None or (val > best_val if prefer_high else val < best_val):
-                best_val, best_j = val, j
+        best_j = argbest(values, range(lo, min(x, n - 1) + 1), objective)
         if best_j is not None:
-            values[i] = 1 + best_val
+            values[i] = 1 + values[best_j]
             succ[i] = best_j
 
-    y = min(max_out)
-    best_p: Optional[int] = None
-    best_val = None
-    for p in range(0, y + 1):
-        val = values[p]
-        if val is None:
-            continue
-        if best_val is None or (val > best_val if prefer_high else val < best_val):
-            best_val, best_p = val, p
-    if best_p is None:
-        return None
-    chain = [best_p]
-    while succ[chain[-1]] is not None:
-        chain.append(succ[chain[-1]])
-    vertices = tuple(sorted(perm[p] for p in chain))
-    cert = verify_set(g, vertices, "kernel")
-    if not cert.all_checks_pass():
-        raise RuntimeError(f"adjusted kernel DP produced an invalid set: {cert.checks}")
-    return Certificate(vertices=vertices, checks=cert.checks,
-                       algorithm="kernel-dp-adjusted", optimal=True,
-                       objective=objective, value=best_val)
+    # a kernel's first vertex must absorb every earlier one
+    candidates = tuple(range(min(max_out) + 1))
+    table = SuffixTable(ordering, objective, tuple(values), tuple(succ), candidates)
+    return table.certify(g, "kernel", "kernel-dp-adjusted")
 
 
 # --------------------------------------------------------------------------
@@ -408,11 +331,10 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
     both senses, so this delegates to the kernel dynamic program.  Always
     succeeds: every maximal independent set dominates.
     """
-    witness = verify_cocomparability_ordering(h, ordering)
-    if witness is not None:
-        raise NotCocompOrdered(witness)
-    d = symmetric_digraph(h)
-    cert = optimal_kernel_duf(d, ordering, "min")
+    try:
+        cert = optimal_kernel_duf(symmetric_digraph(h), ordering, "min")
+    except NotDufOrdered as exc:
+        raise NotCocompOrdered(umbrella_triple(exc.witness)) from None
     if cert is None:
         raise RuntimeError("symmetric digraph without a kernel")
     sset = set(cert.vertices)

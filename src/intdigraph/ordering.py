@@ -1,4 +1,4 @@
-"""Vertex-ordering characterizations and the ordering-to-representation map.
+"""Vertex orderings: umbrella checks, the interval map and the DP suffix table.
 
 Two nested conditions appear throughout:
 
@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
-from .graphs import Digraph, UndirectedGraph
+from .graphs import (Certificate, Digraph, UndirectedGraph, symmetric_digraph,
+                     verify_set)
 from .intervals import Interval, IntervalRep, realize_digraph
 
 # Largest n for which a failing check still locates a concrete quadruple.
@@ -57,6 +58,59 @@ class Ordering:
 
     def __repr__(self):
         return f"Ordering({self.perm})"
+
+
+def argbest(values, positions, objective: str) -> Optional[int]:
+    """The first of ``positions`` with the best non-None value (largest for
+    objective 'max', else smallest), or None when every value is None."""
+    high = objective == "max"
+    best_p: Optional[int] = None
+    best_val = None
+    for p in positions:
+        val = values[p]
+        if val is not None and (best_val is None
+                                or (val > best_val if high else val < best_val)):
+            best_p, best_val = p, val
+    return best_p
+
+
+@dataclass(frozen=True)
+class SuffixTable:
+    """A right-to-left dynamic program over an ordering, in position space.
+
+    ``values[p]`` is the best weight of a solution on positions [p, n)
+    that contains p, or None when there is none; ``succ[p]`` is the next
+    position of that solution (None at its end).  ``candidates`` are the
+    positions that may start a solution for the whole digraph.
+    """
+
+    ordering: Ordering
+    objective: str
+    values: tuple[Optional[int], ...]
+    succ: tuple[Optional[int], ...]
+    candidates: tuple[int, ...]
+
+    def chain_positions(self, p: int) -> list[int]:
+        if self.values[p] is None:
+            raise ValueError(f"position {p} starts no solution")
+        out = [p]
+        while self.succ[out[-1]] is not None:
+            out.append(self.succ[out[-1]])
+        return out
+
+    def certify(self, g: Digraph, mode: str, algorithm: str) -> Optional[Certificate]:
+        """The best candidate's solution, re-checked against ``g`` in ``mode``;
+        None when no candidate has a value."""
+        best = argbest(self.values, self.candidates, self.objective)
+        if best is None:
+            return None
+        vertices = tuple(sorted(self.ordering.perm[q] for q in self.chain_positions(best)))
+        cert = verify_set(g, vertices, mode)
+        if not cert.all_checks_pass():
+            raise RuntimeError(f"{algorithm} produced an invalid set: {cert.checks}")
+        return Certificate(vertices=vertices, checks=cert.checks, algorithm=algorithm,
+                           optimal=True, objective=self.objective,
+                           value=self.values[best])
 
 
 @dataclass(frozen=True)
@@ -270,22 +324,19 @@ def build_representation(g: Digraph, ordering: Ordering) -> IntervalRep:
     return rep
 
 
+def umbrella_triple(witness: StructureWitness) -> tuple[int, int, int]:
+    """The (i, j, k) of a DUF witness (i, j, j, k) on a symmetric digraph."""
+    i, j, _, k = witness.vertices
+    return (i, j, k)
+
+
 def verify_cocomparability_ordering(
         h: UndirectedGraph, ordering: Ordering) -> Optional[tuple[int, int, int]]:
     """None if the ordering is umbrella-free for ``h``, else a violating
     triple (i, j, k) of vertices with i < j < k in the ordering, ik an edge
-    and neither ij nor jk present."""
+    and neither ij nor jk present.  This is the DUF check on the symmetric
+    digraph of ``h``, whose witness (i, j, j, k) names the triple."""
     if ordering.n != h.n:
         raise InvalidOrdering(f"ordering covers {ordering.n} vertices, graph has {h.n}")
-    perm, pos = ordering.perm, ordering.positions
-    for p in range(h.n):
-        v = perm[p]
-        for q in sorted(pos[w] for w in h.adj[v]):
-            if q < p + 2:
-                continue
-            k = perm[q]
-            for r in range(p + 1, q):
-                mid = perm[r]
-                if not (h.has_edge(v, mid) or h.has_edge(mid, k)):
-                    return (v, mid, k)
-    return None
+    witness = verify_duf_ordering(symmetric_digraph(h), ordering)
+    return None if witness is None else umbrella_triple(witness)

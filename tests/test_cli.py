@@ -273,6 +273,23 @@ class TestErrors:
         code, payload = run_json(capsys, "min-kernel", files["nk.dg"])
         assert code == 1 and payload["status"] == "error"
 
+    @pytest.mark.parametrize("command,text", [
+        ("kernel", "intervals -5\n"),
+        ("absorbing", "intervals -5\n"),
+        ("kernel", "intervals 2\n0 0 1 0 1\n"),
+        ("kernel", f"intervals {10**12}\n0 0 1 0 1\n"),
+        ("red-blue", "bigraph -1 2\n"),
+        ("red-blue", "bigraph 1 -1\nA 0 0 1\n"),
+        ("red-blue", "bigraph 2 1\nA 0 0 1\nB 0 0 2\n"),
+        ("red-blue", f"bigraph {10**12} 1\nB 0 0 2\n"),
+    ])
+    def test_bad_vertex_counts_in_headers(self, capsys, tmp_path, command, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, payload = run_json(capsys, command, str(path))
+        assert code == 1 and payload["status"] == "error"
+        assert "line 1" in payload["error"]
+
 
 def test_package_has_no_assert_statements():
     # python -O strips asserts, and the CLI reports RuntimeError, not AssertionError

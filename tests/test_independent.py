@@ -32,6 +32,11 @@ def test_edgeless_takes_everything():
     assert cert.vertices == (0, 1, 2, 3, 4)
 
 
+def test_zero_weight_tail_is_not_appended():
+    cert = max_independent_duf(Digraph(2), Ordering((0, 1)), [1, 0])
+    assert cert.vertices == (0,) and cert.value == 1
+
+
 def test_rejects_non_duf_ordering():
     with pytest.raises(NotDufOrdered):
         max_independent_duf(Digraph(3, [(0, 2)]), Ordering((0, 1, 2)))

@@ -20,6 +20,9 @@ class TestInterval:
             Interval(2, 1)
         with pytest.raises(MalformedInterval):
             Interval("x", 1)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(MalformedInterval):
+                Interval(0, bad)
 
     def test_degenerate_allowed(self):
         assert Interval(3, 3).intersects(Interval(0, 3))

@@ -108,6 +108,18 @@ class TestOptimalKernelDuf:
             optimal_kernel_duf(g, Ordering((0, 1, 2)))
         assert exc.value.witness.kind == "duf-out"
 
+    def test_tied_continuations_take_the_lowest_position(self):
+        # from position 0, positions 1 and 2 continue equally well
+        g = Digraph(4, [(1, 2), (2, 1)])
+        for objective in ("min", "max"):
+            cert = optimal_kernel_duf(g, Ordering(range(4)), objective)
+            assert cert.vertices == (0, 1, 3) and cert.value == 3
+
+    def test_tied_starts_take_the_lowest_position(self):
+        g = Digraph(4, [(0, 1), (1, 0)])
+        cert = optimal_kernel_duf(g, Ordering(range(4)), "min")
+        assert cert.vertices == (0, 2, 3) and cert.value == 3
+
     def test_exhaustive_small_loopless(self):
         for n in range(1, 4):
             for g in all_digraphs(n, reflexive=False):
