@@ -20,8 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
-from .graphs import (Certificate, Digraph, UndirectedGraph, symmetric_digraph,
-                     verify_set)
+from .graphs import Certificate, Digraph, UndirectedGraph, verify_set
 from .intervals import Interval, IntervalRep, realize_digraph
 
 # Largest n for which a failing check still locates a concrete quadruple.
@@ -161,32 +160,46 @@ def _require_matching(g, ordering) -> None:
         raise InvalidOrdering(f"ordering covers {ordering.n} vertices, digraph has {g.n}")
 
 
+def _umbrella_at(near, far, perm, pos, p) -> Optional[tuple[int, int]]:
+    """The first umbrella over position p among the arcs of one direction.
+
+    ``near[u]`` and ``far[u]`` are u's out- and in-neighbour sets for the
+    out-arcs, swapped for the in-arcs.  Returns the first (r, q), by q then
+    r, such that q's vertex is in ``near`` of p's while the vertex at r,
+    strictly between, is in neither ``near`` of p's vertex nor ``far`` of
+    q's; None when there is none."""
+    v = perm[p]
+    near_v = near[v]
+    for q in sorted(map(pos.__getitem__, near_v)):
+        if q < p + 2:
+            continue
+        far_k = far[perm[q]]
+        for r in range(p + 1, q):
+            mid = perm[r]
+            if mid not in near_v and mid not in far_k:
+                return r, q
+    return None
+
+
 def verify_duf_ordering(g: Digraph, ordering: Ordering) -> Optional[StructureWitness]:
     """None if the ordering is directed umbrella-free, else a witness.
 
     Scans, for every edge spanning at least one middle position, the
-    vertices in between; O(n m) worst case.
+    vertices in between; O(n m) worst case.  At each position the
+    out-arcs are scanned before the in-arcs.
     """
     _require_matching(g, ordering)
     perm, pos = ordering.perm, ordering.positions
+    outs = list(map(set, g.out_adj))
+    ins = list(map(set, g.in_adj))
+    scans = (("duf-out", outs, ins), ("duf-in", ins, outs))
     for p in range(g.n):
-        v = perm[p]
-        for q in sorted(pos[w] for w in g.out_adj[v]):
-            if q < p + 2:
-                continue
-            k = perm[q]
-            for r in range(p + 1, q):
-                mid = perm[r]
-                if not (g.has_edge(v, mid) or g.has_edge(mid, k)):
-                    return StructureWitness("duf-out", (v, mid, mid, k), (p, r, r, q))
-        for q in sorted(pos[w] for w in g.in_adj[v]):
-            if q < p + 2:
-                continue
-            k = perm[q]
-            for r in range(p + 1, q):
-                mid = perm[r]
-                if not (g.has_edge(k, mid) or g.has_edge(mid, v)):
-                    return StructureWitness("duf-in", (v, mid, mid, k), (p, r, r, q))
+        for kind, near, far in scans:
+            hit = _umbrella_at(near, far, perm, pos, p)
+            if hit is not None:
+                r, q = hit
+                return StructureWitness(kind, (perm[p], perm[r], perm[r], perm[q]),
+                                        (p, r, r, q))
     return None
 
 
@@ -334,9 +347,17 @@ def verify_cocomparability_ordering(
         h: UndirectedGraph, ordering: Ordering) -> Optional[tuple[int, int, int]]:
     """None if the ordering is umbrella-free for ``h``, else a violating
     triple (i, j, k) of vertices with i < j < k in the ordering, ik an edge
-    and neither ij nor jk present.  This is the DUF check on the symmetric
-    digraph of ``h``, whose witness (i, j, j, k) names the triple."""
+    and neither ij nor jk present.  This is the out-arc scan of the DUF
+    check, run on ``h`` itself: on the symmetric digraph of ``h`` the
+    in-arc scan at a position fails only where the out-arc scan already
+    has, so the triple is the :func:`umbrella_triple` of that check."""
     if ordering.n != h.n:
         raise InvalidOrdering(f"ordering covers {ordering.n} vertices, graph has {h.n}")
-    witness = verify_duf_ordering(symmetric_digraph(h), ordering)
-    return None if witness is None else umbrella_triple(witness)
+    perm, pos = ordering.perm, ordering.positions
+    adj = list(map(set, h.adj))
+    for p in range(h.n):
+        hit = _umbrella_at(adj, adj, perm, pos, p)
+        if hit is not None:
+            r, q = hit
+            return (perm[p], perm[r], perm[q])
+    return None

@@ -61,6 +61,19 @@ def min_solution_size(g: Digraph):
     return best
 
 
+def random_adjusted_rep(n, rng, max_len=None):
+    """n random vertices whose S and T share their left endpoint, on the
+    grid [0, 4n + 1]; ``max_len`` caps the interval lengths."""
+    pairs = []
+    grid = 4 * n + 1
+    for _ in range(n):
+        lo = rng.randint(0, grid)
+        hi = grid if max_len is None else lo + max_len
+        pairs.append((Interval(lo, rng.randint(lo, hi)),
+                      Interval(lo, rng.randint(lo, hi))))
+    return IntervalRep(pairs)
+
+
 @st.composite
 def rationals(draw, lo=0, hi=24, max_den=4):
     num = draw(st.integers(lo * max_den, hi * max_den))

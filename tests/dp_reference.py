@@ -1,0 +1,98 @@
+"""The quadratic suffix-table fills, kept as the differential reference.
+
+:func:`compute_kernel_table` scans every position above i once per i with
+a stamp array; :func:`chain_dag` scans every position above p once per p.
+Both are Theta(n^2) on any input.  They return the same
+:class:`~intdigraph.ordering.SuffixTable` as the library's fills, which
+``test_dp_reference.py`` checks on random inputs.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Optional
+
+from intdigraph.graphs import Digraph, check_weights
+from intdigraph.kernels import _check_objective
+from intdigraph.ordering import Ordering, SuffixTable, argbest
+
+
+def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
+                         weights: Optional[Iterable[int]] = None) -> SuffixTable:
+    """Fill the suffix table; assumes ``ordering`` is already verified DUF.
+
+    For each position i the admissible continuations are the non-neighbours
+    j above i such that every position strictly between is an in-neighbour
+    of i or of j; they are found with one stamped scan per i, O(n + m) each.
+    """
+    _check_objective(objective)
+    n = g.n
+    perm, pos = ordering.perm, ordering.positions
+    w = check_weights(weights, n)
+    wpos = [w[perm[p]] for p in range(n)]
+    in_pos = [sorted(pos[u] for u in g.in_adj[perm[p]]) for p in range(n)]
+    in_pos_set = [set(ps) for ps in in_pos]
+    out_pos_set = [set(pos[u] for u in g.out_adj[perm[p]]) for p in range(n)]
+
+    values: list[Optional[int]] = [None] * n
+    succ: list[Optional[int]] = [None] * n
+    stamp = [-1] * n
+    lindex = [0] * n
+    for i in range(n - 1, -1, -1):
+        in_above = len(in_pos[i]) - bisect_right(in_pos[i], i)
+        if in_above == n - 1 - i:
+            values[i] = wpos[i]
+            continue
+        chain = []
+        for j in range(i + 1, n):
+            if j not in in_pos_set[i]:
+                stamp[j] = i
+                lindex[j] = len(chain)
+                chain.append(j)
+        admissible = []
+        for idx, j in enumerate(chain):
+            if j in out_pos_set[i] or values[j] is None:
+                continue
+            covered = 0
+            for u in in_pos[j]:
+                if stamp[u] == i and lindex[u] < idx:
+                    covered += 1
+            if covered == idx:
+                admissible.append(j)
+        best_j = argbest(values, admissible, objective)
+        if best_j is not None:
+            values[i] = wpos[i] + values[best_j]
+            succ[i] = best_j
+
+    candidates = tuple(p for p in range(n) if bisect_left(in_pos[p], p) == p)
+    return SuffixTable(ordering, objective, tuple(values), tuple(succ), candidates)
+
+
+def chain_dag(g: Digraph, ordering: Ordering,
+              weights: Optional[Iterable[int]] = None) -> SuffixTable:
+    """Fill the chain table; assumes the ordering is already verified DUF.
+
+    A chain continues only on the first best tail of positive weight.
+    """
+    n = g.n
+    perm, pos = ordering.perm, ordering.positions
+    w = check_weights(weights, n)
+    adj_pos = [set() for _ in range(n)]
+    for p in range(n):
+        v = perm[p]
+        for u in g.out_adj[v]:
+            adj_pos[p].add(pos[u])
+            adj_pos[pos[u]].add(p)
+    values = [0] * n
+    succ: list[Optional[int]] = [None] * n
+    for p in range(n - 1, -1, -1):
+        best_val = 0
+        best_q: Optional[int] = None
+        for q in range(p + 1, n):
+            if q in adj_pos[p]:
+                continue
+            if values[q] > best_val:
+                best_val, best_q = values[q], q
+        values[p] = w[perm[p]] + best_val
+        succ[p] = best_q
+    return SuffixTable(ordering, "max", tuple(values), tuple(succ), tuple(range(n)))

@@ -353,18 +353,23 @@ def test_criterion_8_scaling_sanity():
         assert all(t < 5.0 for t in times.values()), times
 
     dp_times = {}
+    mis_times = {}
     for n in (500, 1000, 2000):
         rep = normalize(gen_reflexive_interval(n, seed=11, grid=4 * n, max_len=6))
         g = realize_digraph(rep)
         ordering = extract_duf_ordering(rep)
         assert g.m <= 3 * n  # sparse regime
         dp_times[n] = _best_of_two(lambda: optimal_kernel_duf(g, ordering, "min"))
-    assert dp_times[1000] <= 5 * dp_times[500] + 0.05, dp_times
-    assert dp_times[2000] <= 5 * dp_times[1000] + 0.05, dp_times
+        mis_times[n] = _best_of_two(lambda: max_independent_duf(g, ordering))
+    for times in (dp_times, mis_times):
+        assert times[1000] <= 5 * times[500] + 0.05, times
+        assert times[2000] <= 5 * times[1000] + 0.05, times
     _report(8, f"sweep {sweep_times[200_000]:.2f}s and absorbing "
                f"{absorb_times[200_000]:.2f}s at n=200000; DP ratios "
                f"{dp_times[1000]/max(dp_times[500],1e-9):.1f}x, "
-               f"{dp_times[2000]/max(dp_times[1000],1e-9):.1f}x")
+               f"{dp_times[2000]/max(dp_times[1000],1e-9):.1f}x; MIS ratios "
+               f"{mis_times[1000]/max(mis_times[500],1e-9):.1f}x, "
+               f"{mis_times[2000]/max(mis_times[1000],1e-9):.1f}x")
 
 
 # ---------------------------------------------------------------------------

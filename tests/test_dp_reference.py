@@ -1,0 +1,73 @@
+"""The library's suffix-table fills against the quadratic ones in
+``dp_reference``: equal values, successors and candidates."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intdigraph import (Digraph, Ordering, chain_dag, compute_kernel_table,
+                        extract_duf_ordering, normalize, realize_digraph)
+from intdigraph.generators import gen_reflexive_interval
+
+import dp_reference
+from conftest import random_adjusted_rep
+
+
+def _tables(table):
+    return table.values, table.succ, table.candidates
+
+
+def assert_same_tables(g, ordering, weights):
+    for objective in ("min", "max"):
+        assert (_tables(compute_kernel_table(g, ordering, objective, weights))
+                == _tables(dp_reference.compute_kernel_table(g, ordering, objective,
+                                                             weights)))
+    assert (_tables(chain_dag(g, ordering, weights))
+            == _tables(dp_reference.chain_dag(g, ordering, weights)))
+
+
+@st.composite
+def weight_lists(draw, n):
+    """Unit weights (None) or n weights from 0..3, so zeros and ties are common."""
+    return draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+
+@st.composite
+def duf_ordered(draw):
+    """A reflexive interval or adjusted-representation digraph, n <= 200,
+    with the DUF ordering of its representation and weights."""
+    n = draw(st.integers(0, 200))
+    seed = draw(st.integers(0, 2**32))
+    max_len = draw(st.sampled_from([2, 6, 40, None]))
+    if draw(st.booleans()):
+        rep = gen_reflexive_interval(n, seed, max_len=max_len)
+    else:
+        rep = random_adjusted_rep(n, random.Random(seed), max_len)
+    rep = normalize(rep)
+    return realize_digraph(rep), extract_duf_ordering(rep), draw(weight_lists(n))
+
+
+@st.composite
+def any_ordered(draw):
+    """Any digraph on at most 12 vertices under any ordering, with weights."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = Digraph(n, [e for e in pairs if rng.random() < density],
+                [v for v in range(n) if rng.random() < 0.5])
+    perm = draw(st.permutations(range(n)))
+    return g, Ordering(perm), draw(weight_lists(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(duf_ordered())
+def test_duf_ordered_tables_match_the_reference(case):
+    assert_same_tables(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_ordered())
+def test_any_ordering_tables_match_the_reference(case):
+    assert_same_tables(*case)

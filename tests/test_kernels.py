@@ -16,17 +16,7 @@ from intdigraph.fixtures import (in_star_adjusted, no_kernel_duf, reflexive_path
                                  two_vertex_example_rep)
 from intdigraph.generators import gen_reflexive_interval
 
-from conftest import all_digraphs, min_solution_size
-
-
-def random_adjusted_rep(n, rng):
-    pairs = []
-    grid = 4 * n + 1
-    for _ in range(n):
-        lo = rng.randint(0, grid)
-        pairs.append((Interval(lo, rng.randint(lo, grid)),
-                      Interval(lo, rng.randint(lo, grid))))
-    return IntervalRep(pairs)
+from conftest import all_digraphs, min_solution_size, random_adjusted_rep
 
 
 class TestZSequence:

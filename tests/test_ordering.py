@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intdigraph import (Digraph, Ordering, UndirectedGraph, build_representation,
                         check_reflexive_interval_ordering, extract_duf_ordering,
@@ -14,8 +15,9 @@ from intdigraph.errors import ForbiddenStructure, InvalidOrdering, NotReflexive
 from intdigraph.fixtures import (directed_triangle, no_kernel_duf,
                                  oriented_k33_with_loops, reflexive_path)
 from intdigraph.generators import gen_random_digraph
+from intdigraph.ordering import umbrella_triple
 
-from conftest import all_digraphs, interval_reps
+from conftest import all_digraphs, interval_reps, undirected_graphs
 
 
 class TestOrdering:
@@ -184,3 +186,18 @@ def test_duf_of_symmetric_cocomp_graph():
     ordering = Ordering((0, 1, 2, 3))
     assert verify_cocomparability_ordering(h, ordering) is None
     assert verify_duf_ordering(symmetric_digraph(h), ordering) is None
+
+
+@st.composite
+def ordered_graphs(draw):
+    h = draw(undirected_graphs(max_n=10))
+    return h, Ordering(draw(st.permutations(range(h.n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_graphs())
+def test_cocomparability_triple_is_the_symmetric_duf_witness(case):
+    h, ordering = case
+    witness = verify_duf_ordering(symmetric_digraph(h), ordering)
+    expected = None if witness is None else umbrella_triple(witness)
+    assert verify_cocomparability_ordering(h, ordering) == expected
