@@ -8,6 +8,13 @@ Absorbing-Set to Red-Blue Dominating Set on an interval bigraph.  The
 bigraph problem is solved by a single greedy sweep: repeatedly cover the
 uncovered A-vertex whose interval ends first with its furthest-reaching
 B-neighbour, then jump past everything that neighbour covers.
+
+The sweep reads only the order of the endpoints, as four rank sequences
+in the form of a :class:`~intdigraph.intervals.NormalizedRep`.  The
+absorbing and dominating solvers hand the normalized representation over
+as it is; :func:`bigraph_ranks` ranks a raw :class:`IntervalBigraphRep`
+with the same :func:`~intdigraph.intervals.stable_ranks` as
+``normalize``, and its docstring states the bigraph's tie rule.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from typing import Iterable, Optional
 
 from .errors import DimensionMismatch
 from .graphs import Certificate, Digraph
-from .intervals import (Interval, IntervalRep, StabIndex, normalize,
-                        require_reflexive, set_is_absorbing, set_is_dominating,
-                        verify_representation)
+from .intervals import (Interval, IntervalRep, NormalizedRep, StabIndex,
+                        normalize, require_reflexive, set_is_absorbing,
+                        stable_ranks, verify_representation)
 
 
 class Bigraph:
@@ -126,61 +133,44 @@ class RedBlueState:
     jump: tuple[Optional[int], ...]
 
 
-def _endpoint_ranks(a_intervals, b_intervals):
-    """Distinct total order on all endpoints, closed semantics preserved.
+def bigraph_ranks(rep) -> tuple:
+    """``(a_lo, a_hi, b_lo, b_hi)``: the distinct ranks of ``rep``'s endpoints.
 
-    Left endpoints precede right endpoints at equal coordinates; among
-    tied right endpoints, larger indices come first so that a maximum
-    over ranks selects the smallest index.  Already-distinct endpoint
-    sets are used as-is.
+    A :class:`NormalizedRep` stands for its splitting bigraph model (A =
+    source intervals, B = target intervals) and is already ranked.  An
+    :class:`IntervalBigraphRep` is ranked by (coordinate, left before
+    right, A before B, index), except that tied right endpoints of one
+    part come in falling index order, so the furthest-reaching neighbour
+    is the one of least index.  The ids list the A lefts, the B lefts,
+    then the A rights and the B rights each in falling index order, so
+    :func:`stable_ranks` breaks ties that way.
     """
-    vals = []
-    for iv in a_intervals:
-        vals.append(iv.lo)
-        vals.append(iv.hi)
-    for iv in b_intervals:
-        vals.append(iv.lo)
-        vals.append(iv.hi)
-    if len(set(vals)) == len(vals):
-        a = [(iv.lo, iv.hi) for iv in a_intervals]
-        b = [(iv.lo, iv.hi) for iv in b_intervals]
-        return a, b
-    events = []
-    for part, ivs in ((0, a_intervals), (1, b_intervals)):
-        for idx, iv in enumerate(ivs):
-            events.append((iv.lo, 0, part, idx, "l"))
-            events.append((iv.hi, 1, part, -idx, "r"))
-    events.sort(key=lambda e: e[:4])
-    ranks: dict[tuple, int] = {}
-    for rank, (_, _, part, signed_idx, side) in enumerate(events):
-        idx = signed_idx if side == "l" else -signed_idx
-        ranks[(part, idx, side)] = rank
-    a = [(ranks[(0, i, "l")], ranks[(0, i, "r")]) for i in range(len(a_intervals))]
-    b = [(ranks[(1, i, "l")], ranks[(1, i, "r")]) for i in range(len(b_intervals))]
-    return a, b
+    if isinstance(rep, NormalizedRep):
+        return rep.ls, rep.rs, rep.lt, rep.rt
+    a, b = rep.a_intervals, rep.b_intervals
+    rank = stable_ranks([iv.lo for iv in a] + [iv.lo for iv in b]
+                        + [iv.hi for iv in reversed(a)] + [iv.hi for iv in reversed(b)])
+    t, k = len(a), len(a) + len(b)
+    return rank[:t], rank[k:k + t][::-1], rank[t:k], rank[k + t:][::-1]
 
 
-def build_red_blue_state(rep: IntervalBigraphRep) -> Optional[RedBlueState]:
-    """The sweep state, or None when some A-vertex has no B-neighbour."""
-    t = rep.a_size
-    if t == 0:
-        return RedBlueState((), (), ())
-    if rep.b_size == 0:
-        return None
-    a_ivs, b_ivs = _endpoint_ranks(rep.a_intervals, rep.b_intervals)
-    index = StabIndex((lo, hi, j) for j, (lo, hi) in enumerate(b_ivs))
-
-    slots = sorted(range(t), key=lambda i: a_ivs[i][1])
+def build_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[RedBlueState]:
+    """The sweep state of the A intervals ``[a_lo[i], a_hi[i]]`` and the B
+    intervals ``[b_lo[j], b_hi[j]]``, all endpoints distinct ranks; None
+    when some A-vertex has no B-neighbour."""
+    t = len(a_lo)
+    index = StabIndex(zip(b_lo, b_hi, range(len(b_lo))))
+    slots = sorted(range(t), key=a_hi.__getitem__)
     rho = [None] * t
     cover = [None] * t
     for s, i in enumerate(slots):
-        best = index.stab(*a_ivs[i])
+        best = index.stab(a_lo[i], a_hi[i])
         if best is None:
             return None
         rho[s], cover[s] = best
 
-    by_left = sorted(range(t), key=lambda s: a_ivs[slots[s]][0])
-    left_vals = [a_ivs[slots[s]][0] for s in by_left]
+    by_left = sorted(range(t), key=lambda s: a_lo[slots[s]])
+    left_vals = [a_lo[slots[s]] for s in by_left]
     suffix_min_slot = [0] * (t + 1)
     suffix_min_slot[t] = t
     for p in range(t - 1, -1, -1):
@@ -194,34 +184,32 @@ def build_red_blue_state(rep: IntervalBigraphRep) -> Optional[RedBlueState]:
     return RedBlueState(tuple(slots), tuple(cover), tuple(jump))
 
 
-def red_blue_min_dominating(rep: IntervalBigraphRep) -> Optional[Certificate]:
+def red_blue_min_dominating(rep) -> Optional[Certificate]:
     """Minimum subset of B whose neighbourhoods cover all of A.
 
+    ``rep`` is an :class:`IntervalBigraphRep`, or a :class:`NormalizedRep`
+    read as its splitting bigraph model (see :func:`bigraph_ranks`).
     Returns None exactly when some A-vertex is isolated.  O(n log n).
     """
-    state = build_red_blue_state(rep)
+    a_lo, a_hi, b_lo, b_hi = bigraph_ranks(rep)
+    state = build_red_blue_state(a_lo, a_hi, b_lo, b_hi)
     if state is None:
         return None
-    picks: list[int] = []
+    picks = set()
     s = 0
     while s is not None and s < len(state.a_by_right):
-        picks.append(state.cover[s])
+        picks.add(state.cover[s])
         nxt = state.jump[s]
         if nxt is not None and nxt <= s:
             raise RuntimeError("red-blue sweep failed to advance")
         s = nxt
-    vertices = tuple(sorted(set(picks)))
-    covered = _a_fully_covered(rep, vertices)
-    if not covered:
+    vertices = tuple(sorted(picks))
+    index = StabIndex((b_lo[j], b_hi[j], j) for j in vertices)
+    if not all(index.stab(lo, hi) is not None for lo, hi in zip(a_lo, a_hi)):
         raise RuntimeError("red-blue sweep produced a non-dominating set")
     return Certificate(vertices=vertices, checks={"a-dominating": True},
                        algorithm="red-blue-sweep", optimal=True,
                        objective="min", value=len(vertices))
-
-
-def _a_fully_covered(rep: IntervalBigraphRep, picks: Iterable[int]) -> bool:
-    index = StabIndex((rep.b_intervals[j].lo, rep.b_intervals[j].hi, j) for j in set(picks))
-    return all(index.stab(iv.lo, iv.hi) is not None for iv in rep.a_intervals)
 
 
 def min_absorbing_reflexive(rep: IntervalRep) -> Certificate:
@@ -233,8 +221,7 @@ def min_absorbing_reflexive(rep: IntervalRep) -> Certificate:
     """
     nrep = normalize(rep)
     require_reflexive(nrep)
-    brep = IntervalBigraphRep(zip(nrep.ls, nrep.rs), zip(nrep.lt, nrep.rt))
-    inner = red_blue_min_dominating(brep)
+    inner = red_blue_min_dominating(nrep)
     if inner is None:
         raise RuntimeError("reflexive representation produced an isolated copy")
     vertices = inner.vertices
@@ -249,14 +236,10 @@ def min_dominating_reflexive(rep: IntervalRep) -> Certificate:
     """Minimum dominating set: absorbing on the reversal's representation.
 
     Swapping each vertex's source and target intervals represents the
-    reversed digraph, where dominating and absorbing trade places.
+    reversed digraph, where dominating and absorbing trade places; the
+    absorbing check on the swapped ranks is exactly ``set_is_dominating``.
     """
-    nrep = normalize(rep)
-    require_reflexive(nrep)
-    inner = min_absorbing_reflexive(nrep.swapped())
-    vertices = inner.vertices
-    if not set_is_dominating(nrep, vertices):
-        raise RuntimeError("dominating sweep produced a non-dominating set")
+    vertices = min_absorbing_reflexive(normalize(rep).swapped()).vertices
     return Certificate(vertices=vertices, checks={"dominating": True},
                        algorithm="red-blue-sweep-reversed", optimal=True,
                        objective="min", value=len(vertices))

@@ -15,6 +15,10 @@ a :class:`NormalizedRep`, is nothing but the four rank sequences ``ls``,
 ``rs``, ``lt`` and ``rt``.  All downstream algorithms run on these distinct
 integer ranks, so there is no floating point anywhere.  Every function here
 accepts a raw :class:`IntervalRep` too and normalizes it on entry.
+
+:func:`stable_ranks` is the one ranking routine.  It also ranks the
+endpoints of an interval bigraph (:mod:`intdigraph.domination`); each
+caller fixes its tie rule by the order in which it lists the endpoints.
 """
 
 from __future__ import annotations
@@ -137,13 +141,24 @@ class NormalizedRep:
         return f"NormalizedRep(n={self.n})"
 
 
+def stable_ranks(coords: list) -> list[int]:
+    """``rank[i]``, the place of id i in a stable sort of ``coords``.
+
+    Equal coordinates keep the order of their ids, so a caller fixes its
+    tie rule by how it lays the endpoints out.
+    """
+    rank = [0] * len(coords)
+    for r, i in enumerate(sorted(range(len(coords)), key=coords.__getitem__)):
+        rank[i] = r
+    return rank
+
+
 def normalize(rep) -> NormalizedRep:
     """Rank-normalize endpoints; the realized digraph is unchanged.
 
     Endpoints are ranked by (coordinate, left before right, vertex, S
     before T).  Their ids list every left before every right, each as S_v,
-    T_v by vertex, so a stable sort by coordinate alone breaks every tie
-    in that order.
+    T_v by vertex, so :func:`stable_ranks` breaks every tie in that order.
     """
     if isinstance(rep, NormalizedRep):
         return rep
@@ -153,9 +168,7 @@ def normalize(rep) -> NormalizedRep:
     coords[1:2 * n:2] = [iv.lo for iv in rep.target]
     coords[2 * n::2] = [iv.hi for iv in rep.source]
     coords[2 * n + 1::2] = [iv.hi for iv in rep.target]
-    rank = [0] * (4 * n)
-    for r, i in enumerate(sorted(range(4 * n), key=coords.__getitem__)):
-        rank[i] = r
+    rank = stable_ranks(coords)
     return NormalizedRep(tuple(rank[0:2 * n:2]), tuple(rank[2 * n::2]),
                          tuple(rank[1:2 * n:2]), tuple(rank[2 * n + 1::2]),
                          rep.adjusted)

@@ -37,8 +37,8 @@ from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
 from .intervals import (IntervalRep, normalize, realize_digraph,
                         require_reflexive, set_is_absorbing,
                         set_is_independent)
-from .ordering import (Ordering, SuffixTable, argbest, umbrella_triple,
-                       verify_duf_ordering)
+from .ordering import (Ordering, SuffixTable, argbest,
+                       verify_cocomparability_ordering, verify_duf_ordering)
 
 OBJECTIVES = ("min", "max")
 
@@ -341,21 +341,26 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
 
     Kernels of the symmetric digraph of ``h`` are exactly the independent
     dominating sets of ``h``, and the same ordering is umbrella-free in
-    both senses, so this delegates to the kernel dynamic program.  Always
-    succeeds: every maximal independent set dominates.
+    both senses, so after one umbrella check on ``h`` this fills the
+    kernel table of that digraph.  Always succeeds: every maximal
+    independent set dominates.
     """
-    try:
-        cert = optimal_kernel_duf(symmetric_digraph(h), ordering, "min")
-    except NotDufOrdered as exc:
-        raise NotCocompOrdered(umbrella_triple(exc.witness)) from None
-    if cert is None:
-        raise RuntimeError("symmetric digraph without a kernel")
-    sset = set(cert.vertices)
+    triple = verify_cocomparability_ordering(h, ordering)
+    if triple is not None:
+        raise NotCocompOrdered(triple)
+    vertices = ()
+    if h.n:
+        g = symmetric_digraph(h)
+        cert = compute_kernel_table(g, ordering, "min").certify(g, "kernel", "kernel-dp")
+        if cert is None:
+            raise RuntimeError("symmetric digraph without a kernel")
+        vertices = cert.vertices
+    sset = set(vertices)
     independent = all(v not in sset for u in sset for v in h.adj[u])
     dominating = all(v in sset or any(u in sset for u in h.adj[v]) for v in range(h.n))
     checks = {"independent": independent, "dominating": dominating}
     if not all(checks.values()):
         raise RuntimeError(f"cocomparability reduction produced an invalid set: {checks}")
-    return Certificate(vertices=cert.vertices, checks=checks,
+    return Certificate(vertices=vertices, checks=checks,
                        algorithm="cocomp-min-ind-dom", optimal=True,
-                       objective="min", value=cert.value)
+                       objective="min", value=len(vertices))

@@ -215,13 +215,10 @@ def brute_red_blue(instance, budget: OracleBudget = DEFAULT_BUDGET) -> Optional[
     Accepts either a :class:`Bigraph` or an :class:`IntervalBigraphRep`.
     Returns None exactly when some A-vertex is isolated.
     """
-    if isinstance(instance, IntervalBigraphRep):
-        big = instance.to_bigraph()
-    elif isinstance(instance, Bigraph):
-        big = instance
-    else:
+    if not isinstance(instance, (Bigraph, IntervalBigraphRep)):
         raise TypeError(f"expected Bigraph or IntervalBigraphRep, got {type(instance)}")
-    _refuse("red-blue", big.b_size, budget.subset_n)
+    _refuse("red-blue", instance.b_size, budget.subset_n)
+    big = instance.to_bigraph() if isinstance(instance, IntervalBigraphRep) else instance
     deadline = _Deadline(budget)
     if any(len(big.adj_a[a]) == 0 for a in range(big.a_size)):
         return None

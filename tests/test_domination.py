@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from intdigraph import (Digraph, Interval, IntervalBigraphRep, IntervalRep,
+from intdigraph import (Certificate, Digraph, Interval, IntervalBigraphRep, IntervalRep,
                         brute_min_absorbing, brute_red_blue,
                         build_red_blue_state, min_absorbing_reflexive,
                         min_dominating_reflexive, normalize, realize_digraph,
                         red_blue_min_dominating, reverse, splitting_bigraph,
                         verify_set)
+from intdigraph.domination import bigraph_ranks
 from intdigraph.errors import DimensionMismatch, NotReflexive
 from intdigraph.fixtures import symmetric_triangle, two_vertex_example_rep
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
@@ -68,7 +69,7 @@ FIXTURE_B = [Interval(Fraction(1, 2), Fraction(5, 2)),
 
 class TestRedBlueState:
     def test_fixture_trace(self):
-        state = build_red_blue_state(IntervalBigraphRep(FIXTURE_A, FIXTURE_B))
+        state = build_red_blue_state(*bigraph_ranks(IntervalBigraphRep(FIXTURE_A, FIXTURE_B)))
         assert state.a_by_right == (0, 1, 2)
         assert state.cover == (0, 1, 2)
         assert state.jump == (2, None, None)
@@ -78,7 +79,7 @@ class TestRedBlueState:
         for trial in range(120):
             rep = gen_interval_bigraph(rng.randint(1, 10), rng.randint(1, 10),
                                        seed=trial)
-            state = build_red_blue_state(rep)
+            state = build_red_blue_state(*bigraph_ranks(rep))
             if state is None:
                 continue
             for s, nxt in enumerate(state.jump):
@@ -89,7 +90,7 @@ class TestRedBlueState:
         for trial in range(120):
             rep = gen_interval_bigraph(rng.randint(1, 10), rng.randint(1, 10),
                                        seed=1000 + trial)
-            state = build_red_blue_state(rep)
+            state = build_red_blue_state(*bigraph_ranks(rep))
             if state is None:
                 continue
             t = len(state.a_by_right)
@@ -137,6 +138,31 @@ class TestRedBlueMinDominating:
         ours = red_blue_min_dominating(IntervalBigraphRep(a, b))
         ref = brute_red_blue(IntervalBigraphRep(a, b))
         assert ours.value == ref.value == 2
+
+
+def test_wrong_cover_is_caught_by_each_solver(monkeypatch):
+    """A wrong sweep state or a wrong red-blue answer is caught by a check."""
+    from intdigraph import domination
+    build = domination.build_red_blue_state
+
+    def one_cover(*ranks):
+        state = build(*ranks)
+        return domination.RedBlueState(state.a_by_right, (state.cover[0],) * len(state.cover),
+                                       state.jump)
+
+    monkeypatch.setattr(domination, "build_red_blue_state", one_cover)
+    disjoint = IntervalRep([(Interval(2 * v, 2 * v + 1),) * 2 for v in range(3)])
+    for solve, rep in ((red_blue_min_dominating, IntervalBigraphRep(FIXTURE_A, FIXTURE_B)),
+                       (min_absorbing_reflexive, disjoint),
+                       (min_dominating_reflexive, disjoint)):
+        with pytest.raises(RuntimeError, match="non-dominating"):
+            solve(rep)
+    # past the red-blue check, the absorbing check still runs on its own
+    monkeypatch.setattr(domination, "red_blue_min_dominating",
+                        lambda rep: Certificate(vertices=(0,), checks={}, algorithm="wrong"))
+    for solve in (min_absorbing_reflexive, min_dominating_reflexive):
+        with pytest.raises(RuntimeError, match="non-absorbing"):
+            solve(disjoint)
 
 
 class TestAbsorbingDominating:

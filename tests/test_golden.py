@@ -6,6 +6,8 @@ An argument ``@file`` names ``golden/inputs/file``.  The inputs include
 tied endpoints (``tied.irep`` is ``gen reflexive-interval --n 40 --seed 3
 --grid 20 --max-len 6``; ``tied.bg`` is a tied ``gen interval-bigraph``),
 so the tie rules of the normalizers are part of what is compared.
+``distinct.bg`` has distinct rational endpoints only, and ``frac.irep``
+has tied ``p/q`` endpoints.
 """
 
 from pathlib import Path
@@ -24,6 +26,8 @@ CASES = [
     ("absorbing-two", 0, "absorbing @two.irep"),
     ("dominating-tied", 0, "dominating @tied.irep"),
     ("dominating-two", 0, "dominating @two.irep"),
+    ("absorbing-frac", 0, "absorbing @frac.irep"),
+    ("dominating-frac", 0, "dominating @frac.irep"),
     ("min-kernel-irep", 0, "min-kernel @tied.irep"),
     ("max-kernel-irep", 0, "max-kernel @tied.irep"),
     ("min-kernel-irep-weights", 0, "min-kernel @tied.irep --weights @tied.w"),
@@ -38,6 +42,7 @@ CASES = [
     ("mis-weights", 0, "mis @tied.dg @tied.ord --weights @tied.w"),
     ("red-blue-tied", 0, "red-blue @tied.bg"),
     ("red-blue-isolated", 2, "red-blue @isolated.bg"),
+    ("red-blue-distinct", 0, "red-blue @distinct.bg"),
     ("recognize-pp-yes", 0, "recognize-pp @tri.dg"),
     ("recognize-pp-no", 2, "recognize-pp @aw.dg"),
     ("check-duf-valid", 0, "check-ordering @tied.dg @tied.ord --kind duf"),
@@ -60,6 +65,7 @@ CASES = [
     ("oracle-kernel-none", 2, "oracle kernel @nk.dg"),
     ("oracle-kernel-min", 0, "oracle kernel @two.irep --objective min"),
     ("oracle-kernel-max", 0, "oracle kernel @small.irep --objective max"),
+    ("oracle-red-blue-tied", 0, "oracle red-blue @tied.bg"),
     ("gen-reflexive-tied", 0, "gen reflexive-interval --n 40 --seed 3 --grid 20 --max-len 6"),
     ("gen-bigraph-tied", 0, "gen interval-bigraph --a 12 --b 12 --seed 5 --grid 20 --max-len 5"),
 ]

@@ -119,6 +119,15 @@ class TestBruteRedBlue:
         with pytest.raises(TypeError):
             brute_red_blue("nonsense")
 
+    def test_budget_is_checked_before_building_the_bigraph(self, monkeypatch):
+        def refuse_to_build(self):
+            raise AssertionError("to_bigraph ran before the budget check")
+
+        monkeypatch.setattr(IntervalBigraphRep, "to_bigraph", refuse_to_build)
+        rep = IntervalBigraphRep([Interval(0, 1)], [Interval(0, 1)] * 17)
+        with pytest.raises(BudgetExceeded):
+            brute_red_blue(rep)
+
 
 def naive_k33(h: UndirectedGraph):
     """Six-subset enumeration, as slow and direct as possible."""
