@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -415,16 +416,23 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
     except ParseError as exc:
-        print(json.dumps({"status": "error", "error": str(exc)}))
-        return EXIT_ERROR
+        payload = json.dumps({"status": "error", "error": str(exc)}) + "\n"
+        code = EXIT_ERROR
     except (ValueError, RuntimeError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(json.dumps({"status": "error",
-                          "error": f"{type(exc).__name__}: {exc}"}))
+        payload = json.dumps({"status": "error",
+                              "error": f"{type(exc).__name__}: {exc}"}) + "\n"
+        code = EXIT_ERROR
+    try:
+        if isinstance(payload, str):
+            sys.stdout.write(payload)
+        else:
+            print(json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout; send what is still buffered to devnull so
+        # the flush at interpreter exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
-    if isinstance(payload, str):
-        sys.stdout.write(payload)
-    else:
-        print(json.dumps(payload, indent=2))
     return code
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatch
-from .graphs import Certificate, Digraph
+from .graphs import Certificate, Digraph, _in_sorted
 from .intervals import (Interval, IntervalRep, NormalizedRep, StabIndex,
                         normalize, require_reflexive, set_is_absorbing,
                         stable_ranks, verify_representation)
@@ -33,34 +33,30 @@ from .intervals import (Interval, IntervalRep, NormalizedRep, StabIndex,
 class Bigraph:
     """A bipartite graph on parts A and B with cross edges only."""
 
-    __slots__ = ("a_size", "b_size", "adj_a", "adj_b", "_edges")
+    __slots__ = ("a_size", "b_size", "m", "adj_a", "adj_b")
 
     def __init__(self, a_size: int, b_size: int, edges: Iterable[tuple[int, int]] = ()):
         self.a_size = a_size
         self.b_size = b_size
         adj_a: list[set[int]] = [set() for _ in range(a_size)]
         adj_b: list[set[int]] = [set() for _ in range(b_size)]
-        edge_set = set()
         for a, b in edges:
             if not (0 <= a < a_size and 0 <= b < b_size):
                 raise DimensionMismatch(f"edge ({a}, {b}) out of range "
                                         f"for parts {a_size}, {b_size}")
             adj_a[a].add(b)
             adj_b[b].add(a)
-            edge_set.add((a, b))
         self.adj_a = tuple(tuple(sorted(s)) for s in adj_a)
         self.adj_b = tuple(tuple(sorted(s)) for s in adj_b)
-        self._edges = frozenset(edge_set)
-
-    @property
-    def m(self) -> int:
-        return len(self._edges)
+        self.m = sum(map(len, self.adj_a))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self._edges
+        """False whenever ``a`` or ``b`` is outside its part."""
+        return 0 <= a < self.a_size and 0 <= b < self.b_size and _in_sorted(self.adj_a[a], b)
 
     def edges(self):
-        return iter(sorted(self._edges))
+        """Edges as (a, b) in sorted order."""
+        return ((a, b) for a, bs in enumerate(self.adj_a) for b in bs)
 
     def __repr__(self):
         return f"Bigraph(|A|={self.a_size}, |B|={self.b_size}, m={self.m})"
@@ -104,7 +100,7 @@ def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
     With a representation of ``g``, also returns the induced interval
     bigraph model (S intervals on the left part, T on the right).
     """
-    edges = list(g._edges)
+    edges = list(g.edges())
     edges.extend((v, v) for v in range(g.n) if g.loops[v])
     big = Bigraph(g.n, g.n, edges)
     brep = None

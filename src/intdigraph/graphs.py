@@ -8,6 +8,7 @@ threads; anything that looks like mutation builds a new object.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -16,15 +17,20 @@ from .errors import InvalidVertex
 VERIFY_MODES = ("independent", "absorbing", "dominating", "kernel", "solution")
 
 
+def _in_sorted(adj: tuple[int, ...], v: int) -> bool:
+    i = bisect_left(adj, v)
+    return i < len(adj) and adj[i] == v
+
+
 class Digraph:
-    """A directed graph with O(1)-expected edge membership tests.
+    """A directed graph stored as sorted adjacency tuples.
 
     ``out_adj[u]`` / ``in_adj[u]`` are sorted tuples of neighbours other
     than ``u`` itself; ``loops[u]`` records a self-loop.  Duplicate edges
-    in the input are collapsed.
+    in the input are collapsed.  Edge membership bisects ``out_adj[u]``.
     """
 
-    __slots__ = ("n", "out_adj", "in_adj", "loops", "_edges")
+    __slots__ = ("n", "m", "out_adj", "in_adj", "loops")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
                  loops: Iterable[int] = ()):
@@ -34,7 +40,6 @@ class Digraph:
         loop_flags = [False] * n
         out: list[set[int]] = [set() for _ in range(n)]
         inn: list[set[int]] = [set() for _ in range(n)]
-        edge_set: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"edge ({u}, {v}) out of range for n={n}")
@@ -43,7 +48,6 @@ class Digraph:
                 continue
             out[u].add(v)
             inn[v].add(u)
-            edge_set.add((u, v))
         for v in loops:
             if not (0 <= v < n):
                 raise InvalidVertex(f"loop vertex {v} out of range for n={n}")
@@ -51,22 +55,21 @@ class Digraph:
         self.out_adj = tuple(tuple(sorted(s)) for s in out)
         self.in_adj = tuple(tuple(sorted(s)) for s in inn)
         self.loops = tuple(loop_flags)
-        self._edges = frozenset(edge_set)
-
-    @property
-    def m(self) -> int:
-        """Number of edges, self-loops excluded."""
-        return len(self._edges)
+        self.m = sum(map(len, self.out_adj))  # self-loops excluded
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Edge test; ``has_edge(v, v)`` reports the self-loop flag."""
+        """Edge test; ``has_edge(v, v)`` reports the self-loop flag.
+
+        False whenever ``u`` or ``v`` is outside ``[0, n)``."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
         if u == v:
             return self.loops[u]
-        return (u, v) in self._edges
+        return _in_sorted(self.out_adj[u], v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Non-loop edges in (u, v)-sorted order."""
-        return iter(sorted(self._edges))
+        return ((u, v) for u, vs in enumerate(self.out_adj) for v in vs)
 
     def loop_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.loops[v])
@@ -77,11 +80,10 @@ class Digraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return (self.n == other.n and self._edges == other._edges
-                and self.loops == other.loops)
+        return self.out_adj == other.out_adj and self.loops == other.loops
 
     def __hash__(self):
-        return hash((self.n, self._edges, self.loops))
+        return hash((self.out_adj, self.loops))
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m}, loops={sum(self.loops)})"
@@ -90,45 +92,38 @@ class Digraph:
 class UndirectedGraph:
     """An undirected, loopless graph with sorted adjacency tuples."""
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InvalidVertex(f"vertex count {n} is negative")
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
-        edge_set: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise InvalidVertex(f"loop at {u} not allowed in undirected graph")
-            a, b = (u, v) if u < v else (v, u)
-            adj[a].add(b)
-            adj[b].add(a)
-            edge_set.add((a, b))
+            adj[u].add(v)
+            adj[v].add(u)
         self.adj = tuple(tuple(sorted(s)) for s in adj)
-        self._edges = frozenset(edge_set)
-
-    @property
-    def m(self) -> int:
-        return len(self._edges)
+        self.m = sum(map(len, self.adj)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return ((u, v) if u < v else (v, u)) in self._edges
+        """False for ``u == v`` and whenever either is outside ``[0, n)``."""
+        return 0 <= u < self.n and 0 <= v < self.n and _in_sorted(self.adj[u], v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._edges))
+        """Edges as (u, v) with u < v, in sorted order."""
+        return ((u, v) for u, vs in enumerate(self.adj) for v in vs if u < v)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented
-        return self.n == other.n and self._edges == other._edges
+        return self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return hash(self.adj)
 
     def __repr__(self):
         return f"UndirectedGraph(n={self.n}, m={self.m})"
@@ -175,7 +170,7 @@ class Certificate:
 
 def reverse(g: Digraph) -> Digraph:
     """The digraph with every edge (u, v) replaced by (v, u); loops kept."""
-    return Digraph(g.n, ((v, u) for (u, v) in g._edges), g.loop_vertices())
+    return Digraph(g.n, ((v, u) for (u, v) in g.edges()), g.loop_vertices())
 
 
 def induced_subgraph(g: Digraph, s: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
@@ -189,25 +184,20 @@ def induced_subgraph(g: Digraph, s: Iterable[int]) -> tuple[Digraph, dict[int, i
         if not (0 <= v < g.n):
             raise InvalidVertex(f"vertex {v} out of range for n={g.n}")
     relabel = {v: i for i, v in enumerate(svs)}
-    inset = set(svs)
-    edges = [(relabel[u], relabel[v]) for (u, v) in g._edges
-             if u in inset and v in inset]
+    edges = [(relabel[u], relabel[v]) for u in svs for v in g.out_adj[u]
+             if v in relabel]
     loops = [relabel[v] for v in svs if g.loops[v]]
     return Digraph(len(svs), edges, loops), relabel
 
 
 def underlying_undirected(g: Digraph) -> UndirectedGraph:
     """Drop directions and loops."""
-    return UndirectedGraph(g.n, g._edges)
+    return UndirectedGraph(g.n, g.edges())
 
 
 def symmetric_digraph(h: UndirectedGraph) -> Digraph:
     """Replace every undirected edge by a pair of opposite arcs."""
-    arcs = []
-    for u, v in h._edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return Digraph(h.n, arcs)
+    return Digraph(h.n, ((u, v) for u, vs in enumerate(h.adj) for v in vs))
 
 
 def check_weights(weights, n: int) -> list[int]:

@@ -7,8 +7,9 @@ Three routes, by input:
   picks the surviving vertex whose source interval ends first and removes
   it together with its surviving in-neighbours; a backward pass thins the
   picked sequence to an independent set.  Never fails: reflexive interval
-  digraphs are kernel-perfect.  Runs in O(n log n) plus one tree descent
-  per removed vertex; the digraph itself is never materialized.
+  digraphs are kernel-perfect.  Runs in two sorts plus O(n): the forward
+  pass is one monotone frontier pointer over the l(S) order; the digraph
+  itself is never materialized.
 
 * :func:`optimal_kernel_duf` finds a minimum/maximum (optionally weighted)
   kernel of any digraph with a directed umbrella-free ordering, or the
@@ -64,98 +65,35 @@ class ZSequence:
     right_ends: tuple[int, ...]
 
 
-class _SurvivorIndex:
-    """Max segment tree over vertices sorted by l(S), keyed on r(S).
-
-    Supports deleting a vertex and, for a query interval [lt, rt],
-    reporting-and-deleting every live vertex u with l(S_u) < rt and
-    r(S_u) > lt, i.e. every surviving in-neighbour of the query's owner.
-    Each vertex is reported at most once over the whole run.
-    """
-
-    __slots__ = ("size", "tree", "sorted_ls", "vertex_at", "leaf_of")
-
-    def __init__(self, ls, rs):
-        n = len(ls)
-        order = sorted(range(n), key=ls.__getitem__)
-        self.sorted_ls = [ls[v] for v in order]
-        self.vertex_at = order
-        self.leaf_of = [0] * n
-        for i, v in enumerate(order):
-            self.leaf_of[v] = i
-        size = 1
-        while size < max(n, 1):
-            size <<= 1
-        self.size = size
-        tree = [-1] * (2 * size)
-        for i, v in enumerate(order):
-            tree[size + i] = rs[v]
-        for i in range(size - 1, 0, -1):
-            tree[i] = max(tree[2 * i], tree[2 * i + 1])
-        self.tree = tree
-
-    def _bubble(self, i: int) -> None:
-        tree = self.tree
-        i >>= 1
-        while i:
-            new = max(tree[2 * i], tree[2 * i + 1])
-            if tree[i] == new:
-                break
-            tree[i] = new
-            i >>= 1
-
-    def remove(self, v: int) -> None:
-        leaf = self.leaf_of[v] + self.size
-        if self.tree[leaf] != -1:
-            self.tree[leaf] = -1
-            self._bubble(leaf)
-
-    def pop_intersecting(self, lt: int, rt: int) -> list[int]:
-        hi = bisect_left(self.sorted_ls, rt)
-        if hi == 0:
-            return []
-        out: list[int] = []
-        tree = self.tree
-        stack = [(1, 0, self.size)]
-        while stack:
-            node, node_lo, node_hi = stack.pop()
-            if node_lo >= hi or tree[node] <= lt:
-                continue
-            if node >= self.size:
-                out.append(self.vertex_at[node - self.size])
-                tree[node] = -1
-                self._bubble(node)
-                continue
-            mid = (node_lo + node_hi) // 2
-            stack.append((2 * node + 1, mid, node_hi))
-            stack.append((2 * node, node_lo, mid))
-        return out
-
-
 def z_sequence(rep: IntervalRep) -> ZSequence:
-    """Run the forward pass of the kernel sweep on a reflexive representation."""
+    """Run the forward pass of the kernel sweep on a reflexive representation.
+
+    The picked vertex v has the least r(S) among the survivors, and l(T_v) <
+    r(S_v) because v is reflexive, so a survivor u is an in-neighbour of v
+    exactly when l(S_u) < r(T_v).  Those survivors are a prefix of the l(S)
+    order, and a popped prefix stays empty, so one monotone frontier pointer
+    over that order finds them all.  The pointer passes v too, as l(S_v) <
+    r(T_v), so every vertex it passes was still a survivor.
+    """
     rep = normalize(rep)
     require_reflexive(rep)
     n = rep.n
-    if n == 0:
-        return ZSequence((), (), ())
-    ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
-    order = sorted(range(n), key=rs.__getitem__)
-    index = _SurvivorIndex(ls, rs)
+    ls, rs, rt = rep.ls, rep.rs, rep.rt
+    by_ls = sorted(range(n), key=ls.__getitem__)
     removed = [False] * n
+    front = 0
     picked: list[int] = []
     counts: list[int] = []
     rights: list[int] = []
-    for v in order:
+    for v in sorted(range(n), key=rs.__getitem__):
         if removed[v]:
             continue
-        removed[v] = True
-        index.remove(v)
-        ins = index.pop_intersecting(lt[v], rt[v])
-        for u in ins:
-            removed[u] = True
+        start = front
+        while front < n and ls[by_ls[front]] < rt[v]:
+            removed[by_ls[front]] = True
+            front += 1
         picked.append(v)
-        counts.append(1 + len(ins))
+        counts.append(front - start)
         rights.append(rs[v])
     return ZSequence(tuple(picked), tuple(counts), tuple(rights))
 

@@ -160,7 +160,7 @@ def k_subdivision(g: Digraph, k: int) -> SubdivisionMap:
     arcs = []
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     nxt = g.n
-    for (u, v) in sorted(g._edges):
+    for (u, v) in g.edges():
         fresh = tuple(range(nxt, nxt + k))
         nxt += k
         paths[(u, v)] = fresh

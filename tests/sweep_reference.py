@@ -1,0 +1,310 @@
+"""The forward sweep's former segment tree and the graph types' former arc
+sets, kept as differential references.
+
+:func:`z_sequence` here is the kernel sweep's forward pass as it was, with
+:class:`_SurvivorIndex`, a max segment tree over the vertices sorted by
+l(S), answering every in-neighbour query.  :class:`Digraph`,
+:class:`UndirectedGraph` and :class:`Bigraph` here keep every arc a second
+time in a ``frozenset`` and answer ``m``, ``has_edge``, ``edges()`` and
+``==`` from it; :func:`reverse`, :func:`induced_subgraph`,
+:func:`underlying_undirected` and :func:`symmetric_digraph` read that set.
+The library now uses one frontier pointer and the sorted adjacency tuples
+alone; ``test_sweep_reference.py`` checks on random inputs that both give
+the same answers.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from typing import Iterable, Iterator
+
+from intdigraph.errors import DimensionMismatch, InvalidVertex
+from intdigraph.intervals import IntervalRep, normalize, require_reflexive
+from intdigraph.kernels import ZSequence
+
+
+class _SurvivorIndex:
+    """Max segment tree over vertices sorted by l(S), keyed on r(S).
+
+    Supports deleting a vertex and, for a query interval [lt, rt],
+    reporting-and-deleting every live vertex u with l(S_u) < rt and
+    r(S_u) > lt, i.e. every surviving in-neighbour of the query's owner.
+    Each vertex is reported at most once over the whole run.
+    """
+
+    __slots__ = ("size", "tree", "sorted_ls", "vertex_at", "leaf_of")
+
+    def __init__(self, ls, rs):
+        n = len(ls)
+        order = sorted(range(n), key=ls.__getitem__)
+        self.sorted_ls = [ls[v] for v in order]
+        self.vertex_at = order
+        self.leaf_of = [0] * n
+        for i, v in enumerate(order):
+            self.leaf_of[v] = i
+        size = 1
+        while size < max(n, 1):
+            size <<= 1
+        self.size = size
+        tree = [-1] * (2 * size)
+        for i, v in enumerate(order):
+            tree[size + i] = rs[v]
+        for i in range(size - 1, 0, -1):
+            tree[i] = max(tree[2 * i], tree[2 * i + 1])
+        self.tree = tree
+
+    def _bubble(self, i: int) -> None:
+        tree = self.tree
+        i >>= 1
+        while i:
+            new = max(tree[2 * i], tree[2 * i + 1])
+            if tree[i] == new:
+                break
+            tree[i] = new
+            i >>= 1
+
+    def remove(self, v: int) -> None:
+        leaf = self.leaf_of[v] + self.size
+        if self.tree[leaf] != -1:
+            self.tree[leaf] = -1
+            self._bubble(leaf)
+
+    def pop_intersecting(self, lt: int, rt: int) -> list[int]:
+        hi = bisect_left(self.sorted_ls, rt)
+        if hi == 0:
+            return []
+        out: list[int] = []
+        tree = self.tree
+        stack = [(1, 0, self.size)]
+        while stack:
+            node, node_lo, node_hi = stack.pop()
+            if node_lo >= hi or tree[node] <= lt:
+                continue
+            if node >= self.size:
+                out.append(self.vertex_at[node - self.size])
+                tree[node] = -1
+                self._bubble(node)
+                continue
+            mid = (node_lo + node_hi) // 2
+            stack.append((2 * node + 1, mid, node_hi))
+            stack.append((2 * node, node_lo, mid))
+        return out
+
+
+def z_sequence(rep: IntervalRep) -> ZSequence:
+    """Run the forward pass of the kernel sweep on a reflexive representation."""
+    rep = normalize(rep)
+    require_reflexive(rep)
+    n = rep.n
+    if n == 0:
+        return ZSequence((), (), ())
+    ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
+    order = sorted(range(n), key=rs.__getitem__)
+    index = _SurvivorIndex(ls, rs)
+    removed = [False] * n
+    picked: list[int] = []
+    counts: list[int] = []
+    rights: list[int] = []
+    for v in order:
+        if removed[v]:
+            continue
+        removed[v] = True
+        index.remove(v)
+        ins = index.pop_intersecting(lt[v], rt[v])
+        for u in ins:
+            removed[u] = True
+        picked.append(v)
+        counts.append(1 + len(ins))
+        rights.append(rs[v])
+    return ZSequence(tuple(picked), tuple(counts), tuple(rights))
+
+
+class Digraph:
+    """A directed graph with O(1)-expected edge membership tests.
+
+    ``out_adj[u]`` / ``in_adj[u]`` are sorted tuples of neighbours other
+    than ``u`` itself; ``loops[u]`` records a self-loop.  Duplicate edges
+    in the input are collapsed.
+    """
+
+    __slots__ = ("n", "out_adj", "in_adj", "loops", "_edges")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
+                 loops: Iterable[int] = ()):
+        if n < 0:
+            raise InvalidVertex(f"vertex count {n} is negative")
+        self.n = n
+        loop_flags = [False] * n
+        out: list[set[int]] = [set() for _ in range(n)]
+        inn: list[set[int]] = [set() for _ in range(n)]
+        edge_set: set[tuple[int, int]] = set()
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidVertex(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                loop_flags[u] = True
+                continue
+            out[u].add(v)
+            inn[v].add(u)
+            edge_set.add((u, v))
+        for v in loops:
+            if not (0 <= v < n):
+                raise InvalidVertex(f"loop vertex {v} out of range for n={n}")
+            loop_flags[v] = True
+        self.out_adj = tuple(tuple(sorted(s)) for s in out)
+        self.in_adj = tuple(tuple(sorted(s)) for s in inn)
+        self.loops = tuple(loop_flags)
+        self._edges = frozenset(edge_set)
+
+    @property
+    def m(self) -> int:
+        """Number of edges, self-loops excluded."""
+        return len(self._edges)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        """Edge test; ``has_edge(v, v)`` reports the self-loop flag."""
+        if u == v:
+            return self.loops[u]
+        return (u, v) in self._edges
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Non-loop edges in (u, v)-sorted order."""
+        return iter(sorted(self._edges))
+
+    def loop_vertices(self) -> tuple[int, ...]:
+        return tuple(v for v in range(self.n) if self.loops[v])
+
+    def is_reflexive(self) -> bool:
+        return all(self.loops)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return (self.n == other.n and self._edges == other._edges
+                and self.loops == other.loops)
+
+    def __hash__(self):
+        return hash((self.n, self._edges, self.loops))
+
+    def __repr__(self):
+        return f"Digraph(n={self.n}, m={self.m}, loops={sum(self.loops)})"
+
+
+class UndirectedGraph:
+    """An undirected, loopless graph with sorted adjacency tuples."""
+
+    __slots__ = ("n", "adj", "_edges")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if n < 0:
+            raise InvalidVertex(f"vertex count {n} is negative")
+        self.n = n
+        adj: list[set[int]] = [set() for _ in range(n)]
+        edge_set: set[tuple[int, int]] = set()
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidVertex(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise InvalidVertex(f"loop at {u} not allowed in undirected graph")
+            a, b = (u, v) if u < v else (v, u)
+            adj[a].add(b)
+            adj[b].add(a)
+            edge_set.add((a, b))
+        self.adj = tuple(tuple(sorted(s)) for s in adj)
+        self._edges = frozenset(edge_set)
+
+    @property
+    def m(self) -> int:
+        return len(self._edges)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        if u == v:
+            return False
+        return ((u, v) if u < v else (v, u)) in self._edges
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        return iter(sorted(self._edges))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UndirectedGraph):
+            return NotImplemented
+        return self.n == other.n and self._edges == other._edges
+
+    def __hash__(self):
+        return hash((self.n, self._edges))
+
+    def __repr__(self):
+        return f"UndirectedGraph(n={self.n}, m={self.m})"
+
+
+def reverse(g: Digraph) -> Digraph:
+    """The digraph with every edge (u, v) replaced by (v, u); loops kept."""
+    return Digraph(g.n, ((v, u) for (u, v) in g._edges), g.loop_vertices())
+
+
+def induced_subgraph(g: Digraph, s: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
+    """Subgraph induced by ``s`` and the relabel map old->new.
+
+    New ids follow the sorted order of ``s``, so the map is a bijection
+    onto ``[0, |s|)``.
+    """
+    svs = sorted(set(s))
+    for v in svs:
+        if not (0 <= v < g.n):
+            raise InvalidVertex(f"vertex {v} out of range for n={g.n}")
+    relabel = {v: i for i, v in enumerate(svs)}
+    inset = set(svs)
+    edges = [(relabel[u], relabel[v]) for (u, v) in g._edges
+             if u in inset and v in inset]
+    loops = [relabel[v] for v in svs if g.loops[v]]
+    return Digraph(len(svs), edges, loops), relabel
+
+
+def underlying_undirected(g: Digraph) -> UndirectedGraph:
+    """Drop directions and loops."""
+    return UndirectedGraph(g.n, g._edges)
+
+
+def symmetric_digraph(h: UndirectedGraph) -> Digraph:
+    """Replace every undirected edge by a pair of opposite arcs."""
+    arcs = []
+    for u, v in h._edges:
+        arcs.append((u, v))
+        arcs.append((v, u))
+    return Digraph(h.n, arcs)
+
+
+class Bigraph:
+    """A bipartite graph on parts A and B with cross edges only."""
+
+    __slots__ = ("a_size", "b_size", "adj_a", "adj_b", "_edges")
+
+    def __init__(self, a_size: int, b_size: int, edges: Iterable[tuple[int, int]] = ()):
+        self.a_size = a_size
+        self.b_size = b_size
+        adj_a: list[set[int]] = [set() for _ in range(a_size)]
+        adj_b: list[set[int]] = [set() for _ in range(b_size)]
+        edge_set = set()
+        for a, b in edges:
+            if not (0 <= a < a_size and 0 <= b < b_size):
+                raise DimensionMismatch(f"edge ({a}, {b}) out of range "
+                                        f"for parts {a_size}, {b_size}")
+            adj_a[a].add(b)
+            adj_b[b].add(a)
+            edge_set.add((a, b))
+        self.adj_a = tuple(tuple(sorted(s)) for s in adj_a)
+        self.adj_b = tuple(tuple(sorted(s)) for s in adj_b)
+        self._edges = frozenset(edge_set)
+
+    @property
+    def m(self) -> int:
+        return len(self._edges)
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return (a, b) in self._edges
+
+    def edges(self):
+        return iter(sorted(self._edges))
+
+    def __repr__(self):
+        return f"Bigraph(|A|={self.a_size}, |B|={self.b_size}, m={self.m})"

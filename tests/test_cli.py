@@ -1,5 +1,8 @@
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,3 +301,19 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    """The reader stops after 5 bytes of a 0.5 MB JSON instance, as
+    ``intdigraph gen ... --json | head -c 5`` does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(intdigraph.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "intdigraph.cli", "gen", "reflexive-interval",
+         "--n", "20000", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(5) == b'{\n  "'
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from intdigraph import (Digraph, Ordering, UndirectedGraph, brute_kernel,
+from intdigraph import (Bigraph, Digraph, Ordering, UndirectedGraph, brute_kernel,
                         brute_max_independent, induced_subgraph,
                         max_independent_duf, optimal_kernel_duf, reverse,
                         symmetric_digraph, underlying_undirected, verify_set)
@@ -142,6 +142,20 @@ class TestVerifySet:
             verify_set(g, [0], "nonsense")
         with pytest.raises(InvalidVertex):
             verify_set(g, [7], "independent")
+
+
+def test_has_edge_is_false_out_of_range():
+    """A bare adjacency lookup would wrap -1 to the last vertex, whose arcs
+    and loop are all set here, and raise on n."""
+    n = 3
+    for g in (Digraph(n, [(2, 0), (2, 1)], loops=[2]),
+              UndirectedGraph(n, [(2, 0), (2, 1)]),
+              Bigraph(n, n, [(2, 0), (2, 1), (2, 2)])):
+        assert g.has_edge(2, 0)
+        assert not g.has_edge(-1, 0)
+        assert not g.has_edge(n, 0)
+        assert not g.has_edge(0, n)
+        assert not g.has_edge(-1, -1)
 
 
 @settings(max_examples=150, deadline=None)
