@@ -19,7 +19,7 @@ from . import generators, oracle
 from .domination import red_blue_min_dominating, min_absorbing_reflexive, \
     min_dominating_reflexive
 from .errors import ParseError
-from .fileio import (detect_kind, emit_digraph, emit_interval_rep,
+from .fileio import (detect_kind, emit_bigraph_rep, emit_digraph, emit_interval_rep,
                      parse_bigraph_rep, parse_digraph, parse_interval_rep,
                      parse_ordering, parse_vertex_set, parse_weights)
 from .graphs import Digraph, underlying_undirected, verify_set
@@ -36,6 +36,7 @@ from .pointpoint import (AntiWalkWitness, PointRep, SubdivisionMap,
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NONEXISTENT = 2
+OUTPUT_PIECE = 512  # characters; every payload is ASCII
 
 
 def _read(path: str) -> str:
@@ -68,11 +69,6 @@ def _load_weights(args, n: int):
     return w
 
 
-def _rep_and_graph(text: str):
-    rep = normalize(parse_interval_rep(text))
-    return rep, realize_digraph(rep)
-
-
 def _cmd_kernel(args):
     rep = normalize(parse_interval_rep(_read(args.rep)))
     return _cert_payload(kernel_linear(rep)), EXIT_OK
@@ -88,7 +84,8 @@ def _optimal_kernel(args, objective: str):
             cert = optimal_kernel_adjusted(normalize(parse_interval_rep(texts[0])),
                                            objective)
         else:
-            rep, g = _rep_and_graph(texts[0])
+            rep = normalize(parse_interval_rep(texts[0]))
+            g = realize_digraph(rep)
             ordering = extract_duf_ordering(rep)
             cert = optimal_kernel_duf(g, ordering, objective, _load_weights(args, g.n))
     elif kinds == ["digraph", "ordering"]:
@@ -286,12 +283,10 @@ def _cmd_oracle(args):
 def _cmd_gen(args):
     seed = args.seed
     if args.gen_kind == "reflexive-interval":
-        from .fileio import emit_interval_rep as emit
-        instance = emit(generators.gen_reflexive_interval(
+        instance = emit_interval_rep(generators.gen_reflexive_interval(
             args.n, seed, grid=args.grid, max_len=args.max_len))
     elif args.gen_kind == "interval-bigraph":
-        from .fileio import emit_bigraph_rep as emit_b
-        instance = emit_b(generators.gen_interval_bigraph(
+        instance = emit_bigraph_rep(generators.gen_interval_bigraph(
             args.a, args.b, seed, grid=args.grid, max_len=args.max_len))
     elif args.gen_kind == "random-digraph":
         instance = emit_digraph(generators.gen_random_digraph(
@@ -422,11 +417,15 @@ def main(argv=None) -> int:
         payload = json.dumps({"status": "error",
                               "error": f"{type(exc).__name__}: {exc}"}) + "\n"
         code = EXIT_ERROR
+    if not isinstance(payload, str):
+        payload = json.dumps(payload, indent=2) + "\n"
     try:
-        if isinstance(payload, str):
-            sys.stdout.write(payload)
-        else:
-            print(json.dumps(payload, indent=2))
+        # A pipe takes a write of at most PIPE_BUF bytes (512 or more) whole
+        # or not at all, so once the reader has gone each piece raises
+        # BrokenPipeError; a larger write straight to the raw file (as under
+        # ``python -u``) could take a part and drop the rest silently.
+        for i in range(0, len(payload), OUTPUT_PIECE):
+            sys.stdout.write(payload[i:i + OUTPUT_PIECE])
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout; send what is still buffered to devnull so

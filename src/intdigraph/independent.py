@@ -28,29 +28,29 @@ def chain_dag(g: Digraph, ordering: Ordering,
     A chain continues only on the first best tail of positive weight.  The
     positions above p are kept ranked by (-value, position), encoded as the
     int -value * n + position; the first ranked position not adjacent to p
-    is that tail, unless its value is 0.  Each p probes at most deg(p) + 1
-    entries.
+    is that tail, unless its value is 0.  With the neighbours of p marked,
+    each p probes at most deg(p) + 1 entries.
     """
     n = g.n
-    perm, pos = ordering.perm, ordering.positions
+    perm = ordering.perm
     w = check_weights(weights, n)
-    adj_pos = [set() for _ in range(n)]
-    for p in range(n):
-        v = perm[p]
-        for u in g.out_adj[v]:
-            adj_pos[p].add(pos[u])
-            adj_pos[pos[u]].add(p)
+    out_pos, in_pos = ordering.place(g)
     values = [0] * n
     succ: list[Optional[int]] = [None] * n
     ranked: list[int] = []
+    mark = [-1] * n  # mark[q] == p when q is adjacent to p
     for p in range(n - 1, -1, -1):
+        for q in out_pos[p]:
+            mark[q] = p
+        for q in in_pos[p]:
+            mark[q] = p
         best_val = 0
         best_q: Optional[int] = None
         for key in ranked:
             q = key % n
             if values[q] == 0:
                 break
-            if q not in adj_pos[p]:
+            if mark[q] != p:
                 best_val, best_q = values[q], q
                 break
         values[p] = w[perm[p]] + best_val
@@ -65,8 +65,4 @@ def max_independent_duf(g: Digraph, ordering: Ordering,
     witness = verify_duf_ordering(g, ordering)
     if witness is not None:
         raise NotDufOrdered(witness)
-    if g.n == 0:
-        return Certificate(vertices=(), checks={"independent": True},
-                           algorithm="chain-dp", optimal=True, objective="max",
-                           value=0)
     return chain_dag(g, ordering, weights).certify(g, "independent", "chain-dp")

@@ -17,7 +17,7 @@ Three routes, by input:
   ordering: each position has at most Delta + 1 candidate continuations
   (Delta the largest degree), each tested by a count with bisection, so
   the table costs O(m log n + n Delta (Delta + log n)).  Re-verifying the
-  ordering costs O(n m) at worst.
+  ordering counts the same way, in O(m (Delta + log n)).
 
 * :func:`optimal_kernel_adjusted` finds the same optimum in O(n^2) when the
   representation has matching left endpoints, exploiting that each
@@ -38,7 +38,7 @@ from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
 from .intervals import (IntervalRep, normalize, realize_digraph,
                         require_reflexive, set_is_absorbing,
                         set_is_independent)
-from .ordering import (Ordering, SuffixTable, argbest,
+from .ordering import (Ordering, SuffixTable, argbest, covered, first_gap,
                        verify_cocomparability_ordering, verify_duf_ordering)
 
 OBJECTIVES = ("min", "max")
@@ -143,29 +143,22 @@ def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
     increasing position.  Coverage of a candidate is a count: the
     non-in-neighbours of i inside (i, j), by bisection, must equal the
     in-neighbours of j inside (i, j) that are not in-neighbours of i.  This
-    candidate argument does not need the ordering to be DUF.  A position has at most d+(c0) + 1
-    candidates, each costing three bisections and one set intersection over
-    the in-neighbours of j, so the fill is O(m log n + n Delta (Delta +
-    log n)) for largest degree Delta.
+    candidate argument does not need the ordering to be DUF.  A position
+    has at most d+(c0) + 1 candidates, each costing four bisections and one
+    set intersection over the in-neighbours of j, so the fill is
+    O(m log n + n Delta (Delta + log n)) for largest degree Delta.
     """
     _check_objective(objective)
     n = g.n
-    perm, pos = ordering.perm, ordering.positions
     w = check_weights(weights, n)
-    wpos = [w[perm[p]] for p in range(n)]
-    in_pos = [sorted(pos[u] for u in g.in_adj[perm[p]]) for p in range(n)]
-    out_pos = [sorted(pos[u] for u in g.out_adj[perm[p]]) for p in range(n)]
+    wpos = [w[v] for v in ordering.perm]
+    out_pos, in_pos = ordering.place(g)
 
     values: list[Optional[int]] = [None] * n
     succ: list[Optional[int]] = [None] * n
     for i in range(n - 1, -1, -1):
         ins = in_pos[i]
-        above = bisect_right(ins, i)
-        c0 = i + 1
-        for u in ins[above:]:
-            if u != c0:
-                break
-            c0 += 1
+        c0 = first_gap(ins, i)
         if c0 == n:
             values[i] = wpos[i]
             continue
@@ -177,10 +170,7 @@ def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
         for j in outs[bisect_right(outs, c0):]:
             if j in in_set or j in out_set or values[j] is None:
                 continue
-            gap = j - i - 1 - (bisect_left(ins, j) - above)
-            in_j = in_pos[j]
-            between = in_j[bisect_right(in_j, i):bisect_left(in_j, j)]
-            if len(between) - len(in_set.intersection(between)) == gap:
+            if covered(ins, in_set, in_pos[j], i, j):
                 admissible.append(j)
         best_j = argbest(values, admissible, objective)
         if best_j is not None:
@@ -203,10 +193,6 @@ def optimal_kernel_duf(g: Digraph, ordering: Ordering, objective: str = "min",
     witness = verify_duf_ordering(g, ordering)
     if witness is not None:
         raise NotDufOrdered(witness)
-    if g.n == 0:
-        return Certificate(vertices=(), checks={"independent": True, "absorbing": True},
-                           algorithm="kernel-dp", optimal=True, objective=objective,
-                           value=0)
     table = compute_kernel_table(g, ordering, objective, weights)
     return table.certify(g, "kernel", "kernel-dp")
 
@@ -227,24 +213,12 @@ def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optiona
     if not rep.adjusted:
         raise NotAdjusted("representation does not have matching left endpoints")
     n = rep.n
-    if n == 0:
-        return Certificate(vertices=(), checks={"independent": True, "absorbing": True},
-                           algorithm="kernel-dp-adjusted", optimal=True,
-                           objective=objective, value=0)
     g = realize_digraph(rep)
     ordering = Ordering(sorted(range(n), key=rep.ls.__getitem__))
-    perm, pos = ordering.perm, ordering.positions
-
+    out_pos, in_pos = ordering.place(g)
     # self-loops count: reflexivity makes every vertex its own neighbour here
-    max_out = list(range(n))
-    max_in = list(range(n))
-    for p, v in enumerate(perm):
-        for u in g.out_adj[v]:
-            if pos[u] > max_out[p]:
-                max_out[p] = pos[u]
-        for u in g.in_adj[v]:
-            if pos[u] > max_in[p]:
-                max_in[p] = pos[u]
+    max_out = [max(p, nbrs[-1]) if nbrs else p for p, nbrs in enumerate(out_pos)]
+    max_in = [max(p, nbrs[-1]) if nbrs else p for p, nbrs in enumerate(in_pos)]
 
     suffix_min_out = [0] * (n + 1)
     suffix_min_out[n] = n  # sentinel above any real position
@@ -265,7 +239,7 @@ def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optiona
             succ[i] = best_j
 
     # a kernel's first vertex must absorb every earlier one
-    candidates = tuple(range(min(max_out) + 1))
+    candidates = tuple(range(min(max_out, default=-1) + 1))
     table = SuffixTable(ordering, objective, tuple(values), tuple(succ), candidates)
     return table.certify(g, "kernel", "kernel-dp-adjusted")
 
@@ -286,19 +260,9 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
     triple = verify_cocomparability_ordering(h, ordering)
     if triple is not None:
         raise NotCocompOrdered(triple)
-    vertices = ()
-    if h.n:
-        g = symmetric_digraph(h)
-        cert = compute_kernel_table(g, ordering, "min").certify(g, "kernel", "kernel-dp")
-        if cert is None:
-            raise RuntimeError("symmetric digraph without a kernel")
-        vertices = cert.vertices
-    sset = set(vertices)
-    independent = all(v not in sset for u in sset for v in h.adj[u])
-    dominating = all(v in sset or any(u in sset for u in h.adj[v]) for v in range(h.n))
-    checks = {"independent": independent, "dominating": dominating}
-    if not all(checks.values()):
-        raise RuntimeError(f"cocomparability reduction produced an invalid set: {checks}")
-    return Certificate(vertices=vertices, checks=checks,
-                       algorithm="cocomp-min-ind-dom", optimal=True,
-                       objective="min", value=len(vertices))
+    g = symmetric_digraph(h)
+    cert = compute_kernel_table(g, ordering, "min").certify(g, "solution",
+                                                            "cocomp-min-ind-dom")
+    if cert is None:
+        raise RuntimeError("symmetric digraph without a kernel")
+    return cert

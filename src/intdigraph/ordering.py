@@ -1,4 +1,5 @@
-"""Vertex orderings: umbrella checks, the interval map and the DP suffix table.
+"""Vertex orderings: position-space adjacency, umbrella checks, the interval
+map and the DP suffix table.
 
 Two nested conditions appear throughout:
 
@@ -14,7 +15,7 @@ Two nested conditions appear throughout:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -23,8 +24,9 @@ from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
 from .graphs import Certificate, Digraph, UndirectedGraph, verify_set
 from .intervals import Interval, IntervalRep, realize_digraph
 
-# Largest n for which a failing check still locates a concrete quadruple.
-WITNESS_SEARCH_CAP = 2000
+# Largest n for which a failing check still locates a concrete quadruple;
+# the O(n^4) search takes well under a second at this size.
+WITNESS_SEARCH_CAP = 40
 
 
 class Ordering:
@@ -47,6 +49,30 @@ class Ordering:
     def n(self) -> int:
         return len(self.perm)
 
+    def place(self, g: Digraph | UndirectedGraph
+              ) -> tuple[list[list[int]], list[list[int]]]:
+        """``g``'s out- and in-neighbour lists in position space.
+
+        Entry p lists, in rising order, the positions of the out- (in-)
+        neighbours of ``perm[p]``; an :class:`UndirectedGraph` gives its
+        ``adj`` as both.  One O(n + m) bucket pass per direction and no
+        sort: each list is appended to in rising position order.
+        """
+        if isinstance(g, UndirectedGraph):
+            adj = self._bucket(g.adj)
+            return adj, adj
+        return self._bucket(g.in_adj), self._bucket(g.out_adj)
+
+    def _bucket(self, adj) -> list[list[int]]:
+        """Entry p lists the positions q whose vertex has ``perm[p]`` in its
+        ``adj``: walking q upwards appends them sorted."""
+        pos = self.positions
+        lists: list[list[int]] = [[] for _ in self.perm]
+        for q, v in enumerate(self.perm):
+            for u in adj[v]:
+                lists[pos[u]].append(q)
+        return lists
+
     def __eq__(self, other):
         if not isinstance(other, Ordering):
             return NotImplemented
@@ -57,6 +83,25 @@ class Ordering:
 
     def __repr__(self):
         return f"Ordering({self.perm})"
+
+
+def first_gap(nbrs: list[int], p: int) -> int:
+    """The first position above ``p`` missing from the sorted list ``nbrs``."""
+    j = p + 1
+    for q in nbrs[bisect_right(nbrs, p):]:
+        if q != j:
+            break
+        j += 1
+    return j
+
+
+def covered(near: list[int], near_set: set[int], far: list[int], p: int, q: int) -> bool:
+    """Whether every position strictly between p and q is in ``near`` or in
+    ``far`` (sorted lists; ``near_set`` is ``set(near)``), by counting: the
+    positions missing from ``near`` must all be positions of ``far``."""
+    gap = q - p - 1 - (bisect_left(near, q) - bisect_right(near, p))
+    between = far[bisect_right(far, p):bisect_left(far, q)]
+    return len(between) - len(near_set.intersection(between)) == gap
 
 
 def argbest(values, positions, objective: str) -> Optional[int]:
@@ -99,17 +144,21 @@ class SuffixTable:
 
     def certify(self, g: Digraph, mode: str, algorithm: str) -> Optional[Certificate]:
         """The best candidate's solution, re-checked against ``g`` in ``mode``;
-        None when no candidate has a value."""
-        best = argbest(self.values, self.candidates, self.objective)
-        if best is None:
-            return None
-        vertices = tuple(sorted(self.ordering.perm[q] for q in self.chain_positions(best)))
+        None when no candidate has a value.  An empty ordering gives the
+        empty set, of value 0."""
+        if not self.ordering.n:
+            chain, value = [], 0
+        else:
+            best = argbest(self.values, self.candidates, self.objective)
+            if best is None:
+                return None
+            chain, value = self.chain_positions(best), self.values[best]
+        vertices = tuple(sorted(self.ordering.perm[q] for q in chain))
         cert = verify_set(g, vertices, mode)
         if not cert.all_checks_pass():
             raise RuntimeError(f"{algorithm} produced an invalid set: {cert.checks}")
         return Certificate(vertices=vertices, checks=cert.checks, algorithm=algorithm,
-                           optimal=True, objective=self.objective,
-                           value=self.values[best])
+                           optimal=True, objective=self.objective, value=value)
 
 
 @dataclass(frozen=True)
@@ -160,42 +209,38 @@ def _require_matching(g, ordering) -> None:
         raise InvalidOrdering(f"ordering covers {ordering.n} vertices, digraph has {g.n}")
 
 
-def _umbrella_at(near, far, perm, pos, p) -> Optional[tuple[int, int]]:
+def _umbrella_at(near, far, p) -> Optional[tuple[int, int]]:
     """The first umbrella over position p among the arcs of one direction.
 
-    ``near[u]`` and ``far[u]`` are u's out- and in-neighbour sets for the
-    out-arcs, swapped for the in-arcs.  Returns the first (r, q), by q then
-    r, such that q's vertex is in ``near`` of p's while the vertex at r,
-    strictly between, is in neither ``near`` of p's vertex nor ``far`` of
-    q's; None when there is none."""
-    v = perm[p]
-    near_v = near[v]
-    for q in sorted(map(pos.__getitem__, near_v)):
-        if q < p + 2:
-            continue
-        far_k = far[perm[q]]
-        for r in range(p + 1, q):
-            mid = perm[r]
-            if mid not in near_v and mid not in far_k:
-                return r, q
+    ``near`` and ``far`` are the out- and in-neighbour position lists for
+    the out-arcs, swapped for the in-arcs.  Returns the first (r, q), by q
+    then r, such that q is in ``near[p]`` while r, strictly between, is in
+    neither ``near[p]`` nor ``far[q]``; None when there is none."""
+    near_p = near[p]
+    near_set = set(near_p)
+    # arcs that end before the first gap above p span no other position
+    for q in near_p[bisect_right(near_p, first_gap(near_p, p)):]:
+        if not covered(near_p, near_set, far[q], p, q):
+            outside = near_set.union(far[q])
+            return next(r for r in range(p + 1, q) if r not in outside), q
     return None
 
 
 def verify_duf_ordering(g: Digraph, ordering: Ordering) -> Optional[StructureWitness]:
     """None if the ordering is directed umbrella-free, else a witness.
 
-    Scans, for every edge spanning at least one middle position, the
-    vertices in between; O(n m) worst case.  At each position the
+    Tests, for every arc spanning at least one middle position, that the
+    positions in between are covered, by one count per arc:
+    O(m (Delta + log n)) for largest degree Delta.  At each position the
     out-arcs are scanned before the in-arcs.
     """
     _require_matching(g, ordering)
-    perm, pos = ordering.perm, ordering.positions
-    outs = list(map(set, g.out_adj))
-    ins = list(map(set, g.in_adj))
+    perm = ordering.perm
+    outs, ins = ordering.place(g)
     scans = (("duf-out", outs, ins), ("duf-in", ins, outs))
     for p in range(g.n):
         for kind, near, far in scans:
-            hit = _umbrella_at(near, far, perm, pos, p)
+            hit = _umbrella_at(near, far, p)
             if hit is not None:
                 r, q = hit
                 return StructureWitness(kind, (perm[p], perm[r], perm[r], perm[q]),
@@ -239,40 +284,22 @@ def _construct_scaled(g: Digraph, ordering: Ordering):
     scaling keeps z-fractions integral and preserves every comparison, so
     the scaled representation realizes the same digraph as the unscaled one.
     """
-    n = g.n
-    perm, pos = ordering.perm, ordering.positions
-    scale = n + 1
+    scale = g.n + 1
+    out_pos, in_pos = ordering.place(g)
 
-    def right_end(p: int, nbr_pos: list[int]) -> int:
-        nbrs = set(nbr_pos)
-        j = p + 1
-        while j < n and j in nbrs:
-            j += 1
-        # y is 1-based; j == n means everything above p is a neighbour
-        y = j + 1 if j < n else n + 1
-        z = len(nbr_pos) - bisect_right(nbr_pos, j)
-        return (y - 1) * scale + z
+    def right_end(p: int, nbrs: list[int]) -> int:
+        # y - 1 = j, the first non-neighbour above p (n when there is none),
+        # and z counts the neighbours beyond it
+        j = first_gap(nbrs, p)
+        return j * scale + len(nbrs) - bisect_right(nbrs, j)
 
-    rs = [0] * n
-    rt = [0] * n
-    out_pos = [sorted(pos[w] for w in g.out_adj[perm[p]]) for p in range(n)]
-    in_pos = [sorted(pos[w] for w in g.in_adj[perm[p]]) for p in range(n)]
-    for p in range(n):
-        rs[p] = right_end(p, out_pos[p])
-        rt[p] = right_end(p, in_pos[p])
-    ls = [0] * n
-    lt = [0] * n
-    for p in range(n):
-        best_t = (p + 1) * scale
-        for q in in_pos[p]:
-            if q < p and rs[q] < best_t:
-                best_t = rs[q]
-        lt[p] = best_t
-        best_s = (p + 1) * scale
-        for q in out_pos[p]:
-            if q < p and rt[q] < best_s:
-                best_s = rt[q]
-        ls[p] = best_s
+    def left_end(p: int, nbrs: list[int], rights: list[int]) -> int:
+        return min([(p + 1) * scale] + [rights[q] for q in nbrs[:bisect_left(nbrs, p)]])
+
+    rs = [right_end(p, nbrs) for p, nbrs in enumerate(out_pos)]
+    rt = [right_end(p, nbrs) for p, nbrs in enumerate(in_pos)]
+    ls = [left_end(p, nbrs, rt) for p, nbrs in enumerate(out_pos)]
+    lt = [left_end(p, nbrs, rs) for p, nbrs in enumerate(in_pos)]
     return ls, rs, lt, rt
 
 
@@ -353,10 +380,10 @@ def verify_cocomparability_ordering(
     has, so the triple is the :func:`umbrella_triple` of that check."""
     if ordering.n != h.n:
         raise InvalidOrdering(f"ordering covers {ordering.n} vertices, graph has {h.n}")
-    perm, pos = ordering.perm, ordering.positions
-    adj = list(map(set, h.adj))
+    perm = ordering.perm
+    adj, _ = ordering.place(h)
     for p in range(h.n):
-        hit = _umbrella_at(adj, adj, perm, pos, p)
+        hit = _umbrella_at(adj, adj, p)
         if hit is not None:
             r, q = hit
             return (perm[p], perm[r], perm[q])

@@ -1,0 +1,129 @@
+"""The ordered routines as they were before the position-space placement,
+kept as differential references.
+
+Each maps vertices to positions itself: :func:`_umbrella_at` sorts the
+positions of a vertex's neighbour set at every position,
+:func:`verify_duf_ordering` and :func:`verify_cocomparability_ordering`
+scan every middle position of every spanning arc, and
+:func:`_construct_scaled` sorts each vertex's neighbour positions.  The
+library now reads one :meth:`~intdigraph.ordering.Ordering.place` per
+call; ``test_ordering_reference.py`` checks on random inputs that both
+give the same witnesses, triples and endpoints.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from typing import Optional
+
+from intdigraph.errors import InvalidOrdering
+from intdigraph.graphs import Digraph, UndirectedGraph
+from intdigraph.ordering import Ordering, StructureWitness, _require_matching
+
+
+def _umbrella_at(near, far, perm, pos, p) -> Optional[tuple[int, int]]:
+    """The first umbrella over position p among the arcs of one direction.
+
+    ``near[u]`` and ``far[u]`` are u's out- and in-neighbour sets for the
+    out-arcs, swapped for the in-arcs.  Returns the first (r, q), by q then
+    r, such that q's vertex is in ``near`` of p's while the vertex at r,
+    strictly between, is in neither ``near`` of p's vertex nor ``far`` of
+    q's; None when there is none."""
+    v = perm[p]
+    near_v = near[v]
+    for q in sorted(map(pos.__getitem__, near_v)):
+        if q < p + 2:
+            continue
+        far_k = far[perm[q]]
+        for r in range(p + 1, q):
+            mid = perm[r]
+            if mid not in near_v and mid not in far_k:
+                return r, q
+    return None
+
+
+def verify_duf_ordering(g: Digraph, ordering: Ordering) -> Optional[StructureWitness]:
+    """None if the ordering is directed umbrella-free, else a witness.
+
+    Scans, for every edge spanning at least one middle position, the
+    vertices in between; O(n m) worst case.  At each position the
+    out-arcs are scanned before the in-arcs.
+    """
+    _require_matching(g, ordering)
+    perm, pos = ordering.perm, ordering.positions
+    outs = list(map(set, g.out_adj))
+    ins = list(map(set, g.in_adj))
+    scans = (("duf-out", outs, ins), ("duf-in", ins, outs))
+    for p in range(g.n):
+        for kind, near, far in scans:
+            hit = _umbrella_at(near, far, perm, pos, p)
+            if hit is not None:
+                r, q = hit
+                return StructureWitness(kind, (perm[p], perm[r], perm[r], perm[q]),
+                                        (p, r, r, q))
+    return None
+
+
+def _construct_scaled(g: Digraph, ordering: Ordering):
+    """The interval formulas, with every value scaled by (n + 1).
+
+    Works in position space with 1-based indices; returns the
+    per-position endpoint lists (LS, RS, LT, RT) as exact integers.  The
+    scaling keeps z-fractions integral and preserves every comparison, so
+    the scaled representation realizes the same digraph as the unscaled one.
+    """
+    n = g.n
+    perm, pos = ordering.perm, ordering.positions
+    scale = n + 1
+
+    def right_end(p: int, nbr_pos: list[int]) -> int:
+        nbrs = set(nbr_pos)
+        j = p + 1
+        while j < n and j in nbrs:
+            j += 1
+        # y is 1-based; j == n means everything above p is a neighbour
+        y = j + 1 if j < n else n + 1
+        z = len(nbr_pos) - bisect_right(nbr_pos, j)
+        return (y - 1) * scale + z
+
+    rs = [0] * n
+    rt = [0] * n
+    out_pos = [sorted(pos[w] for w in g.out_adj[perm[p]]) for p in range(n)]
+    in_pos = [sorted(pos[w] for w in g.in_adj[perm[p]]) for p in range(n)]
+    for p in range(n):
+        rs[p] = right_end(p, out_pos[p])
+        rt[p] = right_end(p, in_pos[p])
+    ls = [0] * n
+    lt = [0] * n
+    for p in range(n):
+        best_t = (p + 1) * scale
+        for q in in_pos[p]:
+            if q < p and rs[q] < best_t:
+                best_t = rs[q]
+        lt[p] = best_t
+        best_s = (p + 1) * scale
+        for q in out_pos[p]:
+            if q < p and rt[q] < best_s:
+                best_s = rt[q]
+        ls[p] = best_s
+    return ls, rs, lt, rt
+
+
+def verify_cocomparability_ordering(
+        h: UndirectedGraph, ordering: Ordering) -> Optional[tuple[int, int, int]]:
+    """None if the ordering is umbrella-free for ``h``, else a violating
+    triple (i, j, k) of vertices with i < j < k in the ordering, ik an edge
+    and neither ij nor jk present.  This is the out-arc scan of the DUF
+    check, run on ``h`` itself: on the symmetric digraph of ``h`` the
+    in-arc scan at a position fails only where the out-arc scan already
+    has, so the triple is the :func:`umbrella_triple` of that check."""
+    if ordering.n != h.n:
+        raise InvalidOrdering(f"ordering covers {ordering.n} vertices, graph has {h.n}")
+    perm, pos = ordering.perm, ordering.positions
+    adj = list(map(set, h.adj))
+    for p in range(h.n):
+        hit = _umbrella_at(adj, adj, perm, pos, p)
+        if hit is not None:
+            r, q = hit
+            return (perm[p], perm[r], perm[q])
+    return None

@@ -304,16 +304,45 @@ def test_package_has_no_assert_statements():
 
 
 def test_closed_stdout_exits_1_without_a_traceback():
-    """The reader stops after 5 bytes of a 0.5 MB JSON instance, as
-    ``intdigraph gen ... --json | head -c 5`` does."""
+    """The reader stops after 5 bytes of a 0.5 MB instance, as
+    ``intdigraph gen ... | head -c 5`` does, for the JSON and the text
+    payload, with stdout buffered (the default) and unbuffered
+    (``python -u``).  Buffered, the exit-time flush must stay quiet;
+    unbuffered, a short write of the text payload to the pipe used to
+    drop the tail and exit 0."""
+    base = dict(os.environ, PYTHONPATH=str(Path(intdigraph.__file__).parents[1]))
+    base.pop("PYTHONUNBUFFERED", None)
+    for env in (base, dict(base, PYTHONUNBUFFERED="1")):
+        for extra, head in ((["--json"], b'{\n  "'), ([], b"inter")):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "intdigraph.cli", "gen", "reflexive-interval",
+                 "--n", "20000", *extra],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            assert proc.stdout.read(5) == head
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            proc.stderr.close()
+            case = (extra, "PYTHONUNBUFFERED" in env)
+            assert proc.wait(timeout=60) == 1, case
+            assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, (case, stderr)
+
+
+def test_stdout_closed_before_the_write_exits_1_quietly():
+    """``intdigraph gen ... | true``: the reader is gone before a small
+    payload is flushed, so the flush raises and the bytes it kept must not
+    raise again at interpreter exit (which would print "Exception ignored"
+    and exit 120)."""
     env = dict(os.environ, PYTHONPATH=str(Path(intdigraph.__file__).parents[1]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "intdigraph.cli", "gen", "reflexive-interval",
-         "--n", "20000", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.read(5) == b'{\n  "'
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
-    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    env.pop("PYTHONUNBUFFERED", None)
+    for extra in (["--json"], []):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "intdigraph.cli", "gen", "reflexive-interval",
+                 "--n", "5", *extra],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, extra
+        assert proc.stderr == b"", (extra, proc.stderr)

@@ -14,7 +14,7 @@ from intdigraph import (Digraph, Ordering, UndirectedGraph, build_representation
 from intdigraph.errors import ForbiddenStructure, InvalidOrdering, NotReflexive
 from intdigraph.fixtures import (directed_triangle, no_kernel_duf,
                                  oriented_k33_with_loops, reflexive_path)
-from intdigraph.generators import gen_random_digraph
+from intdigraph.generators import gen_random_digraph, gen_reflexive_interval
 from intdigraph.ordering import umbrella_triple
 
 from conftest import all_digraphs, interval_reps, undirected_graphs
@@ -134,6 +134,18 @@ class TestCheckReflexiveIntervalOrdering:
         monkeypatch.setattr(ordering_mod, "WITNESS_SEARCH_CAP", 3)
         w2 = check_reflexive_interval_ordering(g, Ordering((0, 1, 2, 3)))
         assert w2 is not None and w2.kind == "unlocated"
+
+    def test_late_swap_above_the_search_cap_is_unlocated(self):
+        # the O(n^4) quadruple search once ran for minutes on this case
+        rep = gen_reflexive_interval(200, 14, grid=800, max_len=6)
+        g = realize_digraph(rep)
+        perm = list(extract_duf_ordering(normalize(rep)).perm)
+        perm[-2], perm[-1] = perm[-1], perm[-2]
+        w = check_reflexive_interval_ordering(g, Ordering(perm))
+        assert w is not None and w.kind == "unlocated"
+        with pytest.raises(ForbiddenStructure) as exc:
+            build_representation(g, Ordering(perm))
+        assert exc.value.witness.kind == "unlocated"
 
     def test_exhaustive_agreement_small_n(self):
         # construct-and-verify decides exactly the absence of the six patterns
