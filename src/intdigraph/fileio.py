@@ -12,11 +12,17 @@ Formats (whitespace separated, one record per line):
 
 Emitters write records in canonical sorted order, so emit(parse(f)) == f
 up to whitespace for canonical files.
+
+Clean integer digraph and intervals files are read in bulk, straight into
+columns; every other file takes the line walk, the only reader of ``p/q``
+and the only source of :class:`ParseError`, so errors keep their lines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
+from operator import le
 
 from .domination import IntervalBigraphRep
 from .errors import ParseError
@@ -30,6 +36,20 @@ def _lines(text: str):
         line = raw.strip()
         if line:
             yield lineno, line.split()
+
+
+def _int_fields(text: str, kind: str, width: int):
+    """``(n, fields)``: the header's n and the records' integers in file
+    order, when a ``<kind> <n>`` header is followed only by records of
+    ``width`` plain integers; else None, and the caller walks the lines."""
+    rows = list(filter(None, map(str.split, text.splitlines())))
+    if (not rows or rows[0][0] != kind or len(rows[0]) != 2
+            or not set(map(len, islice(rows, 1, None))) <= {width}):
+        return None
+    try:
+        return int(rows[0][1]), list(map(int, chain.from_iterable(islice(rows, 1, None))))
+    except ValueError:
+        return None
 
 
 def _int(token: str, lineno: int) -> int:
@@ -74,6 +94,12 @@ def _format_value(x) -> str:
 
 
 def parse_digraph(text: str) -> Digraph:
+    clean = _int_fields(text, "digraph", 2)
+    if clean is not None:
+        n, fields = clean
+        if min(fields, default=0) >= 0 and max(fields, default=-1) < n:
+            arcs = iter(fields)
+            return Digraph(n, zip(arcs, arcs))
     rows = list(_lines(text))
     if not rows or rows[0][1][0] != "digraph":
         raise ParseError(rows[0][0] if rows else 1, "expected 'digraph <n>' header")
@@ -89,7 +115,10 @@ def parse_digraph(text: str) -> Digraph:
     try:
         return Digraph(n, edges)
     except ValueError as exc:
-        raise ParseError(rows[0][0], str(exc)) from None
+        # A negative n is the header's fault, else the first arc out of range.
+        bad = (line for (line, _), (u, v) in zip(rows[1:], edges)
+               if not (0 <= u < n and 0 <= v < n))
+        raise ParseError(next(bad) if n >= 0 else rows[0][0], str(exc)) from None
 
 
 def emit_digraph(g: Digraph) -> str:
@@ -100,6 +129,13 @@ def emit_digraph(g: Digraph) -> str:
 
 
 def parse_interval_rep(text: str) -> IntervalRep:
+    clean = _int_fields(text, "intervals", 5)
+    if clean is not None:
+        n, fields = clean
+        ids, ls, rs, lt, rt = (fields[i::5] for i in range(5))
+        if (len(ids) == n and ids == list(range(n))
+                and all(map(le, ls, rs)) and all(map(le, lt, rt))):
+            return IntervalRep.from_columns(ls, rs, lt, rt)
     rows = list(_lines(text))
     if not rows or rows[0][1][0] != "intervals":
         raise ParseError(rows[0][0] if rows else 1, "expected 'intervals <n>' header")
@@ -126,10 +162,8 @@ def parse_interval_rep(text: str) -> IntervalRep:
 
 def emit_interval_rep(rep: IntervalRep) -> str:
     lines = [f"intervals {rep.n}"]
-    for v in range(rep.n):
-        s, t = rep.source[v], rep.target[v]
-        lines.append(" ".join([str(v)] + [_format_value(x)
-                                          for x in (s.lo, s.hi, t.lo, t.hi)]))
+    for v, ends in enumerate(zip(rep.ls, rep.rs, rep.lt, rep.rt)):
+        lines.append(" ".join([str(v), *map(_format_value, ends)]))
     return "\n".join(lines) + "\n"
 
 
@@ -184,20 +218,16 @@ def emit_ordering(ordering: Ordering) -> str:
     return " ".join(str(v) for v in ordering.perm) + "\n"
 
 
+def _int_list(text: str) -> list[int]:
+    return [_int(t, lineno) for lineno, tokens in _lines(text) for t in tokens]
+
+
 def parse_weights(text: str) -> list[int]:
-    values = []
-    for lineno, tokens in _lines(text):
-        for t in tokens:
-            values.append(_int(t, lineno))
-    return values
+    return _int_list(text)
 
 
 def parse_vertex_set(text: str) -> list[int]:
-    values = []
-    for lineno, tokens in _lines(text):
-        for t in tokens:
-            values.append(_int(t, lineno))
-    return values
+    return _int_list(text)
 
 
 def detect_kind(text: str) -> str:

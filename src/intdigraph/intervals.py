@@ -14,7 +14,9 @@ intervals); remaining ties break by (vertex id, S-before-T).  The result,
 a :class:`NormalizedRep`, is nothing but the four rank sequences ``ls``,
 ``rs``, ``lt`` and ``rt``.  All downstream algorithms run on these distinct
 integer ranks, so there is no floating point anywhere.  Every function here
-accepts a raw :class:`IntervalRep` too and normalizes it on entry.
+accepts a raw :class:`IntervalRep` too and normalizes it on entry.  A raw
+representation is the same four columns holding coordinates instead of
+ranks; its :class:`Interval` pairs are views of the columns.
 
 :func:`stable_ranks` is the one ranking routine.  It also ranks the
 endpoints of an interval bigraph (:mod:`intdigraph.domination`); each
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import DimensionMismatch, MalformedInterval, NotReflexive
@@ -33,6 +36,7 @@ from .graphs import Digraph
 
 # Endpoint codes of a sweep: the S and T left ends, then the S and T right ends.
 _SL, _TL, _SR, _TR = 0, 1, 2, 3
+_lo, _hi = attrgetter("lo"), attrgetter("hi")
 
 
 def _coerce(x):
@@ -76,27 +80,51 @@ class Interval:
 
 
 class IntervalRep:
-    """Per-vertex (S, T) interval pairs."""
+    """Per-vertex (S, T) intervals as four coordinate columns: vertex ``v``
+    has ``S_v = [ls[v], rs[v]]`` and ``T_v = [lt[v], rt[v]]`` (ints or
+    Fractions).  ``source`` and ``target`` are :class:`Interval` views,
+    built at most once."""
 
-    __slots__ = ("source", "target")
+    __slots__ = ("ls", "rs", "lt", "rt", "_source", "_target")
 
     def __init__(self, pairs: Iterable[tuple[Interval, Interval]]):
-        source = []
-        target = []
+        source, target = [], []
         for s, t in pairs:
             source.append(s if isinstance(s, Interval) else Interval(*s))
             target.append(t if isinstance(t, Interval) else Interval(*t))
-        self.source: tuple[Interval, ...] = tuple(source)
-        self.target: tuple[Interval, ...] = tuple(target)
+        self._source, self._target = tuple(source), tuple(target)
+        self.ls, self.rs = tuple(map(_lo, source)), tuple(map(_hi, source))
+        self.lt, self.rt = tuple(map(_lo, target)), tuple(map(_hi, target))
+
+    @classmethod
+    def from_columns(cls, ls, rs, lt, rt) -> "IntervalRep":
+        """The representation with these columns, which the caller has
+        checked: equally long, ints or Fractions, each left at most its right."""
+        rep = cls.__new__(cls)
+        rep.ls, rep.rs, rep.lt, rep.rt = tuple(ls), tuple(rs), tuple(lt), tuple(rt)
+        rep._source = rep._target = None
+        return rep
+
+    @property
+    def source(self) -> tuple[Interval, ...]:
+        if self._source is None:
+            self._source = tuple(map(Interval, self.ls, self.rs))
+        return self._source
+
+    @property
+    def target(self) -> tuple[Interval, ...]:
+        if self._target is None:
+            self._target = tuple(map(Interval, self.lt, self.rt))
+        return self._target
 
     @property
     def n(self) -> int:
-        return len(self.source)
+        return len(self.ls)
 
     @property
     def adjusted(self) -> bool:
         """True when S and T share a left endpoint at every vertex."""
-        return all(s.lo == t.lo for s, t in zip(self.source, self.target))
+        return self.ls == self.lt
 
     def pairs(self):
         return tuple(zip(self.source, self.target))
@@ -164,10 +192,10 @@ def normalize(rep) -> NormalizedRep:
         return rep
     n = rep.n
     coords = [None] * (4 * n)
-    coords[0:2 * n:2] = [iv.lo for iv in rep.source]
-    coords[1:2 * n:2] = [iv.lo for iv in rep.target]
-    coords[2 * n::2] = [iv.hi for iv in rep.source]
-    coords[2 * n + 1::2] = [iv.hi for iv in rep.target]
+    coords[0:2 * n:2] = rep.ls
+    coords[1:2 * n:2] = rep.lt
+    coords[2 * n::2] = rep.rs
+    coords[2 * n + 1::2] = rep.rt
     rank = stable_ranks(coords)
     return NormalizedRep(tuple(rank[0:2 * n:2]), tuple(rank[2 * n::2]),
                          tuple(rank[1:2 * n:2]), tuple(rank[2 * n + 1::2]),

@@ -8,13 +8,14 @@ from pathlib import Path
 import pytest
 
 import intdigraph
-from intdigraph import Digraph, verify_representation
+from intdigraph import Digraph, Interval, verify_representation
 from intdigraph.cli import main
 from intdigraph.fileio import (emit_digraph, emit_interval_rep, emit_ordering,
                                parse_digraph, parse_interval_rep)
 from intdigraph.fixtures import (anti_walk_example, directed_triangle,
                                  in_star_adjusted, no_kernel_duf,
                                  two_vertex_example_rep)
+from intdigraph.generators import gen_reflexive_interval
 
 
 @pytest.fixture()
@@ -80,6 +81,26 @@ class TestSolverCommands:
         assert code == 0 and payload["set"] == [1]
         code, payload = run_json(capsys, "dominating", files["two.irep"])
         assert code == 0 and payload["set"] == [0]
+
+    def test_clean_integer_files_build_no_intervals(self, capsys, tmp_path, monkeypatch):
+        """A clean integer file reaches the solvers as columns: the sweeps and
+        the adjusted DP answer alike while building an ``Interval`` raises."""
+        sweep = tmp_path / "sweep.irep"
+        sweep.write_text(emit_interval_rep(gen_reflexive_interval(30, 5, max_len=4)))
+        star = tmp_path / "star.irep"
+        star.write_text("intervals 4\n0 0 1 0 20\n1 2 3 2 2\n2 4 5 4 4\n3 6 7 6 6\n")
+        calls = [("kernel", sweep), ("absorbing", sweep), ("dominating", sweep),
+                 ("min-kernel", star, "--adjusted")]
+        expected = [run(capsys, *map(str, call)) for call in calls]
+        assert all(code == 0 for code, _ in expected)
+        assert json.loads(expected[-1][1])["set"] == [0]
+
+        def refuse(*args):
+            raise AssertionError("an Interval was built")
+
+        monkeypatch.setattr(Interval, "__init__", refuse)
+        for call, want in zip(calls, expected):
+            assert run(capsys, *map(str, call)) == want
 
     def test_mis_with_weights(self, files, capsys, tmp_path):
         g = Digraph(3, [(0, 1), (1, 2)])

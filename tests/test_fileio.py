@@ -2,8 +2,10 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intdigraph import Digraph, Interval, IntervalBigraphRep, Ordering
+from intdigraph import Digraph, Interval, IntervalBigraphRep, Ordering, normalize
 from intdigraph.errors import ParseError
 from intdigraph.fileio import (detect_kind, emit_bigraph_rep, emit_digraph,
                                emit_interval_rep, emit_ordering,
@@ -40,6 +42,7 @@ class TestDigraphFormat:
         with pytest.raises(ParseError) as exc2:
             parse_digraph("digraph 2\n0 5\n")
         assert "out of range" in str(exc2.value)
+        assert exc2.value.line == 2
 
 
 class TestIntervalFormat:
@@ -64,6 +67,26 @@ class TestIntervalFormat:
         with pytest.raises(ParseError) as exc:
             parse_interval_rep("intervals 1\n0 5 1 0 1\n")
         assert exc.value.line == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(-5, 5)] * 4), max_size=10), st.data())
+def test_halved_endpoints_normalize_like_integers(ends, data):
+    """Writing endpoints x as ``2x/2`` sends a file down the line walk; it
+    must normalize exactly as the bulk-read integer file does."""
+    rows = [(min(a, b), max(a, b), min(c, d), max(c, d)) for a, b, c, d in ends]
+    halve = iter(data.draw(st.lists(st.booleans(), min_size=4 * len(rows),
+                                    max_size=4 * len(rows))))
+
+    def text(spell):
+        return f"intervals {len(rows)}\n" + "".join(
+            f"{v} {' '.join(spell(x) for x in row)}\n" for v, row in enumerate(rows))
+
+    plain = normalize(parse_interval_rep(text(str)))
+    mixed = normalize(parse_interval_rep(text(
+        lambda x: f"{2 * x}/2" if next(halve) else str(x))))
+    assert ((plain.ls, plain.rs, plain.lt, plain.rt, plain.adjusted)
+            == (mixed.ls, mixed.rs, mixed.lt, mixed.rt, mixed.adjusted))
 
 
 class TestBigraphFormat:

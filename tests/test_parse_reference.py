@@ -1,0 +1,129 @@
+"""The library's interval and digraph parsers against the line walk kept
+in ``parse_reference``: on clean files and on files with one mutation,
+the same result or a ``ParseError`` with the same line and message."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intdigraph.errors import ParseError
+from intdigraph.fileio import parse_digraph, parse_interval_rep
+from intdigraph.intervals import normalize
+
+import parse_reference
+
+MUTATIONS = ("none", "drop", "add", "x", "1/0", "3/2", "split", "duplicate",
+             "out-of-range", "lo>hi", "header+1", "header-1", "header<0")
+
+
+@st.composite
+def files(draw, kind):
+    """An intervals or digraph file, laid out with
+    random blank lines, tabs and indents, its records in order or
+    permuted, then given at most one mutation."""
+    n = draw(st.integers(0, 6))
+    coord = st.integers(-4, 9)
+    if kind == "intervals":
+        records = []
+        for v in range(n):
+            a, b, c, d = (draw(coord) for _ in range(4))
+            records.append([v, min(a, b), max(a, b), min(c, d), max(c, d)])
+    else:
+        vertex = st.integers(0, max(n - 1, 0))
+        records = [] if n == 0 else [[draw(vertex), draw(vertex)]
+                                     for _ in range(draw(st.integers(0, 8)))]
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    lines = [[kind, str(n)]] + [[str(x) for x in r] for r in records]
+    mutation = draw(st.sampled_from(MUTATIONS))
+    _mutate(draw, lines, mutation, kind, n)
+    seps = draw(st.lists(st.sampled_from([" ", "\t", "  ", " \t "]),
+                         min_size=len(lines), max_size=len(lines)))
+    out = []
+    for tokens, sep in zip(lines, seps):
+        if draw(st.integers(0, 4)) == 0:
+            out.append(draw(st.sampled_from(["", "   ", "\t"])))
+        indent = draw(st.sampled_from(["", "", " ", "\t"]))
+        out.append(indent + sep.join(tokens))
+    return "\n".join(out) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def _mutate(draw, lines, mutation, kind, n):
+    """Apply ``mutation`` in place; a mutation with nothing to act on
+    leaves the file clean."""
+    records = lines[1:]
+    where = [(i, j) for i, tokens in enumerate(lines) for j in range(len(tokens))]
+    if mutation in ("drop", "x", "1/0", "3/2"):
+        i, j = draw(st.sampled_from(where))
+        if mutation == "drop":
+            del lines[i][j]
+        else:
+            lines[i][j] = mutation
+    elif mutation == "add":
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        lines[i].insert(j, draw(st.sampled_from(["0", "7", "-2", "x"])))
+    elif mutation == "split" and len(records) >= 2:
+        i = draw(st.integers(1, len(lines) - 2))
+        joined = lines[i] + lines[i + 1]
+        cut = len(lines[i]) - 1
+        lines[i:i + 2] = [joined[:cut], joined[cut:]]
+    elif mutation == "duplicate" and kind == "intervals" and len(records) >= 2:
+        i, j = draw(st.lists(st.integers(1, len(lines) - 1), min_size=2,
+                             max_size=2, unique=True))
+        lines[i][0] = lines[j][0]
+    elif mutation == "out-of-range" and records:
+        i = draw(st.integers(1, len(lines) - 1))
+        j = 0 if kind == "intervals" else draw(st.integers(0, 1))
+        lines[i][j] = str(draw(st.sampled_from([n, n + 3, -1])))
+    elif mutation == "lo>hi" and kind == "intervals" and records:
+        i = draw(st.integers(1, len(lines) - 1))
+        j = draw(st.sampled_from([1, 3]))
+        lines[i][j] = str(int(lines[i][j + 1]) + 1)
+    elif mutation.startswith("header"):
+        lines[0][1] = str({"header+1": n + 1, "header-1": n - 1,
+                           "header<0": -n - 1}[mutation])
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except ParseError as exc:
+        return "error", (exc.line, str(exc).split(": ", 1)[1])
+
+
+def _first_arc_out_of_range(text):
+    rows = list(parse_reference._lines(text))
+    n = int(rows[0][1][1])
+    return next(line for line, tokens in rows[1:]
+                if not all(0 <= int(t) < n for t in tokens))
+
+
+@settings(max_examples=500, deadline=None)
+@given(files("intervals"))
+def test_interval_parser_matches_the_reference(text):
+    kind, want = _outcome(parse_reference.parse_interval_rep, text)
+    got_kind, got = _outcome(parse_interval_rep, text)
+    assert got_kind == kind
+    if kind == "error":
+        assert got == want
+        return
+    assert got.pairs() == want.pairs()
+    assert got.adjusted == want.adjusted
+    a, b = normalize(got), normalize(want)
+    assert (a.ls, a.rs, a.lt, a.rt, a.adjusted) == (b.ls, b.rs, b.lt, b.rt, b.adjusted)
+
+
+@settings(max_examples=500, deadline=None)
+@given(files("digraph"))
+def test_digraph_parser_matches_the_reference(text):
+    kind, want = _outcome(parse_reference.parse_digraph, text)
+    got_kind, got = _outcome(parse_digraph, text)
+    assert got_kind == kind
+    if kind == "ok":
+        assert got == want
+    elif want[1].startswith("edge ("):
+        # The one intended change: the arc's own line, not the header's.
+        assert got == (_first_arc_out_of_range(text), want[1])
+    else:
+        assert got == want
+
