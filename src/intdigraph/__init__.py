@@ -1,51 +1,58 @@
-"""Kernels, domination and independent sets in reflexive interval digraphs."""
+"""Kernels, domination and independent sets in reflexive interval digraphs.
 
-from .graphs import (Certificate, Digraph, UndirectedGraph, induced_subgraph,
-                     reverse, symmetric_digraph, underlying_undirected,
-                     verify_set)
-from .intervals import (Interval, IntervalRep, NormalizedRep,
-                        extract_duf_ordering, is_reflexive, normalize,
-                        realize_digraph, set_is_absorbing, set_is_dominating,
-                        set_is_independent, verify_representation)
-from .ordering import (Ordering, StructureWitness, SuffixTable,
-                       build_representation, check_reflexive_interval_ordering,
-                       find_forbidden_structure, structure_present,
-                       verify_cocomparability_ordering, verify_duf_ordering)
-from .kernels import (ZSequence, compute_kernel_table,
-                      kernel_linear, min_independent_dominating_cocomp,
-                      optimal_kernel_adjusted, optimal_kernel_duf, z_sequence)
-from .domination import (Bigraph, IntervalBigraphRep, RedBlueState,
-                         build_red_blue_state, min_absorbing_reflexive,
-                         min_dominating_reflexive, red_blue_min_dominating,
-                         splitting_bigraph)
-from .independent import chain_dag, max_independent_duf
-from .pointpoint import (AntiWalkWitness, PointRep, SubdivisionMap,
-                         find_anti_directed_walk, k_subdivision, lift_set,
-                         project_set, recognize_point_point)
-from .oracle import (DEFAULT_BUDGET, OracleBudget, brute_kernel,
-                     brute_max_independent, brute_min_absorbing,
-                     brute_ordering_search, brute_red_blue, find_induced_k33)
+The package root imports no submodule: each exported name is loaded from
+its module on first use, so ``import intdigraph.cli`` loads only what the
+CLI calls and the brute-force oracles load only when asked for.
+"""
 
-__all__ = [
-    "Certificate", "Digraph", "UndirectedGraph", "induced_subgraph",
-    "reverse", "symmetric_digraph", "underlying_undirected", "verify_set",
-    "Interval", "IntervalRep", "NormalizedRep", "extract_duf_ordering",
-    "is_reflexive", "normalize", "realize_digraph", "set_is_absorbing",
-    "set_is_dominating", "set_is_independent", "verify_representation",
-    "Ordering", "StructureWitness", "SuffixTable", "build_representation",
-    "check_reflexive_interval_ordering", "find_forbidden_structure",
-    "structure_present", "verify_cocomparability_ordering",
-    "verify_duf_ordering",
-    "ZSequence", "compute_kernel_table", "kernel_linear",
-    "min_independent_dominating_cocomp", "optimal_kernel_adjusted",
-    "optimal_kernel_duf", "z_sequence",
-    "Bigraph", "IntervalBigraphRep", "RedBlueState", "build_red_blue_state",
-    "min_absorbing_reflexive", "min_dominating_reflexive",
-    "red_blue_min_dominating", "splitting_bigraph",
-    "chain_dag", "max_independent_duf",
-    "AntiWalkWitness", "PointRep", "SubdivisionMap", "find_anti_directed_walk",
-    "k_subdivision", "lift_set", "project_set", "recognize_point_point",
-    "DEFAULT_BUDGET", "OracleBudget", "brute_kernel", "brute_max_independent",
-    "brute_min_absorbing", "brute_ordering_search", "brute_red_blue",
-    "find_induced_k33",
-]
+import importlib
+
+_EXPORTS = {
+    "graphs": ("Certificate", "Digraph", "UndirectedGraph", "induced_subgraph",
+               "reverse", "symmetric_digraph", "underlying_undirected",
+               "verify_set"),
+    "intervals": ("Interval", "IntervalRep", "NormalizedRep",
+                  "extract_duf_ordering", "is_reflexive", "normalize",
+                  "realize_digraph", "set_is_absorbing", "set_is_dominating",
+                  "set_is_independent", "verify_representation"),
+    "ordering": ("Ordering", "StructureWitness", "SuffixTable",
+                 "build_representation", "check_reflexive_interval_ordering",
+                 "find_forbidden_structure", "structure_present",
+                 "verify_cocomparability_ordering", "verify_duf_ordering"),
+    "kernels": ("ZSequence", "compute_kernel_table", "kernel_linear",
+                "min_independent_dominating_cocomp", "optimal_kernel_adjusted",
+                "optimal_kernel_duf", "z_sequence"),
+    "domination": ("Bigraph", "IntervalBigraphRep", "RedBlueState",
+                   "build_red_blue_state", "min_absorbing_reflexive",
+                   "min_dominating_reflexive", "red_blue_min_dominating",
+                   "splitting_bigraph"),
+    "independent": ("chain_dag", "max_independent_duf"),
+    "pointpoint": ("AntiWalkWitness", "PointRep", "SubdivisionMap",
+                   "find_anti_directed_walk", "k_subdivision", "lift_set",
+                   "project_set", "recognize_point_point"),
+    "oracle": ("DEFAULT_BUDGET", "OracleBudget", "brute_kernel",
+               "brute_max_independent", "brute_min_absorbing",
+               "brute_ordering_search", "brute_red_blue", "find_induced_k33"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    """Load an exported name, or a submodule, on first access."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    else:
+        try:
+            value = importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

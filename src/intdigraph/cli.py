@@ -9,13 +9,12 @@ and an error (1).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from . import generators, oracle
 from .domination import red_blue_min_dominating, min_absorbing_reflexive, \
     min_dominating_reflexive
 from .errors import ParseError
@@ -48,7 +47,7 @@ def _witness_json(w):
         return {"kind": w.kind, "vertices": list(w.vertices),
                 "positions": list(w.positions)}
     if isinstance(w, AntiWalkWitness):
-        return asdict(w)
+        return w._asdict()
     if isinstance(w, tuple):
         return {"triple": list(w)}
     return w
@@ -218,13 +217,6 @@ def _cmd_verify(args):
     return payload, EXIT_OK if cert.all_checks_pass() else EXIT_NONEXISTENT
 
 
-def _budget(args) -> oracle.OracleBudget:
-    if getattr(args, "budget_n", None) is None:
-        return oracle.DEFAULT_BUDGET
-    b = args.budget_n
-    return oracle.OracleBudget(subset_n=b, perm_n=b, k33_n=b)
-
-
 def _oracle_digraph(text: str) -> Digraph:
     kind = detect_kind(text)
     if kind == "digraph":
@@ -235,7 +227,10 @@ def _oracle_digraph(text: str) -> Digraph:
 
 
 def _cmd_oracle(args):
-    budget = _budget(args)
+    from . import oracle
+    b = args.budget_n
+    budget = (oracle.DEFAULT_BUDGET if b is None
+              else oracle.OracleBudget(subset_n=b, perm_n=b, k33_n=b))
     if args.problem == "kernel":
         g = _oracle_digraph(_read(args.inputs[0]))
         objective = args.objective or "exists"
@@ -281,6 +276,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_gen(args):
+    from . import generators
     seed = args.seed
     if args.gen_kind == "reflexive-interval":
         instance = emit_interval_rep(generators.gen_reflexive_interval(
@@ -405,15 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
+    """Run the chosen command, print its payload and return the exit code."""
     try:
         payload, code = args.func(args)
     except ParseError as exc:
         payload = json.dumps({"status": "error", "error": str(exc)}) + "\n"
         code = EXIT_ERROR
-    except (ValueError, RuntimeError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, RuntimeError, OSError, KeyError, MemoryError, OverflowError) as exc:
         payload = json.dumps({"status": "error",
                               "error": f"{type(exc).__name__}: {exc}"}) + "\n"
         code = EXIT_ERROR
@@ -433,6 +428,19 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
     return code
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    # A command builds its data in bulk and keeps it to the end, so cyclic GC
+    # passes would only re-walk the growing heap; the caller's state is restored.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

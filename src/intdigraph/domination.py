@@ -20,8 +20,7 @@ with the same :func:`~intdigraph.intervals.stable_ranks` as
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DimensionMismatch
 from .graphs import Certificate, Digraph, _in_sorted
@@ -114,8 +113,7 @@ def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
     return big, brep
 
 
-@dataclass(frozen=True)
-class RedBlueState:
+class RedBlueState(NamedTuple):
     """Precomputed sweep data over the A-part sorted by right endpoint.
 
     ``a_by_right[s]`` is the A index at slot ``s``; ``cover[s]`` the

@@ -9,8 +9,7 @@ threads; anything that looks like mutation builds a new object.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidVertex
 
@@ -129,8 +128,7 @@ class UndirectedGraph:
         return f"UndirectedGraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A vertex set together with the property checks actually run on it.
 
     ``checks`` maps property name to pass/fail; every key listed was
@@ -139,7 +137,7 @@ class Certificate:
     """
 
     vertices: tuple[int, ...]
-    checks: dict[str, bool] = field(default_factory=dict)
+    checks: dict[str, bool]
     algorithm: str = "unspecified"
     optimal: bool = False
     objective: str | None = None

@@ -29,8 +29,7 @@ Both fill a :class:`~intdigraph.ordering.SuffixTable`, which certifies the kerne
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
 from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
@@ -53,8 +52,7 @@ def _check_objective(objective: str) -> None:
 # linear-time kernel on reflexive interval digraphs
 
 
-@dataclass(frozen=True)
-class ZSequence:
+class ZSequence(NamedTuple):
     """The forward pass: picked vertices, per-step removal counts, and the
     (strictly increasing) right ends of their source intervals.  The picked
     vertex together with its just-removed in-neighbours partition V, so the

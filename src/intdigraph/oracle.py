@@ -8,9 +8,8 @@ Each oracle refuses inputs beyond its budget instead of degrading.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetExceeded
 from .graphs import Certificate, Digraph, UndirectedGraph, check_weights, verify_set
@@ -19,8 +18,7 @@ from .ordering import (Ordering, check_reflexive_interval_ordering,
                        verify_duf_ordering)
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(NamedTuple):
     """Hard caps per problem family plus an optional wall-clock cap."""
 
     subset_n: int = 16

@@ -16,9 +16,8 @@ Two nested conditions appear throughout:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
 from .graphs import Certificate, Digraph, UndirectedGraph, verify_set
@@ -118,8 +117,7 @@ def argbest(values, positions, objective: str) -> Optional[int]:
     return best_p
 
 
-@dataclass(frozen=True)
-class SuffixTable:
+class SuffixTable(NamedTuple):
     """A right-to-left dynamic program over an ordering, in position space.
 
     ``values[p]`` is the best weight of a solution on positions [p, n)
@@ -161,8 +159,7 @@ class SuffixTable:
                            optimal=True, objective=self.objective, value=value)
 
 
-@dataclass(frozen=True)
-class StructureWitness:
+class StructureWitness(NamedTuple):
     """A concrete violation found in an ordering.
 
     ``vertices`` lists four vertices at ordering positions a < b <= c < d

@@ -16,16 +16,14 @@ fixed size offset of (k/2)·m, witnessed constructively by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidCertificate, NotIrreflexive, OddSubdivision
 from .graphs import Digraph, verify_set
 from .domination import splitting_bigraph
 
 
-@dataclass(frozen=True)
-class PointRep:
+class PointRep(NamedTuple):
     """Per-vertex source/target points; edge (u, v) iff s_points[u] == t_points[v]."""
 
     s_points: tuple[int, ...]
@@ -41,8 +39,7 @@ class PointRep:
         return Digraph(self.n, edges)
 
 
-@dataclass(frozen=True)
-class AntiWalkWitness:
+class AntiWalkWitness(NamedTuple):
     """Vertices with (a,b), (c,b), (c,d) arcs present and (a,d) absent.
 
     Not necessarily distinct, but always a != c and b != d."""
@@ -135,8 +132,7 @@ def find_anti_directed_walk(g: Digraph, brute: bool = False) -> Optional[AntiWal
     return result if isinstance(result, AntiWalkWitness) else None
 
 
-@dataclass
-class SubdivisionMap:
+class SubdivisionMap(NamedTuple):
     """A subdivision host plus the per-arc paths that created it.
 
     ``paths[(i, j)]`` lists the k fresh vertices replacing arc (i, j), in

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -313,6 +314,35 @@ class TestErrors:
         code, payload = run_json(capsys, command, str(path))
         assert code == 1 and payload["status"] == "error"
         assert "line 1" in payload["error"]
+
+    @pytest.mark.parametrize("n,error", [
+        (2**62, "MemoryError"),
+        (2**63, "OverflowError: cannot fit 'int' into an index-sized integer"),
+    ])
+    def test_huge_digraph_header_is_a_json_error(self, files, capsys, tmp_path, n, error):
+        path = tmp_path / "huge.dg"
+        path.write_text(f"digraph {n}\n")
+        code, payload = run_json(capsys, "verify", str(path), files["set0.txt"],
+                                 "--kind", "kernel")
+        assert code == 1 and payload["status"] == "error"
+        assert payload["error"].startswith(error)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv,code", [
+    (["kernel", "@two.irep"], 0),
+    (["kernel", "@bad.irep"], 1),
+    (["min-kernel", "@nk.dg"], 1),
+])
+def test_main_restores_the_gc_state(files, capsys, argv, code, enabled):
+    argv = [files[a[1:]] if a.startswith("@") else a for a in argv]
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_package_has_no_assert_statements():
