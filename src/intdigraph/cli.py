@@ -187,37 +187,14 @@ def _cmd_subdivide(args):
     return {"status": "ok", "map": _serialize_map(sub)}, EXIT_OK
 
 
-def _cmd_lift(args):
+def _cmd_lift_project(args, move):
+    """``lift`` or ``project``: ``move`` is :func:`lift_set` or :func:`project_set`."""
     sub = _parse_map(_read(args.map))
-    s = parse_vertex_set(_read(args.set))
-    lifted = lift_set(sub, s, args.kind)
-    return {"status": "ok", "set": list(lifted), "size": len(lifted)}, EXIT_OK
+    moved = move(sub, parse_vertex_set(_read(args.set)), args.kind)
+    return {"status": "ok", "set": list(moved), "size": len(moved)}, EXIT_OK
 
 
-def _cmd_project(args):
-    sub = _parse_map(_read(args.map))
-    s = parse_vertex_set(_read(args.set))
-    projected = project_set(sub, s, args.kind)
-    return {"status": "ok", "set": list(projected), "size": len(projected)}, EXIT_OK
-
-
-def _cmd_verify(args):
-    text = _read(args.instance)
-    kind = detect_kind(text)
-    if kind == "digraph":
-        g = parse_digraph(text)
-    elif kind == "intervals":
-        g = realize_digraph(parse_interval_rep(text))
-    else:
-        raise ValueError(f"verify expects a digraph or intervals file, got {kind}")
-    s = parse_vertex_set(_read(args.set))
-    cert = verify_set(g, s, args.kind)
-    payload = {"status": "ok", "mode": args.kind, "set": list(cert.vertices),
-               "checks": dict(cert.checks), "pass": cert.all_checks_pass()}
-    return payload, EXIT_OK if cert.all_checks_pass() else EXIT_NONEXISTENT
-
-
-def _oracle_digraph(text: str) -> Digraph:
+def _load_digraph(text: str) -> Digraph:
     kind = detect_kind(text)
     if kind == "digraph":
         return parse_digraph(text)
@@ -226,23 +203,32 @@ def _oracle_digraph(text: str) -> Digraph:
     raise ValueError(f"expected a digraph or intervals file, got {kind}")
 
 
+def _cmd_verify(args):
+    g = _load_digraph(_read(args.instance))
+    s = parse_vertex_set(_read(args.set))
+    cert = verify_set(g, s, args.kind)
+    payload = {"status": "ok", "mode": args.kind, "set": list(cert.vertices),
+               "checks": dict(cert.checks), "pass": cert.all_checks_pass()}
+    return payload, EXIT_OK if cert.all_checks_pass() else EXIT_NONEXISTENT
+
+
 def _cmd_oracle(args):
     from . import oracle
     b = args.budget_n
     budget = (oracle.DEFAULT_BUDGET if b is None
               else oracle.OracleBudget(subset_n=b, perm_n=b, k33_n=b))
     if args.problem == "kernel":
-        g = _oracle_digraph(_read(args.inputs[0]))
+        g = _load_digraph(_read(args.inputs[0]))
         objective = args.objective or "exists"
         cert = oracle.brute_kernel(g, objective, budget=budget)
         if cert is None:
             return {"status": "no-kernel"}, EXIT_NONEXISTENT
         return _cert_payload(cert), EXIT_OK
     if args.problem == "absorbing":
-        g = _oracle_digraph(_read(args.inputs[0]))
+        g = _load_digraph(_read(args.inputs[0]))
         return _cert_payload(oracle.brute_min_absorbing(g, budget=budget)), EXIT_OK
     if args.problem == "independent":
-        g = _oracle_digraph(_read(args.inputs[0]))
+        g = _load_digraph(_read(args.inputs[0]))
         w = _load_weights(args, g.n)
         return _cert_payload(oracle.brute_max_independent(g, w, budget=budget)), EXIT_OK
     if args.problem == "red-blue":
@@ -252,13 +238,13 @@ def _cmd_oracle(args):
             return {"status": "no-dominating-set"}, EXIT_NONEXISTENT
         return _cert_payload(cert), EXIT_OK
     if args.problem == "k33":
-        g = _oracle_digraph(_read(args.inputs[0]))
+        g = _load_digraph(_read(args.inputs[0]))
         witness = oracle.find_induced_k33(underlying_undirected(g), budget=budget)
         if witness is None:
             return {"status": "none"}, EXIT_NONEXISTENT
         return {"status": "ok", "parts": [list(witness[0]), list(witness[1])]}, EXIT_OK
     if args.problem == "ordering-search":
-        g = _oracle_digraph(_read(args.inputs[0]))
+        g = _load_digraph(_read(args.inputs[0]))
         kind = args.kind or "duf"
         if kind == "reflexive":
             kind = "reflexive-interval"
@@ -267,7 +253,7 @@ def _cmd_oracle(args):
             return {"status": "no-ordering", "kind": kind}, EXIT_NONEXISTENT
         return {"status": "ok", "kind": kind, "ordering": list(found.perm)}, EXIT_OK
     if args.problem == "anti-walk":
-        g = _oracle_digraph(_read(args.inputs[0]))
+        g = _load_digraph(_read(args.inputs[0]))
         witness = find_anti_directed_walk(g, brute=True)
         if witness is None:
             return {"status": "none"}, EXIT_NONEXISTENT
@@ -356,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_subdivide)
 
-    for name, fn in (("lift", _cmd_lift), ("project", _cmd_project)):
+    for name, move in (("lift", lift_set), ("project", project_set)):
         p = sub.add_parser(name, help=f"{name} a kernel/absorbing set through a subdivision")
         p.add_argument("map", help="JSON map emitted by 'subdivide'")
         p.add_argument("set", help="file of space-separated vertex ids")
         p.add_argument("--kind", choices=("kernel", "absorbing"), default="kernel")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=lambda a, _move=move: _cmd_lift_project(a, _move))
 
     p = sub.add_parser("oracle", help="budgeted brute-force reference solvers")
     p.add_argument("problem", choices=("kernel", "absorbing", "independent",

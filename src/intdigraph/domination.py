@@ -7,7 +7,10 @@ whole left side correspond exactly to absorbing sets of G, which reduces
 Absorbing-Set to Red-Blue Dominating Set on an interval bigraph.  The
 bigraph problem is solved by a single greedy sweep: repeatedly cover the
 uncovered A-vertex whose interval ends first with its furthest-reaching
-B-neighbour, then jump past everything that neighbour covers.
+B-neighbour.  Every uncovered A interval ends later, so that neighbour
+covers exactly those starting before it ends, a prefix of the left-end
+order: the sweep is :func:`~intdigraph.intervals.frontier_walk`, the
+forward pass of the kernel sweep too.
 
 The sweep reads only the order of the endpoints, as four rank sequences
 in the form of a :class:`~intdigraph.intervals.NormalizedRep`.  The
@@ -19,14 +22,13 @@ with the same :func:`~intdigraph.intervals.stable_ranks` as
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DimensionMismatch
 from .graphs import Certificate, Digraph, _in_sorted
 from .intervals import (Interval, IntervalRep, NormalizedRep, StabIndex,
-                        normalize, require_reflexive, set_is_absorbing,
-                        stable_ranks, verify_representation)
+                        frontier_walk, normalize, require_reflexive,
+                        set_is_absorbing, stable_ranks, verify_representation)
 
 
 class Bigraph:
@@ -114,17 +116,12 @@ def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
 
 
 class RedBlueState(NamedTuple):
-    """Precomputed sweep data over the A-part sorted by right endpoint.
+    """The sweep's steps: ``a_first[k]`` is the uncovered A index ending
+    first at step k, ``cover[k]`` its B-neighbour reaching furthest right.
+    The covers' right ends strictly increase."""
 
-    ``a_by_right[s]`` is the A index at slot ``s``; ``cover[s]`` the
-    B index reaching furthest right among its neighbours; ``jump[s]`` the
-    first slot whose interval starts beyond that reach (None at the end).
-    Defined only when no A-vertex is isolated; jumps strictly increase.
-    """
-
-    a_by_right: tuple[int, ...]
+    a_first: tuple[int, ...]
     cover: tuple[int, ...]
-    jump: tuple[Optional[int], ...]
 
 
 def bigraph_ranks(rep) -> tuple:
@@ -149,33 +146,15 @@ def bigraph_ranks(rep) -> tuple:
 
 
 def build_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[RedBlueState]:
-    """The sweep state of the A intervals ``[a_lo[i], a_hi[i]]`` and the B
+    """The sweep over the A intervals ``[a_lo[i], a_hi[i]]`` and the B
     intervals ``[b_lo[j], b_hi[j]]``, all endpoints distinct ranks; None
-    when some A-vertex has no B-neighbour."""
-    t = len(a_lo)
+    when it reaches an A-vertex with no B-neighbour.  Only the A intervals
+    it picks are stabbed."""
     index = StabIndex(zip(b_lo, b_hi, range(len(b_lo))))
-    slots = sorted(range(t), key=a_hi.__getitem__)
-    rho = [None] * t
-    cover = [None] * t
-    for s, i in enumerate(slots):
-        best = index.stab(a_lo[i], a_hi[i])
-        if best is None:
-            return None
-        rho[s], cover[s] = best
-
-    by_left = sorted(range(t), key=lambda s: a_lo[slots[s]])
-    left_vals = [a_lo[slots[s]] for s in by_left]
-    suffix_min_slot = [0] * (t + 1)
-    suffix_min_slot[t] = t
-    for p in range(t - 1, -1, -1):
-        suffix_min_slot[p] = min(by_left[p], suffix_min_slot[p + 1])
-    jump: list[Optional[int]] = [None] * t
-    for s in range(t):
-        p = bisect_right(left_vals, rho[s])
-        j = suffix_min_slot[p]
-        jump[s] = j if j < t else None
-
-    return RedBlueState(tuple(slots), tuple(cover), tuple(jump))
+    steps = frontier_walk(a_lo, a_hi, lambda i: index.stab(a_lo[i], a_hi[i]))
+    if steps is None:
+        return None
+    return RedBlueState(steps[0], steps[1])
 
 
 def red_blue_min_dominating(rep) -> Optional[Certificate]:
@@ -189,15 +168,7 @@ def red_blue_min_dominating(rep) -> Optional[Certificate]:
     state = build_red_blue_state(a_lo, a_hi, b_lo, b_hi)
     if state is None:
         return None
-    picks = set()
-    s = 0
-    while s is not None and s < len(state.a_by_right):
-        picks.add(state.cover[s])
-        nxt = state.jump[s]
-        if nxt is not None and nxt <= s:
-            raise RuntimeError("red-blue sweep failed to advance")
-        s = nxt
-    vertices = tuple(sorted(picks))
+    vertices = tuple(sorted(state.cover))
     index = StabIndex((b_lo[j], b_hi[j], j) for j in vertices)
     if not all(index.stab(lo, hi) is not None for lo, hi in zip(a_lo, a_hi)):
         raise RuntimeError("red-blue sweep produced a non-dominating set")

@@ -25,7 +25,7 @@ from itertools import chain, islice
 from operator import le
 
 from .domination import IntervalBigraphRep
-from .errors import ParseError
+from .errors import InvalidVertex, ParseError
 from .graphs import Digraph
 from .intervals import Interval, IntervalRep
 from .ordering import Ordering
@@ -93,13 +93,23 @@ def _format_value(x) -> str:
     return str(x)
 
 
+def _digraph(n: int, arcs, text: str) -> Digraph:
+    """``Digraph(n, arcs)``; an n too large to allocate is an error of the
+    header line."""
+    try:
+        return Digraph(n, arcs)
+    except (MemoryError, OverflowError) as exc:
+        raise ParseError(next(_lines(text))[0], f"header declares {n} vertices, "
+                         f"too many to allocate ({type(exc).__name__})") from None
+
+
 def parse_digraph(text: str) -> Digraph:
     clean = _int_fields(text, "digraph", 2)
     if clean is not None:
         n, fields = clean
         if min(fields, default=0) >= 0 and max(fields, default=-1) < n:
             arcs = iter(fields)
-            return Digraph(n, zip(arcs, arcs))
+            return _digraph(n, zip(arcs, arcs), text)
     rows = list(_lines(text))
     if not rows or rows[0][1][0] != "digraph":
         raise ParseError(rows[0][0] if rows else 1, "expected 'digraph <n>' header")
@@ -113,8 +123,8 @@ def parse_digraph(text: str) -> Digraph:
             raise ParseError(lineno, f"expected '<u> <v>', got {' '.join(tokens)!r}")
         edges.append((_int(tokens[0], lineno), _int(tokens[1], lineno)))
     try:
-        return Digraph(n, edges)
-    except ValueError as exc:
+        return _digraph(n, edges, text)
+    except InvalidVertex as exc:
         # A negative n is the header's fault, else the first arc out of range.
         bad = (line for (line, _), (u, v) in zip(rows[1:], edges)
                if not (0 <= u < n and 0 <= v < n))

@@ -26,7 +26,7 @@ caller fixes its tie rule by the order in which it lists the endpoints.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
@@ -34,8 +34,9 @@ from typing import Iterable
 from .errors import DimensionMismatch, MalformedInterval, NotReflexive
 from .graphs import Digraph
 
-# Endpoint codes of a sweep: the S and T left ends, then the S and T right ends.
-_SL, _TL, _SR, _TR = 0, 1, 2, 3
+# Endpoint codes of a sweep: the S and T left ends, the S right end; the T
+# right end is code 3, the only other.
+_SL, _TL, _SR = 0, 1, 2
 _lo, _hi = attrgetter("lo"), attrgetter("hi")
 
 
@@ -301,6 +302,38 @@ class StabIndex:
         return None
 
 
+def frontier_walk(lo, hi, reach):
+    """The greedy of both interval sweeps: ``(firsts, payloads, passed)``.
+
+    Items are taken by rising ``hi``.  An item the frontier has not passed
+    is a step: ``reach(i)`` gives its ``(bound, payload)``, or None, which
+    stops the walk and returns None.  One pointer over the ``lo`` order then
+    passes every item with ``lo < bound``; ``passed`` counts them per step.
+    """
+    n = len(lo)
+    by_lo = sorted(range(n), key=lo.__getitem__)
+    done = [False] * n
+    front = 0
+    firsts: list[int] = []
+    payloads: list = []
+    passed: list[int] = []
+    for i in sorted(range(n), key=hi.__getitem__):
+        if done[i]:
+            continue
+        step = reach(i)
+        if step is None:
+            return None
+        bound, payload = step
+        start = front
+        while front < n and lo[by_lo[front]] < bound:
+            done[by_lo[front]] = True
+            front += 1
+        firsts.append(i)
+        payloads.append(payload)
+        passed.append(front - start)
+    return tuple(firsts), tuple(payloads), tuple(passed)
+
+
 def set_is_absorbing(rep, s: Iterable[int]) -> bool:
     """Every vertex outside ``s`` has an out-neighbour in ``s``."""
     rep = normalize(rep)
@@ -316,20 +349,17 @@ def set_is_dominating(rep, s: Iterable[int]) -> bool:
 
 
 def set_is_independent(rep, s: Iterable[int]) -> bool:
-    """No two distinct vertices of ``s`` are adjacent (either direction)."""
+    """No two distinct vertices of ``s`` are adjacent (either direction).
+
+    S_u meets T_v exactly when l(T_v) < r(S_u) but not r(T_v) < l(S_u), and
+    the second implies the first, so counting both over the members gives
+    the number of meeting pairs (u, v), u = v included.  The set is
+    independent when those are only its reflexive members.
+    """
     rep = normalize(rep)
-    sweep = sorted((r, u, code) for u in set(s)
-                   for code, r in enumerate((rep.ls[u], rep.lt[u], rep.rs[u], rep.rt[u])))
-    active_s: set[int] = set()
-    active_t: set[int] = set()
-    for _, u, code in sweep:
-        if code == _SR:
-            active_s.discard(u)
-        elif code == _TR:
-            active_t.discard(u)
-        else:
-            own, other = (active_s, active_t) if code == _SL else (active_t, active_s)
-            if len(other) - (1 if u in other else 0) > 0:
-                return False
-            own.add(u)
-    return True
+    ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
+    members = set(s)
+    lts = sorted(lt[v] for v in members)
+    rts = sorted(rt[v] for v in members)
+    meets = sum(bisect_left(lts, rs[u]) - bisect_left(rts, ls[u]) for u in members)
+    return meets == sum(ls[u] < rt[u] and lt[u] < rs[u] for u in members)

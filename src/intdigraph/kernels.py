@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
 from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
                      symmetric_digraph)
-from .intervals import (IntervalRep, normalize, realize_digraph,
+from .intervals import (IntervalRep, frontier_walk, normalize, realize_digraph,
                         require_reflexive, set_is_absorbing,
                         set_is_independent)
 from .ordering import (Ordering, SuffixTable, argbest, covered, first_gap,
@@ -69,31 +69,16 @@ def z_sequence(rep: IntervalRep) -> ZSequence:
     The picked vertex v has the least r(S) among the survivors, and l(T_v) <
     r(S_v) because v is reflexive, so a survivor u is an in-neighbour of v
     exactly when l(S_u) < r(T_v).  Those survivors are a prefix of the l(S)
-    order, and a popped prefix stays empty, so one monotone frontier pointer
-    over that order finds them all.  The pointer passes v too, as l(S_v) <
-    r(T_v), so every vertex it passes was still a survivor.
+    order, and a popped prefix stays empty, so this is the
+    :func:`~intdigraph.intervals.frontier_walk` with bound r(T_v).  The
+    pointer passes v too, as l(S_v) < r(T_v), so every vertex it passes was
+    still a survivor.
     """
     rep = normalize(rep)
     require_reflexive(rep)
-    n = rep.n
-    ls, rs, rt = rep.ls, rep.rs, rep.rt
-    by_ls = sorted(range(n), key=ls.__getitem__)
-    removed = [False] * n
-    front = 0
-    picked: list[int] = []
-    counts: list[int] = []
-    rights: list[int] = []
-    for v in sorted(range(n), key=rs.__getitem__):
-        if removed[v]:
-            continue
-        start = front
-        while front < n and ls[by_ls[front]] < rt[v]:
-            removed[by_ls[front]] = True
-            front += 1
-        picked.append(v)
-        counts.append(front - start)
-        rights.append(rs[v])
-    return ZSequence(tuple(picked), tuple(counts), tuple(rights))
+    rs, rt = rep.rs, rep.rt
+    picked, _, counts = frontier_walk(rep.ls, rs, lambda v: (rt[v], v))
+    return ZSequence(picked, counts, tuple(map(rs.__getitem__, picked)))
 
 
 def kernel_linear(rep: IntervalRep) -> Certificate:

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
 from .graphs import Certificate, Digraph, UndirectedGraph, verify_set
-from .intervals import Interval, IntervalRep, realize_digraph
+from .intervals import IntervalRep, realize_digraph
 
 # Largest n for which a failing check still locates a concrete quadruple;
 # the O(n^4) search takes well under a second at this size.
@@ -301,17 +301,32 @@ def _construct_scaled(g: Digraph, ordering: Ordering):
 
 
 def _scaled_rep(g: Digraph, ordering: Ordering) -> IntervalRep:
-    ls, rs, lt, rt = _construct_scaled(g, ordering)
-    pairs = [None] * g.n
-    for p, v in enumerate(ordering.perm):
-        pairs[v] = (Interval(ls[p], rs[p]), Interval(lt[p], rt[p]))
-    return IntervalRep(pairs)
+    cols = [[0] * g.n for _ in range(4)]
+    for col, values in zip(cols, _construct_scaled(g, ordering)):
+        for v, x in zip(ordering.perm, values):
+            col[v] = x
+    return IntervalRep.from_columns(*cols)
 
 
 def _require_reflexive_digraph(g: Digraph) -> None:
     for v in range(g.n):
         if not g.loops[v]:
             raise NotReflexive(v, f"vertex {v} has no self-loop")
+
+
+def _scaled_check(g: Digraph, ordering: Ordering, find_witness: bool):
+    """``(rep, witness)``: the scaled representation and the check's verdict."""
+    _require_matching(g, ordering)
+    _require_reflexive_digraph(g)
+    rep = _scaled_rep(g, ordering)
+    if realize_digraph(rep) == g:
+        return rep, None
+    if find_witness and g.n <= WITNESS_SEARCH_CAP:
+        witness = find_forbidden_structure(g, ordering)
+        if witness is None:
+            raise RuntimeError("verification failed but no pattern found")
+        return rep, witness
+    return rep, StructureWitness("unlocated", (), ())
 
 
 def check_reflexive_interval_ordering(
@@ -325,40 +340,25 @@ def check_reflexive_interval_ordering(
     unless n exceeds the search cap, in which case the witness has kind
     'unlocated'.
     """
-    _require_matching(g, ordering)
-    _require_reflexive_digraph(g)
-    rep = _scaled_rep(g, ordering)
-    if realize_digraph(rep) == g:
-        return None
-    if find_witness and g.n <= WITNESS_SEARCH_CAP:
-        witness = find_forbidden_structure(g, ordering)
-        if witness is None:
-            raise RuntimeError("verification failed but no pattern found")
-        return witness
-    return StructureWitness("unlocated", (), ())
+    return _scaled_check(g, ordering, find_witness)[1]
 
 
 def build_representation(g: Digraph, ordering: Ordering) -> IntervalRep:
     """A reflexive interval representation realizing ``g`` under ``ordering``.
 
     Requires a loop on every vertex and a pattern-free ordering; raises
-    ForbiddenStructure carrying a witness otherwise.  Endpoint values are
+    ForbiddenStructure carrying a witness otherwise.  Decided by the same
+    integer construct-and-verify as
+    :func:`check_reflexive_interval_ordering`; the endpoint values are then
     the exact rationals of the construction (right ends y - 1 + z/(n+1),
     left ends the matching minima).
     """
-    _require_matching(g, ordering)
-    _require_reflexive_digraph(g)
-    ls, rs, lt, rt = _construct_scaled(g, ordering)
-    scale = g.n + 1
-    pairs: list = [None] * g.n
-    for p, v in enumerate(ordering.perm):
-        pairs[v] = (Interval(Fraction(ls[p], scale), Fraction(rs[p], scale)),
-                    Interval(Fraction(lt[p], scale), Fraction(rt[p], scale)))
-    rep = IntervalRep(pairs)
-    if not realize_digraph(rep) == g:
-        witness = check_reflexive_interval_ordering(g, ordering)
+    rep, witness = _scaled_check(g, ordering, True)
+    if witness is not None:
         raise ForbiddenStructure(witness)
-    return rep
+    scale = g.n + 1
+    return IntervalRep.from_columns(*([Fraction(x, scale) for x in col]
+                                      for col in (rep.ls, rep.rs, rep.lt, rep.rt)))
 
 
 def umbrella_triple(witness: StructureWitness) -> tuple[int, int, int]:

@@ -1,25 +1,31 @@
-"""The forward sweep's former segment tree and the graph types' former arc
-sets, kept as differential references.
+"""The forward sweep's former segment tree, the red-blue sweep's former jump
+table, the former independence sweep and the graph types' former arc sets,
+kept as differential references.
 
 :func:`z_sequence` here is the kernel sweep's forward pass as it was, with
 :class:`_SurvivorIndex`, a max segment tree over the vertices sorted by
-l(S), answering every in-neighbour query.  :class:`Digraph`,
+l(S), answering every in-neighbour query.  :func:`build_red_blue_state`
+stabs every A interval and stores, per slot of the right-end order, the
+first slot its cover does not reach; :func:`walk` follows those jumps.
+:func:`set_is_independent` sweeps the members' endpoints with two active
+sets.  :class:`Digraph`,
 :class:`UndirectedGraph` and :class:`Bigraph` here keep every arc a second
 time in a ``frozenset`` and answer ``m``, ``has_edge``, ``edges()`` and
 ``==`` from it; :func:`reverse`, :func:`induced_subgraph`,
 :func:`underlying_undirected` and :func:`symmetric_digraph` read that set.
-The library now uses one frontier pointer and the sorted adjacency tuples
-alone; ``test_sweep_reference.py`` checks on random inputs that both give
+The library now uses one frontier walk for both sweeps, one count for
+independence and the sorted adjacency tuples alone; ``test_sweep_reference.py`` checks on random inputs that both give
 the same answers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, Iterator
+from bisect import bisect_left, bisect_right
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from intdigraph.errors import DimensionMismatch, InvalidVertex
-from intdigraph.intervals import IntervalRep, normalize, require_reflexive
+from intdigraph.intervals import (IntervalRep, StabIndex, normalize,
+                                  require_reflexive)
 from intdigraph.kernels import ZSequence
 
 
@@ -117,6 +123,82 @@ def z_sequence(rep: IntervalRep) -> ZSequence:
         counts.append(1 + len(ins))
         rights.append(rs[v])
     return ZSequence(tuple(picked), tuple(counts), tuple(rights))
+
+
+class RedBlueState(NamedTuple):
+    """Precomputed sweep data over the A-part sorted by right endpoint.
+
+    ``a_by_right[s]`` is the A index at slot ``s``; ``cover[s]`` the
+    B index reaching furthest right among its neighbours; ``jump[s]`` the
+    first slot whose interval starts beyond that reach (None at the end).
+    Defined only when no A-vertex is isolated; jumps strictly increase.
+    """
+
+    a_by_right: tuple[int, ...]
+    cover: tuple[int, ...]
+    jump: tuple[Optional[int], ...]
+
+
+def build_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[RedBlueState]:
+    """The sweep state of the A intervals ``[a_lo[i], a_hi[i]]`` and the B
+    intervals ``[b_lo[j], b_hi[j]]``, all endpoints distinct ranks; None
+    when some A-vertex has no B-neighbour."""
+    t = len(a_lo)
+    index = StabIndex(zip(b_lo, b_hi, range(len(b_lo))))
+    slots = sorted(range(t), key=a_hi.__getitem__)
+    rho = [None] * t
+    cover = [None] * t
+    for s, i in enumerate(slots):
+        best = index.stab(a_lo[i], a_hi[i])
+        if best is None:
+            return None
+        rho[s], cover[s] = best
+
+    by_left = sorted(range(t), key=lambda s: a_lo[slots[s]])
+    left_vals = [a_lo[slots[s]] for s in by_left]
+    suffix_min_slot = [0] * (t + 1)
+    suffix_min_slot[t] = t
+    for p in range(t - 1, -1, -1):
+        suffix_min_slot[p] = min(by_left[p], suffix_min_slot[p + 1])
+    jump: list[Optional[int]] = [None] * t
+    for s in range(t):
+        p = bisect_right(left_vals, rho[s])
+        j = suffix_min_slot[p]
+        jump[s] = j if j < t else None
+
+    return RedBlueState(tuple(slots), tuple(cover), tuple(jump))
+
+
+def walk(state: RedBlueState) -> tuple[int, ...]:
+    """The B vertices the sweep picks: the cover of every slot it visits."""
+    picks, s = set(), 0
+    while s is not None and s < len(state.a_by_right):
+        picks.add(state.cover[s])
+        nxt = state.jump[s]
+        if nxt is not None and nxt <= s:
+            raise RuntimeError("red-blue sweep failed to advance")
+        s = nxt
+    return tuple(sorted(picks))
+
+
+def set_is_independent(rep, s: Iterable[int]) -> bool:
+    """No two distinct vertices of ``s`` are adjacent (either direction)."""
+    rep = normalize(rep)
+    sweep = sorted((r, u, code) for u in set(s)
+                   for code, r in enumerate((rep.ls[u], rep.lt[u], rep.rs[u], rep.rt[u])))
+    active_s: set[int] = set()
+    active_t: set[int] = set()
+    for _, u, code in sweep:
+        if code == 2:
+            active_s.discard(u)
+        elif code == 3:
+            active_t.discard(u)
+        else:
+            own, other = (active_s, active_t) if code == 0 else (active_t, active_s)
+            if len(other) - (1 if u in other else 0) > 0:
+                return False
+            own.add(u)
+    return True
 
 
 class Digraph:

@@ -325,7 +325,8 @@ class TestErrors:
         code, payload = run_json(capsys, "verify", str(path), files["set0.txt"],
                                  "--kind", "kernel")
         assert code == 1 and payload["status"] == "error"
-        assert payload["error"].startswith(error)
+        assert payload["error"].startswith(f"line 1: header declares {n} vertices")
+        assert payload["error"].endswith(f"({error.split(':')[0]})")
 
 
 @pytest.mark.parametrize("enabled", [True, False])

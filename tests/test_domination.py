@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from intdigraph import (Certificate, Digraph, Interval, IntervalBigraphRep, IntervalRep,
                         brute_min_absorbing, brute_red_blue,
-                        build_red_blue_state, min_absorbing_reflexive,
+                        build_red_blue_state, kernel_linear, min_absorbing_reflexive,
                         min_dominating_reflexive, normalize, realize_digraph,
                         red_blue_min_dominating, reverse, splitting_bigraph,
                         verify_set)
@@ -13,6 +14,8 @@ from intdigraph.domination import bigraph_ranks
 from intdigraph.errors import DimensionMismatch, NotReflexive
 from intdigraph.fixtures import symmetric_triangle, two_vertex_example_rep
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
+
+from conftest import interval_reps
 
 
 class TestSplittingBigraph:
@@ -70,11 +73,10 @@ FIXTURE_B = [Interval(Fraction(1, 2), Fraction(5, 2)),
 class TestRedBlueState:
     def test_fixture_trace(self):
         state = build_red_blue_state(*bigraph_ranks(IntervalBigraphRep(FIXTURE_A, FIXTURE_B)))
-        assert state.a_by_right == (0, 1, 2)
-        assert state.cover == (0, 1, 2)
-        assert state.jump == (2, None, None)
+        assert state.a_first == (0, 2)
+        assert state.cover == (0, 2)
 
-    def test_jumps_strictly_increase(self):
+    def test_cover_right_ends_strictly_increase(self):
         rng = random.Random(2)
         for trial in range(120):
             rep = gen_interval_bigraph(rng.randint(1, 10), rng.randint(1, 10),
@@ -82,10 +84,13 @@ class TestRedBlueState:
             state = build_red_blue_state(*bigraph_ranks(rep))
             if state is None:
                 continue
-            for s, nxt in enumerate(state.jump):
-                assert nxt is None or nxt > s
+            for a, b in zip(state.a_first, state.cover):
+                assert rep.b_intervals[b].intersects(rep.a_intervals[a])
+            _, b_hi = bigraph_ranks(rep)[2:]
+            ends = [b_hi[b] for b in state.cover]
+            assert all(x < y for x, y in zip(ends, ends[1:]))
 
-    def test_cover_dominates_up_to_jump(self):
+    def test_covers_dominate_every_a_vertex(self):
         rng = random.Random(6)
         for trial in range(120):
             rep = gen_interval_bigraph(rng.randint(1, 10), rng.randint(1, 10),
@@ -93,12 +98,9 @@ class TestRedBlueState:
             state = build_red_blue_state(*bigraph_ranks(rep))
             if state is None:
                 continue
-            t = len(state.a_by_right)
-            for s in range(t):
-                end = state.jump[s] if state.jump[s] is not None else t
-                cover_iv = rep.b_intervals[state.cover[s]]
-                for q in range(s, end):
-                    assert cover_iv.intersects(rep.a_intervals[state.a_by_right[q]])
+            covers = [rep.b_intervals[b] for b in state.cover]
+            for a_iv in rep.a_intervals:
+                assert any(b_iv.intersects(a_iv) for b_iv in covers)
 
 
 class TestRedBlueMinDominating:
@@ -147,8 +149,7 @@ def test_wrong_cover_is_caught_by_each_solver(monkeypatch):
 
     def one_cover(*ranks):
         state = build(*ranks)
-        return domination.RedBlueState(state.a_by_right, (state.cover[0],) * len(state.cover),
-                                       state.jump)
+        return domination.RedBlueState(state.a_first, (state.cover[0],) * len(state.cover))
 
     monkeypatch.setattr(domination, "build_red_blue_state", one_cover)
     disjoint = IntervalRep([(Interval(2 * v, 2 * v + 1),) * 2 for v in range(3)])
@@ -209,3 +210,12 @@ class TestAbsorbingDominating:
         rep = normalize(IntervalRep(pairs))
         assert (min_absorbing_reflexive(rep).size ==
                 min_dominating_reflexive(rep).size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_reps(max_n=10, reflexive=True))
+def test_sweeps_match_the_oracles(rep):
+    g = realize_digraph(rep)
+    assert min_absorbing_reflexive(rep).value == brute_min_absorbing(g).value
+    assert min_dominating_reflexive(rep).value == brute_min_absorbing(reverse(g)).value
+    assert verify_set(g, kernel_linear(rep).vertices, "kernel").all_checks_pass()

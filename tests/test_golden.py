@@ -53,6 +53,7 @@ CASES = [
     ("check-cocomp-violation", 2, "check-ordering @umb.dg @umb.ord --kind cocomp"),
     ("build-rep", 0, "build-rep @swap.dg @path.ord"),
     ("build-rep-json", 0, "build-rep @tied.dg @tied.ord --json"),
+    ("build-rep-violation", 1, "build-rep @swap.dg @swap.ord"),
     ("subdivide", 0, "subdivide @sub.dg --k 2"),
     ("lift-kernel", 0, "lift @sub.map @sub-kernel.set --kind kernel"),
     ("lift-absorbing", 0, "lift @sub.map @sub-absorbing.set --kind absorbing"),
@@ -66,6 +67,8 @@ CASES = [
     ("oracle-kernel-min", 0, "oracle kernel @two.irep --objective min"),
     ("oracle-kernel-max", 0, "oracle kernel @small.irep --objective max"),
     ("oracle-red-blue-tied", 0, "oracle red-blue @tied.bg"),
+    ("oracle-absorbing-two", 0, "oracle absorbing @two.irep"),
+    ("oracle-independent-two", 0, "oracle independent @two.irep"),
     ("gen-reflexive-tied", 0, "gen reflexive-interval --n 40 --seed 3 --grid 20 --max-len 6"),
     ("gen-bigraph-tied", 0, "gen interval-bigraph --a 12 --b 12 --seed 5 --grid 20 --max-len 5"),
 ]

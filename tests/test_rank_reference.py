@@ -1,5 +1,6 @@
-"""The library's bigraph ranking against ``rank_reference._endpoint_ranks``:
-the same endpoint order, and the same red-blue certificate."""
+"""The library's bigraph ranking against ``rank_reference._endpoint_ranks``,
+and its red-blue sweep against the jump table of ``sweep_reference``: the
+same endpoint order, and the same red-blue certificate."""
 
 import random
 from fractions import Fraction
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intdigraph import Interval, IntervalBigraphRep, red_blue_min_dominating
-from intdigraph.domination import bigraph_ranks, build_red_blue_state
+from intdigraph.domination import bigraph_ranks
 from intdigraph.generators import gen_interval_bigraph
 
+import sweep_reference
 from rank_reference import _endpoint_ranks
 
 
@@ -46,15 +48,6 @@ def _order(values):
     return sorted(range(len(values)), key=values.__getitem__)
 
 
-def _walk(state):
-    """The B vertices the sweep picks: the cover of every slot it visits."""
-    picks, s = set(), 0
-    while s is not None and s < len(state.a_by_right):
-        picks.add(state.cover[s])
-        s = state.jump[s]
-    return tuple(sorted(picks))
-
-
 @settings(max_examples=400, deadline=None)
 @given(bigraphs())
 def test_bigraph_ranks_match_the_reference(rep):
@@ -63,7 +56,7 @@ def test_bigraph_ranks_match_the_reference(rep):
     ranks = bigraph_ranks(rep)
     assert _order(sum(ranks, [])) == _order(sum(ref, []))
     cert = red_blue_min_dominating(rep)
-    state = build_red_blue_state(*ref)
+    state = sweep_reference.build_red_blue_state(*ref)
     assert (cert is None) == (state is None)
     if cert is not None:
-        assert cert.vertices == _walk(state)
+        assert cert.vertices == sweep_reference.walk(state)

@@ -21,7 +21,7 @@ RECORDS = [
     (Certificate, dict(vertices=(0, 2), checks={"kernel": True}, algorithm="x",
                        optimal=True, objective="min", value=2)),
     (ZSequence, dict(vertices=(1,), removed_counts=(2,), right_ends=(3,))),
-    (RedBlueState, dict(a_by_right=(0, 1), cover=(1, 0), jump=(1, None))),
+    (RedBlueState, dict(a_first=(0, 2), cover=(1, 0))),
     (OracleBudget, dict(subset_n=4, perm_n=3, k33_n=5, time_cap_s=1.5)),
     (SuffixTable, dict(ordering=Ordering((1, 0)), objective="max",
                        values=(1, None), succ=(None, None), candidates=(0,))),

@@ -1,5 +1,6 @@
-"""The frontier-pointer forward sweep and the adjacency-only graph types
-against the segment tree and the arc sets kept in ``sweep_reference``."""
+"""The frontier-walk forward sweep, the counting independence check and the
+adjacency-only graph types against the segment tree, the active-set sweep
+and the arc sets kept in ``sweep_reference``."""
 
 import random
 
@@ -7,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intdigraph import (Bigraph, Digraph, UndirectedGraph, induced_subgraph,
-                        reverse, splitting_bigraph, symmetric_digraph,
-                        underlying_undirected, z_sequence)
+                        reverse, set_is_independent, splitting_bigraph,
+                        symmetric_digraph, underlying_undirected, z_sequence)
 from intdigraph.generators import gen_reflexive_interval
 from intdigraph.pointpoint import k_subdivision
 
 import sweep_reference as ref
-from conftest import random_adjusted_rep
+from conftest import interval_reps, random_adjusted_rep
 
 
 @st.composite
@@ -35,6 +36,14 @@ def reflexive_reps(draw):
 @given(reflexive_reps())
 def test_z_sequence_matches_the_segment_tree(rep):
     assert z_sequence(rep) == ref.z_sequence(rep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(interval_reps(max_n=12), reflexive_reps()), st.data())
+def test_set_is_independent_matches_the_active_set_sweep(rep, data):
+    ids = st.integers(0, rep.n - 1) if rep.n else st.nothing()
+    s = data.draw(st.lists(ids, max_size=min(rep.n, 5)))
+    assert set_is_independent(rep, s) == ref.set_is_independent(rep, s)
 
 
 def _pairs(n, m):
