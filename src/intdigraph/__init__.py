@@ -30,8 +30,8 @@ _EXPORTS = {
     "pointpoint": ("AntiWalkWitness", "PointRep", "SubdivisionMap",
                    "find_anti_directed_walk", "k_subdivision", "lift_set",
                    "project_set", "recognize_point_point"),
-    "oracle": ("DEFAULT_BUDGET", "OracleBudget", "brute_kernel",
-               "brute_max_independent", "brute_min_absorbing",
+    "oracle": ("DEFAULT_BUDGET", "OracleBudget", "brute_anti_directed_walk",
+               "brute_kernel", "brute_max_independent", "brute_min_absorbing",
                "brute_ordering_search", "brute_red_blue", "find_induced_k33"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -29,8 +29,8 @@ from .ordering import (StructureWitness, build_representation,
                        check_reflexive_interval_ordering,
                        verify_cocomparability_ordering, verify_duf_ordering)
 from .pointpoint import (AntiWalkWitness, PointRep, SubdivisionMap,
-                         find_anti_directed_walk, k_subdivision, lift_set,
-                         project_set, recognize_point_point)
+                         k_subdivision, lift_set, project_set,
+                         recognize_point_point)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -254,7 +254,7 @@ def _cmd_oracle(args):
         return {"status": "ok", "kind": kind, "ordering": list(found.perm)}, EXIT_OK
     if args.problem == "anti-walk":
         g = _load_digraph(_read(args.inputs[0]))
-        witness = find_anti_directed_walk(g, brute=True)
+        witness = oracle.brute_anti_directed_walk(g)
         if witness is None:
             return {"status": "none"}, EXIT_NONEXISTENT
         return {"status": "ok", "witness": _witness_json(witness)}, EXIT_OK

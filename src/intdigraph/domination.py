@@ -25,30 +25,31 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DimensionMismatch
-from .graphs import Certificate, Digraph, _in_sorted
+from .graphs import Certificate, Digraph, _in_sorted, transpose
 from .intervals import (Interval, IntervalRep, NormalizedRep, StabIndex,
                         frontier_walk, normalize, require_reflexive,
                         set_is_absorbing, stable_ranks, verify_representation)
 
 
 class Bigraph:
-    """A bipartite graph on parts A and B with cross edges only."""
+    """A bipartite graph on parts A and B with cross edges only.
+
+    ``adj_a`` is sorted once per A vertex; ``adj_b`` is its
+    :func:`~intdigraph.graphs.transpose`, one bucket pass."""
 
     __slots__ = ("a_size", "b_size", "m", "adj_a", "adj_b")
 
     def __init__(self, a_size: int, b_size: int, edges: Iterable[tuple[int, int]] = ()):
         self.a_size = a_size
         self.b_size = b_size
-        adj_a: list[set[int]] = [set() for _ in range(a_size)]
-        adj_b: list[set[int]] = [set() for _ in range(b_size)]
+        adj_a: list[list[int]] = [[] for _ in range(a_size)]
         for a, b in edges:
             if not (0 <= a < a_size and 0 <= b < b_size):
                 raise DimensionMismatch(f"edge ({a}, {b}) out of range "
                                         f"for parts {a_size}, {b_size}")
-            adj_a[a].add(b)
-            adj_b[b].add(a)
-        self.adj_a = tuple(tuple(sorted(s)) for s in adj_a)
-        self.adj_b = tuple(tuple(sorted(s)) for s in adj_b)
+            adj_a[a].append(b)
+        self.adj_a = tuple(tuple(sorted(set(bs))) for bs in adj_a)
+        self.adj_b = transpose(self.adj_a, b_size)
         self.m = sum(map(len, self.adj_a))
 
     def has_edge(self, a: int, b: int) -> bool:

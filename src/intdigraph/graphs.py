@@ -21,12 +21,25 @@ def _in_sorted(adj: tuple[int, ...], v: int) -> bool:
     return i < len(adj) and adj[i] == v
 
 
+def transpose(adj, size: int) -> tuple[tuple[int, ...], ...]:
+    """The reverse of the sorted lists ``adj`` on ``size`` heads: entry v
+    lists the u with v in ``adj[u]``, sorted, since u is walked upwards."""
+    lists: list[list[int]] = [[] for _ in range(size)]
+    appends = [tail.append for tail in lists]
+    for u, heads in enumerate(adj):
+        for v in heads:
+            appends[v](u)
+    return tuple(map(tuple, lists))
+
+
 class Digraph:
     """A directed graph stored as sorted adjacency tuples.
 
     ``out_adj[u]`` / ``in_adj[u]`` are sorted tuples of neighbours other
     than ``u`` itself; ``loops[u]`` records a self-loop.  Duplicate edges
-    in the input are collapsed.  Edge membership bisects ``out_adj[u]``.
+    in the input are collapsed.  Each out-list is sorted once; the
+    in-lists are then filled by one bucket pass over them, which appends
+    to each in rising order.  Edge membership bisects ``out_adj[u]``.
     """
 
     __slots__ = ("n", "m", "out_adj", "in_adj", "loops")
@@ -37,22 +50,23 @@ class Digraph:
             raise InvalidVertex(f"vertex count {n} is negative")
         self.n = n
         loop_flags = [False] * n
-        out: list[set[int]] = [set() for _ in range(n)]
-        inn: list[set[int]] = [set() for _ in range(n)]
+        out: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                loop_flags[u] = True
-                continue
-            out[u].add(v)
-            inn[v].add(u)
+            out[u].append(v)
         for v in loops:
             if not (0 <= v < n):
                 raise InvalidVertex(f"loop vertex {v} out of range for n={n}")
             loop_flags[v] = True
-        self.out_adj = tuple(tuple(sorted(s)) for s in out)
-        self.in_adj = tuple(tuple(sorted(s)) for s in inn)
+        for u, heads in enumerate(out):
+            heads = set(heads)
+            if u in heads:
+                heads.remove(u)
+                loop_flags[u] = True
+            out[u] = tuple(sorted(heads))
+        self.out_adj = tuple(out)
+        self.in_adj = transpose(self.out_adj, n)
         self.loops = tuple(loop_flags)
         self.m = sum(map(len, self.out_adj))  # self-loops excluded
 

@@ -236,10 +236,24 @@ def realize_digraph(rep) -> Digraph:
 
 
 def verify_representation(rep, g: Digraph) -> bool:
-    """Exact equality of the realized digraph with ``g``, loops included."""
+    """Whether ``rep`` realizes exactly ``g``, loops included, by counting.
+
+    Every arc of ``g`` must be realized and every loop flag must equal its
+    vertex's own S/T meet; then the digraph of ``rep`` holds no other arc
+    exactly when its :func:`meeting_pairs` number ``g.m`` plus the loops.
+    O(m + n log n), with no digraph realized.
+    """
     if rep.n != g.n:
         raise DimensionMismatch(f"representation has {rep.n} vertices, digraph {g.n}")
-    return realize_digraph(rep) == g
+    rep = normalize(rep)
+    ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
+    # ranks are distinct, so S_u meets T_v iff ls[u] < rt[v] and lt[v] < rs[u]
+    for u, heads in enumerate(g.out_adj):
+        if heads and (min(map(rt.__getitem__, heads)) < ls[u]
+                      or max(map(lt.__getitem__, heads)) > rs[u]):
+            return False
+    loops = tuple(a < d and c < b for a, b, c, d in zip(ls, rs, lt, rt))
+    return loops == g.loops and meeting_pairs(rep, range(rep.n)) == g.m + sum(loops)
 
 
 def is_reflexive(rep) -> bool:
@@ -348,18 +362,25 @@ def set_is_dominating(rep, s: Iterable[int]) -> bool:
     return set_is_absorbing(normalize(rep).swapped(), s)
 
 
-def set_is_independent(rep, s: Iterable[int]) -> bool:
-    """No two distinct vertices of ``s`` are adjacent (either direction).
+def meeting_pairs(rep: NormalizedRep, members) -> int:
+    """The pairs (u, v) of ``members``, u = v included, where S_u meets T_v.
 
-    S_u meets T_v exactly when l(T_v) < r(S_u) but not r(T_v) < l(S_u), and
-    the second implies the first, so counting both over the members gives
-    the number of meeting pairs (u, v), u = v included.  The set is
-    independent when those are only its reflexive members.
+    S_u meets T_v exactly when l(T_v) < r(S_u) but not r(T_v) < l(S_u),
+    and the second implies the first, so the count is the sum over u of
+    the members' T intervals starting below r(S_u) less those ending below
+    l(S_u), each one bisection.
     """
+    ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
+    lts = sorted(lt[v] for v in members)
+    rts = sorted(rt[v] for v in members)
+    return sum(bisect_left(lts, rs[u]) - bisect_left(rts, ls[u]) for u in members)
+
+
+def set_is_independent(rep, s: Iterable[int]) -> bool:
+    """No two distinct vertices of ``s`` are adjacent (either direction):
+    the :func:`meeting_pairs` of ``s`` are only its reflexive members."""
     rep = normalize(rep)
     ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
     members = set(s)
-    lts = sorted(lt[v] for v in members)
-    rts = sorted(rt[v] for v in members)
-    meets = sum(bisect_left(lts, rs[u]) - bisect_left(rts, ls[u]) for u in members)
-    return meets == sum(ls[u] < rt[u] and lt[u] < rs[u] for u in members)
+    return meeting_pairs(rep, members) == sum(
+        ls[u] < rt[u] and lt[u] < rs[u] for u in members)

@@ -2,7 +2,8 @@
 
 Everything here is written for transparency, not speed: backtracking and
 subset enumeration whose correctness can be read off the definitions.
-Each oracle refuses inputs beyond its budget instead of degrading.
+Each oracle refuses inputs beyond its budget instead of degrading, except
+:func:`brute_anti_directed_walk`, a plain O(n^4) scan.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .graphs import Certificate, Digraph, UndirectedGraph, check_weights, verify
 from .domination import Bigraph, IntervalBigraphRep
 from .ordering import (Ordering, check_reflexive_interval_ordering,
                        verify_duf_ordering)
+from .pointpoint import AntiWalkWitness
 
 
 class OracleBudget(NamedTuple):
@@ -292,4 +294,22 @@ def brute_ordering_search(g: Digraph, kind: str = "duf",
         else:
             if check_reflexive_interval_ordering(g, ordering, find_witness=False) is None:
                 return ordering
+    return None
+
+
+def brute_anti_directed_walk(g: Digraph) -> Optional[AntiWalkWitness]:
+    """The first anti-directed walk (a, b, c, d) over all vertex quadruples
+    in lexicographic order, or None; the slow reference for
+    :func:`~intdigraph.pointpoint.find_anti_directed_walk`."""
+    n = g.n
+    for a in range(n):
+        for b in range(n):
+            if not g.has_edge(a, b):
+                continue
+            for c in range(n):
+                if c == a or not g.has_edge(c, b):
+                    continue
+                for d in range(n):
+                    if d != b and g.has_edge(c, d) and not g.has_edge(a, d):
+                        return AntiWalkWitness(a, b, c, d)
     return None

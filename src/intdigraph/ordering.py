@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
 from .graphs import Certificate, Digraph, UndirectedGraph, verify_set
-from .intervals import IntervalRep, realize_digraph
+from .intervals import IntervalRep, verify_representation
 
 # Largest n for which a failing check still locates a concrete quadruple;
 # the O(n^4) search takes well under a second at this size.
@@ -319,7 +319,7 @@ def _scaled_check(g: Digraph, ordering: Ordering, find_witness: bool):
     _require_matching(g, ordering)
     _require_reflexive_digraph(g)
     rep = _scaled_rep(g, ordering)
-    if realize_digraph(rep) == g:
+    if verify_representation(rep, g):
         return rep, None
     if find_witness and g.n <= WITNESS_SEARCH_CAP:
         witness = find_forbidden_structure(g, ordering)
@@ -334,11 +334,13 @@ def check_reflexive_interval_ordering(
         find_witness: bool = True) -> Optional[StructureWitness]:
     """None if none of the six forbidden patterns occur, else a witness.
 
-    Decision by construct-and-verify (O(n^2 + m)): the formulas realize the
-    digraph exactly when the ordering is pattern-free.  On failure a
-    concrete quadruple is located by :func:`find_forbidden_structure`
-    unless n exceeds the search cap, in which case the witness has kind
-    'unlocated'.
+    Decision by construct-and-verify (O(m + n log n)): the formulas realize
+    the digraph exactly when the ordering is pattern-free.  The
+    construction is O(n + m), through one :meth:`Ordering.place`, and
+    :func:`~intdigraph.intervals.verify_representation` checks it by one
+    count, realizing no digraph.  On failure a concrete quadruple is
+    located by :func:`find_forbidden_structure` unless n exceeds the
+    search cap, in which case the witness has kind 'unlocated'.
     """
     return _scaled_check(g, ordering, find_witness)[1]
 

@@ -109,25 +109,11 @@ def recognize_point_point(g: Digraph):
                     t_points=tuple(comp[n + v] for v in range(n)))
 
 
-def find_anti_directed_walk(g: Digraph, brute: bool = False) -> Optional[AntiWalkWitness]:
+def find_anti_directed_walk(g: Digraph) -> Optional[AntiWalkWitness]:
     """A witness iff one exists (iff recognition rejects); None otherwise.
 
-    ``brute`` scans all vertex quadruples in lexicographic order instead of
-    going through the splitting bigraph; intended as the slow reference.
-    """
-    if brute:
-        n = g.n
-        for a in range(n):
-            for b in range(n):
-                if not g.has_edge(a, b):
-                    continue
-                for c in range(n):
-                    if c == a or not g.has_edge(c, b):
-                        continue
-                    for d in range(n):
-                        if d != b and g.has_edge(c, d) and not g.has_edge(a, d):
-                            return AntiWalkWitness(a, b, c, d)
-        return None
+    :func:`intdigraph.oracle.brute_anti_directed_walk` is the slow
+    reference."""
     result = recognize_point_point(g)
     return result if isinstance(result, AntiWalkWitness) else None
 

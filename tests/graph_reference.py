@@ -1,0 +1,77 @@
+"""The former realize-and-compare representation check and the former
+set-based graph constructors, kept as differential references.
+
+:func:`verify_representation` realizes the whole digraph of ``rep`` and
+compares it with ``g``.  :class:`Digraph` and :class:`Bigraph` fill one
+``set`` per vertex and direction (per part) and sort each.  The library
+now checks a representation by one count of meeting pairs and builds each
+in-list (``adj_b``) by one bucket pass over the sorted out-lists
+(``adj_a``); ``test_graph_reference.py`` checks on random inputs that both
+give the same answers.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from intdigraph.errors import DimensionMismatch, InvalidVertex
+from intdigraph.intervals import realize_digraph
+
+
+def verify_representation(rep, g) -> bool:
+    """Exact equality of the realized digraph with ``g``, loops included."""
+    if rep.n != g.n:
+        raise DimensionMismatch(f"representation has {rep.n} vertices, digraph {g.n}")
+    return realize_digraph(rep) == g
+
+
+class Digraph:
+    """The adjacency of the library's ``Digraph``, built through sets."""
+
+    __slots__ = ("n", "m", "out_adj", "in_adj", "loops")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
+                 loops: Iterable[int] = ()):
+        if n < 0:
+            raise InvalidVertex(f"vertex count {n} is negative")
+        self.n = n
+        loop_flags = [False] * n
+        out: list[set[int]] = [set() for _ in range(n)]
+        inn: list[set[int]] = [set() for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise InvalidVertex(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                loop_flags[u] = True
+                continue
+            out[u].add(v)
+            inn[v].add(u)
+        for v in loops:
+            if not (0 <= v < n):
+                raise InvalidVertex(f"loop vertex {v} out of range for n={n}")
+            loop_flags[v] = True
+        self.out_adj = tuple(tuple(sorted(s)) for s in out)
+        self.in_adj = tuple(tuple(sorted(s)) for s in inn)
+        self.loops = tuple(loop_flags)
+        self.m = sum(map(len, self.out_adj))  # self-loops excluded
+
+
+class Bigraph:
+    """The adjacency of the library's ``Bigraph``, built through sets."""
+
+    __slots__ = ("a_size", "b_size", "m", "adj_a", "adj_b")
+
+    def __init__(self, a_size: int, b_size: int, edges: Iterable[tuple[int, int]] = ()):
+        self.a_size = a_size
+        self.b_size = b_size
+        adj_a: list[set[int]] = [set() for _ in range(a_size)]
+        adj_b: list[set[int]] = [set() for _ in range(b_size)]
+        for a, b in edges:
+            if not (0 <= a < a_size and 0 <= b < b_size):
+                raise DimensionMismatch(f"edge ({a}, {b}) out of range "
+                                        f"for parts {a_size}, {b_size}")
+            adj_a[a].add(b)
+            adj_b[b].add(a)
+        self.adj_a = tuple(tuple(sorted(s)) for s in adj_a)
+        self.adj_b = tuple(tuple(sorted(s)) for s in adj_b)
+        self.m = sum(map(len, self.adj_a))

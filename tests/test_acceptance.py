@@ -11,12 +11,13 @@ import time
 import numpy as np
 
 from intdigraph import (Digraph, IntervalRep, OracleBudget, Ordering,
-                        brute_kernel, brute_max_independent,
-                        brute_min_absorbing, brute_ordering_search,
-                        brute_red_blue, check_reflexive_interval_ordering,
-                        extract_duf_ordering, find_anti_directed_walk,
-                        find_induced_k33, k_subdivision, kernel_linear,
-                        lift_set, max_independent_duf, min_absorbing_reflexive,
+                        brute_anti_directed_walk, brute_kernel,
+                        brute_max_independent, brute_min_absorbing,
+                        brute_ordering_search, brute_red_blue,
+                        check_reflexive_interval_ordering,
+                        extract_duf_ordering, find_induced_k33,
+                        k_subdivision, kernel_linear, lift_set,
+                        max_independent_duf, min_absorbing_reflexive,
                         min_dominating_reflexive, normalize,
                         optimal_kernel_duf, project_set, realize_digraph,
                         recognize_point_point, red_blue_min_dominating,
@@ -268,7 +269,7 @@ def test_criterion_6_point_point_equivalence():
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             g = Digraph(n, edges)
             result = recognize_point_point(g)
-            walk = find_anti_directed_walk(g, brute=True)
+            walk = brute_anti_directed_walk(g)
             if isinstance(result, PointRep):
                 assert walk is None
                 assert result.realize_digraph() == g

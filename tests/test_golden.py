@@ -7,7 +7,10 @@ tied endpoints (``tied.irep`` is ``gen reflexive-interval --n 40 --seed 3
 --grid 20 --max-len 6``; ``tied.bg`` is a tied ``gen interval-bigraph``),
 so the tie rules of the normalizers are part of what is compared.
 ``distinct.bg`` has distinct rational endpoints only, and ``frac.irep``
-has tied ``p/q`` endpoints.
+has tied ``p/q`` endpoints.  ``unlocated.dg`` is the realized digraph of
+``gen reflexive-interval --n 50 --seed 1``, and ``unlocated.ord`` its
+extracted ordering with the first and last positions swapped: a failing
+ordering above the witness-search cap.
 """
 
 from pathlib import Path
@@ -49,11 +52,14 @@ CASES = [
     ("check-duf-violation", 2, "check-ordering @umb.dg @umb.ord --kind duf"),
     ("check-reflexive-valid", 0, "check-ordering @tied.dg @tied.ord --kind reflexive"),
     ("check-reflexive-violation", 2, "check-ordering @swap.dg @swap.ord --kind reflexive"),
+    ("check-reflexive-unlocated", 2,
+     "check-ordering @unlocated.dg @unlocated.ord --kind reflexive"),
     ("check-cocomp-valid", 0, "check-ordering @tied.dg @tied.ord --kind cocomp"),
     ("check-cocomp-violation", 2, "check-ordering @umb.dg @umb.ord --kind cocomp"),
     ("build-rep", 0, "build-rep @swap.dg @path.ord"),
     ("build-rep-json", 0, "build-rep @tied.dg @tied.ord --json"),
     ("build-rep-violation", 1, "build-rep @swap.dg @swap.ord"),
+    ("build-rep-unlocated", 1, "build-rep @unlocated.dg @unlocated.ord"),
     ("subdivide", 0, "subdivide @sub.dg --k 2"),
     ("lift-kernel", 0, "lift @sub.map @sub-kernel.set --kind kernel"),
     ("lift-absorbing", 0, "lift @sub.map @sub-absorbing.set --kind absorbing"),
@@ -69,6 +75,8 @@ CASES = [
     ("oracle-red-blue-tied", 0, "oracle red-blue @tied.bg"),
     ("oracle-absorbing-two", 0, "oracle absorbing @two.irep"),
     ("oracle-independent-two", 0, "oracle independent @two.irep"),
+    ("oracle-anti-walk", 0, "oracle anti-walk @aw.dg"),
+    ("oracle-anti-walk-none", 2, "oracle anti-walk @tri.dg"),
     ("gen-reflexive-tied", 0, "gen reflexive-interval --n 40 --seed 3 --grid 20 --max-len 6"),
     ("gen-bigraph-tied", 0, "gen interval-bigraph --a 12 --b 12 --seed 5 --grid 20 --max-len 5"),
 ]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from intdigraph import (Digraph, Ordering, UndirectedGraph, build_representation,
                         check_reflexive_interval_ordering, extract_duf_ordering,
                         find_forbidden_structure, is_reflexive, normalize,
-                        realize_digraph, structure_present, symmetric_digraph,
-                        underlying_undirected, verify_cocomparability_ordering,
-                        verify_duf_ordering, verify_representation)
-from intdigraph.errors import ForbiddenStructure, InvalidOrdering, NotReflexive
+                        realize_digraph, splitting_bigraph, structure_present,
+                        symmetric_digraph, underlying_undirected,
+                        verify_cocomparability_ordering, verify_duf_ordering,
+                        verify_representation)
+from intdigraph.errors import (DimensionMismatch, ForbiddenStructure, InvalidOrdering,
+                               NotReflexive)
 from intdigraph.fixtures import (directed_triangle, no_kernel_duf,
                                  oriented_k33_with_loops, reflexive_path)
 from intdigraph.generators import gen_random_digraph, gen_reflexive_interval
@@ -158,6 +161,42 @@ class TestCheckReflexiveIntervalOrdering:
                     assert (direct is None) == (check is None)
                     if check is not None:
                         assert structure_present(g, check)
+
+
+def test_the_checks_realize_no_digraph(monkeypatch):
+    # build the inputs and the usual answers first, then forbid realizing
+    rep = gen_reflexive_interval(30, 4, grid=60, max_len=6)
+    g = realize_digraph(rep)
+    good = extract_duf_ordering(rep)
+    perm = list(good.perm)
+    perm[0], perm[-1] = perm[-1], perm[0]
+    bad = Ordering(perm)
+    big = gen_reflexive_interval(50, 1)
+    big_g = realize_digraph(big)
+    big_perm = list(extract_duf_ordering(big).perm)
+    big_perm[0], big_perm[-1] = big_perm[-1], big_perm[0]
+    expected = [check_reflexive_interval_ordering(g, o) for o in (good, bad)]
+    built = build_representation(g, good)
+    _, brep = splitting_bigraph(g, rep)
+
+    def forbidden(*args):
+        raise AssertionError("realize_digraph called")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("intdigraph.") and hasattr(module, "realize_digraph"):
+            monkeypatch.setattr(module, "realize_digraph", forbidden)
+    assert expected[0] is None and expected[1].kind != "unlocated"
+    assert [check_reflexive_interval_ordering(g, o) for o in (good, bad)] == expected
+    assert check_reflexive_interval_ordering(big_g, Ordering(big_perm)).kind == "unlocated"
+    rebuilt = build_representation(g, good)
+    assert (rebuilt.ls, rebuilt.rs, rebuilt.lt, rebuilt.rt) == (
+        built.ls, built.rs, built.lt, built.rt)
+    with pytest.raises(ForbiddenStructure) as exc:
+        build_representation(g, bad)
+    assert exc.value.witness == expected[1]
+    _, again = splitting_bigraph(g, rep)
+    assert (again.a_intervals, again.b_intervals) == (brep.a_intervals, brep.b_intervals)
+    with pytest.raises(DimensionMismatch):
+        splitting_bigraph(Digraph(g.n, g.edges()), rep)
 
 
 class TestCocomparability:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from intdigraph import (AntiWalkWitness, Digraph, PointRep, brute_kernel,
+from intdigraph import (AntiWalkWitness, Digraph, PointRep,
+                        brute_anti_directed_walk, brute_kernel,
                         brute_min_absorbing, find_anti_directed_walk,
                         k_subdivision, lift_set, project_set,
                         recognize_point_point, verify_set, OracleBudget)
@@ -47,7 +48,7 @@ class TestAntiWalkEquivalence:
     def test_exhaustive_n3_with_loops(self):
         for g in all_digraphs(3, reflexive=None):
             fast = find_anti_directed_walk(g)
-            slow = find_anti_directed_walk(g, brute=True)
+            slow = brute_anti_directed_walk(g)
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast.holds_in(g) and slow.holds_in(g)
@@ -64,7 +65,7 @@ class TestAntiWalkEquivalence:
                      if rng.random() < 0.3]
             g = Digraph(n, edges)
             fast = find_anti_directed_walk(g)
-            slow = find_anti_directed_walk(g, brute=True)
+            slow = brute_anti_directed_walk(g)
             assert (fast is None) == (slow is None)
 
 
