@@ -254,7 +254,7 @@ def _cmd_oracle(args):
         return {"status": "ok", "kind": kind, "ordering": list(found.perm)}, EXIT_OK
     if args.problem == "anti-walk":
         g = _load_digraph(_read(args.inputs[0]))
-        witness = oracle.brute_anti_directed_walk(g)
+        witness = oracle.brute_anti_directed_walk(g, budget=budget)
         if witness is None:
             return {"status": "none"}, EXIT_NONEXISTENT
         return {"status": "ok", "witness": _witness_json(witness)}, EXIT_OK

@@ -2,8 +2,7 @@
 
 Everything here is written for transparency, not speed: backtracking and
 subset enumeration whose correctness can be read off the definitions.
-Each oracle refuses inputs beyond its budget instead of degrading, except
-:func:`brute_anti_directed_walk`, a plain O(n^4) scan.
+Each oracle refuses inputs beyond its budget instead of degrading.
 """
 
 from __future__ import annotations
@@ -297,16 +296,24 @@ def brute_ordering_search(g: Digraph, kind: str = "duf",
     return None
 
 
-def brute_anti_directed_walk(g: Digraph) -> Optional[AntiWalkWitness]:
+def brute_anti_directed_walk(g: Digraph, budget: OracleBudget = DEFAULT_BUDGET
+                             ) -> Optional[AntiWalkWitness]:
     """The first anti-directed walk (a, b, c, d) over all vertex quadruples
     in lexicographic order, or None; the slow reference for
-    :func:`~intdigraph.pointpoint.find_anti_directed_walk`."""
+    :func:`~intdigraph.pointpoint.find_anti_directed_walk`.  An O(n^4)
+    scan, capped by the other polynomial scan's ``k33_n``."""
+    _refuse("anti-walk", g.n, budget.k33_n)
+    deadline = _Deadline(budget)
     n = g.n
+    ticks = 0
     for a in range(n):
         for b in range(n):
             if not g.has_edge(a, b):
                 continue
             for c in range(n):
+                ticks += 1
+                if ticks % 1024 == 0:
+                    deadline.check()
                 if c == a or not g.has_edge(c, b):
                     continue
                 for d in range(n):

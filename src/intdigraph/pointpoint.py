@@ -3,9 +3,11 @@
 A digraph has a representation by degenerate (single-point) intervals
 exactly when its splitting bigraph is a disjoint union of complete
 bipartite graphs, equivalently when no anti-directed walk of length 3
-exists: arcs (a,b), (c,b), (c,d) present with (a,d) absent.  Component
-labelling gives a linear-time recognizer; the component ids themselves
-serve as the points.
+exists: arcs (a,b), (c,b), (c,d) present with (a,d) absent.  The recognizer
+decides in O(n + m) by interning each vertex's out-list (its left
+neighbourhood in the splitting bigraph) and checking that the distinct
+lists are disjoint; the list ids are the component ids and serve as the
+points.  Only a rejection labels components, to find the witness.
 
 Subdividing every arc of a loopless digraph through k fresh vertices
 always yields a point-point digraph.  For even k, kernels and absorbing
@@ -16,11 +18,11 @@ fixed size offset of (k/2)·m, witnessed constructively by
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidCertificate, NotIrreflexive, OddSubdivision
 from .graphs import Digraph, verify_set
-from .domination import splitting_bigraph
 
 
 class PointRep(NamedTuple):
@@ -34,9 +36,13 @@ class PointRep(NamedTuple):
         return len(self.s_points)
 
     def realize_digraph(self) -> Digraph:
-        edges = [(u, v) for u in range(self.n) for v in range(self.n)
-                 if self.s_points[u] == self.t_points[v]]
-        return Digraph(self.n, edges)
+        """O(n + m): the vertices are bucketed by target point once, and u's
+        heads are the bucket of its source point."""
+        heads: dict[int, list[int]] = {}
+        for v, point in enumerate(self.t_points):
+            heads.setdefault(point, []).append(v)
+        return Digraph(self.n, ((u, v) for u, point in enumerate(self.s_points)
+                                for v in heads.get(point, ())))
 
 
 class AntiWalkWitness(NamedTuple):
@@ -55,58 +61,105 @@ class AntiWalkWitness(NamedTuple):
                 and g.has_edge(self.c, self.d) and not g.has_edge(self.a, self.d))
 
 
-def _split_components(g: Digraph):
-    """Components of the splitting bigraph; nodes 0..n-1 are left copies,
-    n..2n-1 right copies.  Ids follow the smallest contained node."""
-    big, _ = splitting_bigraph(g)
-    n = g.n
-    comp = [-1] * (2 * n)
-    comps: list[dict] = []
-    for start in range(2 * n):
-        if comp[start] != -1:
+def _with_self(adj: tuple[int, ...], v: int, looped: bool) -> tuple[int, ...]:
+    """The sorted list ``adj`` with ``v`` inserted when ``looped``: the
+    neighbours of v's copy in the splitting bigraph."""
+    if not looped:
+        return adj
+    i = bisect_left(adj, v)
+    return adj[:i] + (v,) + adj[i:]
+
+
+def _incomplete_component_walk(g: Digraph) -> AntiWalkWitness:
+    """The witness of the first splitting-bigraph component that is not
+    complete bipartite.
+
+    Components are labelled by one DFS over ``g``'s own lists and ordered by
+    their smallest node (left copies 0..n-1 before right copies, which on
+    their own always form a complete component).  Inside the first
+    incomplete one, its left copies are scanned in order, each in adjacency
+    order, for a neighbour pair that fails to close the block."""
+    n, loops = g.n, g.loops
+    left = [_with_self(g.out_adj[u], u, loops[u]) for u in range(n)]
+    right = [_with_self(g.in_adj[v], v, loops[v]) for v in range(n)]
+    seen_left, seen_right = [False] * n, [False] * n
+    for start in range(n):
+        if seen_left[start]:
             continue
-        cid = len(comps)
+        seen_left[start] = True
         stack = [start]
-        comp[start] = cid
-        x_nodes, y_nodes, edge_count = [], [], 0
+        xs, y_count, edge_count = [], 0, 0
         while stack:
             node = stack.pop()
             if node < n:
-                x_nodes.append(node)
-                edge_count += len(big.adj_a[node])
-                nbrs = [n + b for b in big.adj_a[node]]
+                xs.append(node)
+                edge_count += len(left[node])
+                for v in left[node]:
+                    if not seen_right[v]:
+                        seen_right[v] = True
+                        stack.append(n + v)
             else:
-                y_nodes.append(node - n)
-                nbrs = list(big.adj_b[node - n])
-            for w in nbrs:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    stack.append(w)
-        comps.append({"x": sorted(x_nodes), "y": sorted(y_nodes),
-                      "edges": edge_count})
-    return big, comp, comps
+                y_count += 1
+                for u in right[node - n]:
+                    if not seen_left[u]:
+                        seen_left[u] = True
+                        stack.append(u)
+        if edge_count == len(xs) * y_count:
+            continue
+        for u in sorted(xs):
+            for v in left[u]:
+                for first in right[v]:
+                    for last in left[u]:
+                        if not g.has_edge(first, last):
+                            return AntiWalkWitness(a=first, b=v, c=u, d=last)
+        raise RuntimeError(f"the component of {start} is incomplete but no witness found")
+    raise RuntimeError("no incomplete component in a digraph that is not point-point")
 
 
 def recognize_point_point(g: Digraph):
     """A :class:`PointRep` when ``g`` is a point-point digraph, otherwise
-    an :class:`AntiWalkWitness` extracted from the first non-complete
-    component of the splitting bigraph."""
-    big, comp, comps = _split_components(g)
-    n = g.n
-    for cid, c in enumerate(comps):
-        if c["edges"] == len(c["x"]) * len(c["y"]):
+    an :class:`AntiWalkWitness` from the first non-complete component of
+    the splitting bigraph.
+
+    One interning pass decides in O(n + m).  ``A_u``, the out-list of u
+    with u added when looped, is u's left neighbourhood in the splitting
+    bigraph; each distinct non-empty ``A_u`` gets one id from one dict.
+    The bigraph is a disjoint union of complete bipartite graphs iff the
+    distinct lists are pairwise disjoint, that is iff their sizes sum to
+    the number of vertices with an in-neighbour (or a loop).  The ids are
+    the component ids, in the order of each component's smallest node:
+    left copies 0..n-1 in turn, an empty ``A_u`` taking an id of its own,
+    then each right copy with no in-neighbour, in vertex order.  Only a
+    rejection labels components, to pick the witness.
+    """
+    n, in_adj, loops = g.n, g.in_adj, g.loops
+    ids: dict[tuple[int, ...], int] = {}
+    s_points: list[int] = []
+    next_id = 0
+    for u, heads in enumerate(g.out_adj):
+        if loops[u]:
+            heads = _with_self(heads, u, True)
+        elif not heads:
+            s_points.append(next_id)
+            next_id += 1
             continue
-        # Some edge of this component has a neighbour pair that fails to
-        # close into a complete bipartite block; scan in adjacency order.
-        for u in c["x"]:
-            for v in big.adj_a[u]:
-                for first in big.adj_b[v]:
-                    for last in big.adj_a[u]:
-                        if not g.has_edge(first, last):
-                            return AntiWalkWitness(a=first, b=v, c=u, d=last)
-        raise RuntimeError(f"component {cid} is incomplete but no witness found")
-    return PointRep(s_points=tuple(comp[u] for u in range(n)),
-                    t_points=tuple(comp[n + v] for v in range(n)))
+        cid = ids.setdefault(heads, next_id)
+        if cid == next_id:
+            next_id += 1
+        s_points.append(cid)
+    covered = sum(1 for v in range(n) if loops[v] or in_adj[v])
+    if sum(map(len, ids)) != covered:
+        return _incomplete_component_walk(g)
+    t_points: list[int] = []
+    for v in range(n):
+        if loops[v]:
+            t_points.append(s_points[v])
+        elif in_adj[v]:
+            t_points.append(s_points[in_adj[v][0]])
+        else:
+            t_points.append(next_id)
+            next_id += 1
+    return PointRep(s_points=tuple(s_points), t_points=tuple(t_points))
 
 
 def find_anti_directed_walk(g: Digraph) -> Optional[AntiWalkWitness]:

@@ -243,6 +243,17 @@ class TestOracleCommands:
                                  "--budget-n", "17")
         assert code == 0
 
+    def test_oracle_anti_walk_budget(self, files, capsys, tmp_path):
+        big = tmp_path / "big.dg"
+        big.write_text(emit_digraph(Digraph(31)))
+        code, payload = run_json(capsys, "oracle", "anti-walk", str(big))
+        assert code == 1 and payload["error"] == (
+            "BudgetExceeded: anti-walk oracle limited to n <= 30, got 31")
+        code, payload = run_json(capsys, "oracle", "anti-walk", files["aw.dg"],
+                                 "--budget-n", "3")
+        assert code == 1 and payload["error"] == (
+            "BudgetExceeded: anti-walk oracle limited to n <= 3, got 4")
+
 
 class TestGen:
     def test_deterministic(self, capsys):

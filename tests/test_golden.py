@@ -10,7 +10,11 @@ so the tie rules of the normalizers are part of what is compared.
 has tied ``p/q`` endpoints.  ``unlocated.dg`` is the realized digraph of
 ``gen reflexive-interval --n 50 --seed 1``, and ``unlocated.ord`` its
 extracted ordering with the first and last positions swapped: a failing
-ordering above the witness-search cap.
+ordering above the witness-search cap.  ``pp-loops.dg`` is point-point
+with loops, an isolated vertex and right copies without in-neighbours,
+whose ids come last; ``late-witness.dg`` has its first incomplete
+splitting-bigraph component start at vertex 0 but reach its witness
+through vertex 5.
 """
 
 from pathlib import Path
@@ -48,6 +52,8 @@ CASES = [
     ("red-blue-distinct", 0, "red-blue @distinct.bg"),
     ("recognize-pp-yes", 0, "recognize-pp @tri.dg"),
     ("recognize-pp-no", 2, "recognize-pp @aw.dg"),
+    ("recognize-pp-loops", 0, "recognize-pp @pp-loops.dg"),
+    ("recognize-pp-late-witness", 2, "recognize-pp @late-witness.dg"),
     ("check-duf-valid", 0, "check-ordering @tied.dg @tied.ord --kind duf"),
     ("check-duf-violation", 2, "check-ordering @umb.dg @umb.ord --kind duf"),
     ("check-reflexive-valid", 0, "check-ordering @tied.dg @tied.ord --kind reflexive"),

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from intdigraph import (Digraph, IntervalBigraphRep, Interval, OracleBudget,
-                        UndirectedGraph, brute_kernel, brute_max_independent,
+                        UndirectedGraph, brute_anti_directed_walk,
+                        brute_kernel, brute_max_independent,
                         brute_min_absorbing, brute_ordering_search,
                         brute_red_blue, find_induced_k33,
                         realize_digraph, underlying_undirected, verify_set)
@@ -38,6 +39,15 @@ class TestBudgets:
         tight = OracleBudget(time_cap_s=0.0)
         with pytest.raises(BudgetExceeded):
             brute_min_absorbing(Digraph(16), budget=tight)
+
+    def test_anti_walk_budget(self):
+        with pytest.raises(BudgetExceeded):
+            brute_anti_directed_walk(Digraph(31))
+        assert brute_anti_directed_walk(Digraph(31), budget=OracleBudget(k33_n=31)) is None
+        # point-point, so without the time cap the scan would run to the end
+        full = Digraph(30, itertools.product(range(30), repeat=2))
+        with pytest.raises(BudgetExceeded):
+            brute_anti_directed_walk(full, budget=OracleBudget(time_cap_s=0.0))
 
 
 class TestBruteKernel:
