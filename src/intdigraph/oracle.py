@@ -3,6 +3,14 @@
 Everything here is written for transparency, not speed: backtracking and
 subset enumeration whose correctness can be read off the definitions.
 Each oracle refuses inputs beyond its budget instead of degrading.
+
+Vertex sets are Python-int bit masks, bit v for vertex v: one mask per
+vertex for its neighbourhood, ORed along a search.  Search order and tie
+rule fix each answer: the kernel and independent-set backtracks take
+vertex 0, 1, ... before skipping it and record only a strictly better
+value; the absorbing and red-blue oracles return the smallest cover,
+first in ``combinations`` order; the scans return the first witness in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -47,16 +55,40 @@ def _refuse(kind: str, n: int, limit: int) -> None:
         raise BudgetExceeded(f"{kind} oracle limited to n <= {limit}, got {n}")
 
 
+def _masks(lists: Iterable[Iterable[int]]) -> list[int]:
+    """One int per list, with bit v set for each (distinct) member v."""
+    return [sum(1 << v for v in members) for members in lists]
+
+
+def _first_cover(masks: list[int], full: int, budget: OracleBudget
+                 ) -> Optional[tuple[int, ...]]:
+    """The smallest index subset whose masks OR to ``full``, first in
+    :func:`itertools.combinations` order, or None when no subset does."""
+    deadline = _Deadline(budget)
+    ticks = 0
+    for r in range(len(masks) + 1):
+        for comb in combinations(range(len(masks)), r):
+            ticks += 1
+            if ticks % 4096 == 0:
+                deadline.check()
+            covered = 0
+            for i in comb:
+                covered |= masks[i]
+            if covered == full:
+                return comb
+    return None
+
+
 def brute_kernel(g: Digraph, objective: str = "exists",
                  weights: Optional[Iterable[int]] = None,
                  budget: OracleBudget = DEFAULT_BUDGET) -> Optional[Certificate]:
     """Kernel existence / minimum / maximum by independent-set backtracking.
 
-    Enumerates independent sets vertex by vertex, tracking how many
-    vertices still lack a chosen out-neighbour; a leaf with none left is a
-    kernel.  For 'min', a branch is cut once every vertex is absorbed
-    (weights are non-negative, supersets cannot improve) or once it cannot
-    beat the incumbent.
+    Enumerates independent sets vertex by vertex, tracking the mask of
+    vertices that are chosen or have a chosen out-neighbour; a leaf where
+    it is full is a kernel.  For 'min', a branch is cut once every vertex
+    is absorbed (weights are non-negative, supersets cannot improve) or
+    once it cannot beat the incumbent.
     """
     if objective not in ("exists", "min", "max"):
         raise ValueError(f"objective must be exists/min/max, got {objective!r}")
@@ -64,103 +96,56 @@ def brute_kernel(g: Digraph, objective: str = "exists",
     deadline = _Deadline(budget)
     n = g.n
     w = check_weights(weights, n)
-    und = [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(n)]
-
-    blocked = [0] * n
-    absorbed = [0] * n
+    ins, outs = _masks(g.in_adj), _masks(g.out_adj)
+    absorbs = [ins[v] | 1 << v for v in range(n)]
+    clash = [ins[v] | outs[v] for v in range(n)]
+    full = (1 << n) - 1
     chosen: list[int] = []
-    chosen_flag = [False] * n
-    state = {"unsat": n, "best_val": None, "best_set": None, "nodes": 0}
+    best_val, best_set = None, ()
+    ticks = 0
 
-    def take(v: int) -> None:
-        chosen_flag[v] = True
-        chosen.append(v)
-        if absorbed[v] == 0:
-            state["unsat"] -= 1
-        for u in g.in_adj[v]:
-            absorbed[u] += 1
-            if absorbed[u] == 1 and not chosen_flag[u]:
-                state["unsat"] -= 1
-        for u in und[v]:
-            blocked[u] += 1
-
-    def drop(v: int) -> None:
-        chosen_flag[v] = False
-        chosen.pop()
-        if absorbed[v] == 0:
-            state["unsat"] += 1
-        for u in g.in_adj[v]:
-            absorbed[u] -= 1
-            if absorbed[u] == 0 and not chosen_flag[u]:
-                state["unsat"] += 1
-        for u in und[v]:
-            blocked[u] -= 1
-
-    def record(val: int) -> None:
-        best = state["best_val"]
-        if best is None or (val > best if objective == "max" else val < best):
-            state["best_val"] = val
-            state["best_set"] = tuple(sorted(chosen))
-
-    def dfs(idx: int, val: int) -> bool:
-        state["nodes"] += 1
-        if state["nodes"] % 4096 == 0:
+    def dfs(idx: int, absorbed: int, blocked: int, val: int) -> bool:
+        nonlocal best_val, best_set, ticks
+        ticks += 1
+        if ticks % 4096 == 0:
             deadline.check()
-        if state["unsat"] == 0:
-            if objective == "exists":
-                record(val)
-                return True
-            if objective == "min":
-                record(val)
-                return False  # supersets cannot be lighter
-        if idx == n:
-            if state["unsat"] == 0:
-                record(val)
+        if absorbed == full and (objective != "max" or idx == n):
+            if best_val is None or (val > best_val if objective == "max" else val < best_val):
+                best_val, best_set = val, tuple(chosen)
+            return objective == "exists"  # for 'min', supersets cannot be lighter
+        if idx == n or objective == "min" and best_val is not None and val >= best_val:
             return False
-        if objective == "min" and state["best_val"] is not None and val >= state["best_val"]:
-            return False
-        if blocked[idx] == 0:
-            take(idx)
-            if dfs(idx + 1, val + w[idx]):
+        if not blocked >> idx & 1:
+            chosen.append(idx)
+            if dfs(idx + 1, absorbed | absorbs[idx], blocked | clash[idx], val + w[idx]):
                 return True
-            drop(idx)
-        return dfs(idx + 1, val)
+            chosen.pop()
+        return dfs(idx + 1, absorbed, blocked, val)
 
-    dfs(0, 0)
-    if state["best_set"] is None:
+    dfs(0, 0, 0, 0)
+    if best_val is None:
         return None
-    vertices = state["best_set"]
-    cert = verify_set(g, vertices, "kernel")
+    cert = verify_set(g, best_set, "kernel")
     if not cert.all_checks_pass():
         raise RuntimeError(f"kernel oracle produced an invalid set: {cert.checks}")
-    return Certificate(vertices=vertices, checks=cert.checks,
+    return Certificate(vertices=best_set, checks=cert.checks,
                        algorithm="brute-kernel",
                        optimal=objective != "exists",
                        objective=None if objective == "exists" else objective,
-                       value=state["best_val"])
+                       value=best_val)
 
 
 def brute_min_absorbing(g: Digraph, budget: OracleBudget = DEFAULT_BUDGET) -> Certificate:
     """Minimum absorbing set: subsets by increasing size, first hit wins."""
     _refuse("absorbing", g.n, budget.subset_n)
-    deadline = _Deadline(budget)
-    n = g.n
-    ticks = 0
-    for r in range(n + 1):
-        for comb in combinations(range(n), r):
-            ticks += 1
-            if ticks % 4096 == 0:
-                deadline.check()
-            sset = set(comb)
-            if all(v in sset or any(u in sset for u in g.out_adj[v]) for v in range(n)):
-                cert = verify_set(g, comb, "absorbing")
-                if not cert.all_checks_pass():
-                    raise RuntimeError(f"absorbing oracle produced an invalid set: "
-                                       f"{cert.checks}")
-                return Certificate(vertices=tuple(comb), checks=cert.checks,
-                                   algorithm="brute-absorbing", optimal=True,
-                                   objective="min", value=r)
-    raise RuntimeError("the full vertex set always absorbs")
+    closed_in = [mask | 1 << v for v, mask in enumerate(_masks(g.in_adj))]
+    comb = _first_cover(closed_in, (1 << g.n) - 1, budget)
+    cert = verify_set(g, comb, "absorbing")
+    if not cert.all_checks_pass():
+        raise RuntimeError(f"absorbing oracle produced an invalid set: {cert.checks}")
+    return Certificate(vertices=comb, checks=cert.checks,
+                       algorithm="brute-absorbing", optimal=True,
+                       objective="min", value=len(comb))
 
 
 def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
@@ -170,42 +155,36 @@ def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
     deadline = _Deadline(budget)
     n = g.n
     w = check_weights(weights, n)
-    und = [set(g.out_adj[v]) | set(g.in_adj[v]) for v in range(n)]
+    clash = [i | o for i, o in zip(_masks(g.in_adj), _masks(g.out_adj))]
     suffix = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] + w[v]
-
-    best = {"val": -1, "set": ()}
-    blocked = [0] * n
     chosen: list[int] = []
-    nodes = [0]
+    best_val, best_set = -1, ()
+    ticks = 0
 
-    def dfs(idx: int, val: int) -> None:
-        nodes[0] += 1
-        if nodes[0] % 4096 == 0:
+    def dfs(idx: int, blocked: int, val: int) -> None:
+        nonlocal best_val, best_set, ticks
+        ticks += 1
+        if ticks % 4096 == 0:
             deadline.check()
-        if val > best["val"]:
-            best["val"] = val
-            best["set"] = tuple(sorted(chosen))
-        if idx == n or val + suffix[idx] <= best["val"]:
+        if val > best_val:
+            best_val, best_set = val, tuple(chosen)
+        if idx == n or val + suffix[idx] <= best_val:
             return
-        if blocked[idx] == 0:
+        if not blocked >> idx & 1:
             chosen.append(idx)
-            for u in und[idx]:
-                blocked[u] += 1
-            dfs(idx + 1, val + w[idx])
-            for u in und[idx]:
-                blocked[u] -= 1
+            dfs(idx + 1, blocked | clash[idx], val + w[idx])
             chosen.pop()
-        dfs(idx + 1, val)
+        dfs(idx + 1, blocked, val)
 
-    dfs(0, 0)
-    cert = verify_set(g, best["set"], "independent")
+    dfs(0, 0, 0)
+    cert = verify_set(g, best_set, "independent")
     if not cert.all_checks_pass():
         raise RuntimeError(f"independent-set oracle produced an invalid set: {cert.checks}")
-    return Certificate(vertices=best["set"], checks=cert.checks,
+    return Certificate(vertices=best_set, checks=cert.checks,
                        algorithm="brute-independent", optimal=True,
-                       objective="max", value=best["val"])
+                       objective="max", value=best_val)
 
 
 def brute_red_blue(instance, budget: OracleBudget = DEFAULT_BUDGET) -> Optional[Certificate]:
@@ -218,22 +197,15 @@ def brute_red_blue(instance, budget: OracleBudget = DEFAULT_BUDGET) -> Optional[
         raise TypeError(f"expected Bigraph or IntervalBigraphRep, got {type(instance)}")
     _refuse("red-blue", instance.b_size, budget.subset_n)
     big = instance.to_bigraph() if isinstance(instance, IntervalBigraphRep) else instance
-    deadline = _Deadline(budget)
-    if any(len(big.adj_a[a]) == 0 for a in range(big.a_size)):
-        return None
-    ticks = 0
-    for r in range(big.b_size + 1):
-        for comb in combinations(range(big.b_size), r):
-            ticks += 1
-            if ticks % 4096 == 0:
-                deadline.check()
-            sset = set(comb)
-            if all(any(b in sset for b in big.adj_a[a]) for a in range(big.a_size)):
-                return Certificate(vertices=tuple(comb),
-                                   checks={"a-dominating": True},
-                                   algorithm="brute-red-blue", optimal=True,
-                                   objective="min", value=r)
-    raise RuntimeError("all of B dominates when no A-vertex is isolated")
+    if not all(big.adj_a):
+        return None  # without this, every subset of B would be tried
+    comb = _first_cover(_masks(big.adj_b), (1 << big.a_size) - 1, budget)
+    chosen = set(comb)
+    if not all(chosen.intersection(adj) for adj in big.adj_a):
+        raise RuntimeError(f"red-blue oracle produced a set that misses an A-vertex: {comb}")
+    return Certificate(vertices=comb, checks={"a-dominating": True},
+                       algorithm="brute-red-blue", optimal=True,
+                       objective="min", value=len(comb))
 
 
 def find_induced_k33(h: UndirectedGraph, budget: OracleBudget = DEFAULT_BUDGET
@@ -248,10 +220,7 @@ def find_induced_k33(h: UndirectedGraph, budget: OracleBudget = DEFAULT_BUDGET
     _refuse("k33", h.n, budget.k33_n)
     deadline = _Deadline(budget)
     n = h.n
-    mask = [0] * n
-    for u in range(n):
-        for v in h.adj[u]:
-            mask[u] |= 1 << v
+    mask = _masks(h.adj)
     ticks = 0
     for a in range(n):
         for b in range(a + 1, n):
@@ -305,18 +274,19 @@ def brute_anti_directed_walk(g: Digraph, budget: OracleBudget = DEFAULT_BUDGET
     _refuse("anti-walk", g.n, budget.k33_n)
     deadline = _Deadline(budget)
     n = g.n
+    outs = [mask | g.loops[v] << v for v, mask in enumerate(_masks(g.out_adj))]
     ticks = 0
     for a in range(n):
         for b in range(n):
-            if not g.has_edge(a, b):
+            if not outs[a] >> b & 1:
                 continue
             for c in range(n):
                 ticks += 1
                 if ticks % 1024 == 0:
                     deadline.check()
-                if c == a or not g.has_edge(c, b):
+                if c == a or not outs[c] >> b & 1:
                     continue
-                for d in range(n):
-                    if d != b and g.has_edge(c, d) and not g.has_edge(a, d):
-                        return AntiWalkWitness(a, b, c, d)
+                ds = outs[c] & ~outs[a] & ~(1 << b)
+                if ds:
+                    return AntiWalkWitness(a, b, c, (ds & -ds).bit_length() - 1)
     return None

@@ -7,7 +7,8 @@ exists: arcs (a,b), (c,b), (c,d) present with (a,d) absent.  The recognizer
 decides in O(n + m) by interning each vertex's out-list (its left
 neighbourhood in the splitting bigraph) and checking that the distinct
 lists are disjoint; the list ids are the component ids and serve as the
-points.  Only a rejection labels components, to find the witness.
+points.  Only a rejection labels components, to find the witness.  Either
+answer is re-checked against the digraph, also in O(n + m).
 
 Subdividing every arc of a loopless digraph through k fresh vertices
 always yields a point-point digraph.  For even k, kernels and absorbing
@@ -19,6 +20,7 @@ fixed size offset of (k/2)·m, witnessed constructively by
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidCertificate, NotIrreflexive, OddSubdivision
@@ -43,6 +45,23 @@ class PointRep(NamedTuple):
             heads.setdefault(point, []).append(v)
         return Digraph(self.n, ((u, v) for u, point in enumerate(self.s_points)
                                 for v in heads.get(point, ())))
+
+    def holds_in(self, g: Digraph) -> bool:
+        """Whether these points represent exactly ``g``, in O(n + m) and
+        without realizing a digraph: every arc and every loop joins equal
+        points, and the (u, v) pairs with equal points number ``g.m`` plus
+        the loops, so no other pair has them."""
+        s, t, loops = self.s_points, self.t_points, g.loops
+        if len(s) != g.n or len(t) != g.n:
+            return False
+        for point, heads in zip(s, g.out_adj):
+            for v in heads:
+                if t[v] != point:
+                    return False
+        if any(loops[v] and s[v] != t[v] for v in range(g.n)):
+            return False
+        tails = Counter(s)
+        return sum(map(tails.__getitem__, t)) == g.m + sum(loops)
 
 
 class AntiWalkWitness(NamedTuple):
@@ -119,7 +138,18 @@ def _incomplete_component_walk(g: Digraph) -> AntiWalkWitness:
 def recognize_point_point(g: Digraph):
     """A :class:`PointRep` when ``g`` is a point-point digraph, otherwise
     an :class:`AntiWalkWitness` from the first non-complete component of
-    the splitting bigraph.
+    the splitting bigraph.  Either answer is re-checked against ``g``
+    (``holds_in``, O(n + m)); a failed check raises ``RuntimeError``.
+    """
+    result = _decide_point_point(g)
+    if not result.holds_in(g):
+        raise RuntimeError(f"point-point recognizer produced a {type(result).__name__} "
+                           "that does not hold in the digraph")
+    return result
+
+
+def _decide_point_point(g: Digraph):
+    """The answer of :func:`recognize_point_point`, not yet checked.
 
     One interning pass decides in O(n + m).  ``A_u``, the out-list of u
     with u added when looped, is u's left neighbourhood in the splitting

@@ -2,16 +2,16 @@
 
 Each function builds a fresh object, so callers may not worry about
 sharing.  These are the standard counterexamples used across the test
-suite and handy CLI demo inputs.
+suite.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .graphs import Digraph
-from .intervals import Interval, IntervalRep
-from .ordering import Ordering
+from intdigraph.graphs import Digraph
+from intdigraph.intervals import Interval, IntervalRep
+from intdigraph.ordering import Ordering
 
 
 def directed_triangle() -> Digraph:

@@ -24,9 +24,10 @@ from intdigraph import (Digraph, IntervalRep, OracleBudget, Ordering,
                         reverse, splitting_bigraph, underlying_undirected,
                         verify_duf_ordering, verify_representation, verify_set,
                         PointRep, build_representation)
-from intdigraph.fixtures import (directed_triangle, no_kernel_duf,
-                                 oriented_k33_with_loops, symmetric_triangle)
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
+
+from fixtures import (directed_triangle, no_kernel_duf,
+                      oriented_k33_with_loops, symmetric_triangle)
 
 
 def _report(num: int, desc: str) -> None:
@@ -278,7 +279,7 @@ def test_criterion_6_point_point_equivalence():
                 assert result.holds_in(g)
 
     assert isinstance(recognize_point_point(directed_triangle()), PointRep)
-    from intdigraph.fixtures import anti_walk_example
+    from fixtures import anti_walk_example
     assert not isinstance(recognize_point_point(anti_walk_example()), PointRep)
     _report(6, "recognition equals anti-walk freeness for every digraph "
                "with n<=4, loops included")

@@ -9,14 +9,16 @@ from pathlib import Path
 import pytest
 
 import intdigraph
-from intdigraph import Digraph, Interval, verify_representation
+from intdigraph import (AntiWalkWitness, Digraph, Interval, PointRep, pointpoint,
+                        verify_representation)
 from intdigraph.cli import main
 from intdigraph.fileio import (emit_digraph, emit_interval_rep, emit_ordering,
                                parse_digraph, parse_interval_rep)
-from intdigraph.fixtures import (anti_walk_example, directed_triangle,
-                                 in_star_adjusted, no_kernel_duf,
-                                 two_vertex_example_rep)
 from intdigraph.generators import gen_reflexive_interval
+
+from fixtures import (anti_walk_example, directed_triangle,
+                      in_star_adjusted, no_kernel_duf,
+                      two_vertex_example_rep)
 
 
 @pytest.fixture()
@@ -155,6 +157,16 @@ class TestRecognitionAndChecks:
         code, payload = run_json(capsys, "recognize-pp", files["aw.dg"])
         assert code == 2 and payload["status"] == "not-point-point"
         assert set(payload["witness"]) == {"a", "b", "c", "d"}
+
+    @pytest.mark.parametrize("wrong", [
+        PointRep((0, 1, 2), (1, 2, 1)),  # the triangle's points, one moved
+        AntiWalkWitness(0, 1, 2, 0),     # the triangle has no anti-walk
+    ])
+    def test_recognize_checks_its_answer(self, files, capsys, monkeypatch, wrong):
+        monkeypatch.setattr(pointpoint, "_decide_point_point", lambda g: wrong)
+        code, payload = run_json(capsys, "recognize-pp", files["tri.dg"])
+        assert code == 1 and payload["status"] == "error"
+        assert payload["error"].startswith("RuntimeError: point-point recognizer")
 
     def test_check_ordering(self, files, capsys):
         code, payload = run_json(capsys, "check-ordering", files["nk.dg"],

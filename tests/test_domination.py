@@ -12,9 +12,9 @@ from intdigraph import (Certificate, Digraph, Interval, IntervalBigraphRep, Inte
                         verify_set)
 from intdigraph.domination import bigraph_ranks
 from intdigraph.errors import DimensionMismatch, NotReflexive
-from intdigraph.fixtures import symmetric_triangle, two_vertex_example_rep
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
 
+from fixtures import symmetric_triangle, two_vertex_example_rep
 from conftest import interval_reps
 
 

@@ -12,7 +12,8 @@ from intdigraph.fileio import (detect_kind, emit_bigraph_rep, emit_digraph,
                                parse_bigraph_rep, parse_digraph,
                                parse_interval_rep, parse_ordering,
                                parse_vertex_set, parse_weights)
-from intdigraph.fixtures import no_kernel_duf, two_vertex_example_rep
+
+from fixtures import no_kernel_duf, two_vertex_example_rep
 
 
 def normalize_ws(text: str) -> str:

@@ -6,8 +6,8 @@ from intdigraph import (Bigraph, Digraph, Ordering, UndirectedGraph, brute_kerne
                         max_independent_duf, optimal_kernel_duf, reverse,
                         symmetric_digraph, underlying_undirected, verify_set)
 from intdigraph.errors import InvalidVertex
-from intdigraph.fixtures import no_kernel_duf
 
+from fixtures import no_kernel_duf
 from conftest import all_subsets, digraphs, undirected_graphs
 
 

@@ -8,9 +8,9 @@ from intdigraph import (Digraph, Ordering, brute_max_independent, chain_dag,
                         realize_digraph, underlying_undirected,
                         verify_duf_ordering, verify_set)
 from intdigraph.errors import NotDufOrdered
-from intdigraph.fixtures import no_kernel_duf, reflexive_path
 from intdigraph.generators import gen_reflexive_interval
 
+from fixtures import no_kernel_duf, reflexive_path
 from conftest import all_digraphs
 
 

@@ -9,8 +9,8 @@ from intdigraph import (Digraph, Interval, IntervalRep, extract_duf_ordering,
                         verify_representation, verify_set,
                         check_reflexive_interval_ordering, verify_duf_ordering)
 from intdigraph.errors import DimensionMismatch, MalformedInterval, NotReflexive
-from intdigraph.fixtures import two_vertex_example_rep
 
+from fixtures import two_vertex_example_rep
 from conftest import all_subsets, brute_realize, interval_reps
 
 

@@ -12,10 +12,10 @@ from intdigraph import (Digraph, Interval, IntervalRep, Ordering,
                         realize_digraph, reverse, verify_duf_ordering,
                         verify_set, z_sequence)
 from intdigraph.errors import NotAdjusted, NotCocompOrdered, NotDufOrdered, NotReflexive
-from intdigraph.fixtures import (in_star_adjusted, no_kernel_duf, reflexive_path,
-                                 two_vertex_example_rep)
 from intdigraph.generators import gen_reflexive_interval
 
+from fixtures import (in_star_adjusted, no_kernel_duf, reflexive_path,
+                      two_vertex_example_rep)
 from conftest import all_digraphs, min_solution_size, random_adjusted_rep
 
 

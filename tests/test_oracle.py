@@ -10,9 +10,10 @@ from intdigraph import (Digraph, IntervalBigraphRep, Interval, OracleBudget,
                         brute_red_blue, find_induced_k33,
                         realize_digraph, underlying_undirected, verify_set)
 from intdigraph.errors import BudgetExceeded
-from intdigraph.fixtures import (directed_triangle, no_kernel_duf,
-                                 oriented_k33_with_loops, symmetric_triangle)
 from intdigraph.generators import gen_random_digraph, gen_reflexive_interval
+
+from fixtures import (directed_triangle, no_kernel_duf,
+                      oriented_k33_with_loops, symmetric_triangle)
 
 
 class TestBudgets:

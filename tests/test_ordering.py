@@ -15,11 +15,11 @@ from intdigraph import (Digraph, Ordering, UndirectedGraph, build_representation
                         verify_representation)
 from intdigraph.errors import (DimensionMismatch, ForbiddenStructure, InvalidOrdering,
                                NotReflexive)
-from intdigraph.fixtures import (directed_triangle, no_kernel_duf,
-                                 oriented_k33_with_loops, reflexive_path)
 from intdigraph.generators import gen_random_digraph, gen_reflexive_interval
 from intdigraph.ordering import umbrella_triple
 
+from fixtures import (directed_triangle, no_kernel_duf,
+                      oriented_k33_with_loops, reflexive_path)
 from conftest import all_digraphs, interval_reps, undirected_graphs
 
 

@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intdigraph import (AntiWalkWitness, Digraph, PointRep,
                         brute_anti_directed_walk, brute_kernel,
@@ -9,9 +11,9 @@ from intdigraph import (AntiWalkWitness, Digraph, PointRep,
                         k_subdivision, lift_set, project_set,
                         recognize_point_point, verify_set, OracleBudget)
 from intdigraph.errors import InvalidCertificate, NotIrreflexive, OddSubdivision
-from intdigraph.fixtures import anti_walk_example, directed_triangle
 
-from conftest import all_digraphs
+from fixtures import anti_walk_example, directed_triangle
+from conftest import all_digraphs, digraphs
 
 
 class TestRecognition:
@@ -60,6 +62,31 @@ def test_recognition_builds_no_splitting_bigraph(monkeypatch):
                     monkeypatch.setattr(module, attr, forbidden)
     assert isinstance(expected[0], PointRep) and isinstance(expected[1], AntiWalkWitness)
     assert [recognize_point_point(g) for g in (yes, no)] == expected
+
+
+@st.composite
+def points_and_digraphs(draw, max_n=5):
+    """Random points with their own digraph, that digraph with one pair
+    (a loop when u = v) toggled, or a random digraph on as many vertices."""
+    n = draw(st.integers(0, max_n))
+    points = st.lists(st.integers(0, max(n // 2, 1)), min_size=n, max_size=n)
+    rep = PointRep(tuple(draw(points)), tuple(draw(points)))
+    g = rep.realize_digraph()
+    how = draw(st.sampled_from(["own", "toggled", "random"]))
+    if how == "random":
+        g = draw(digraphs(min_n=n, max_n=n))
+    elif how == "toggled" and n:
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        g = Digraph(n, (set(g.edges()) | {(w, w) for w in g.loop_vertices()}) ^ {(u, v)})
+    return rep, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(points_and_digraphs())
+def test_point_rep_holds_in_exactly_its_realized_digraph(case):
+    rep, g = case
+    assert rep.holds_in(g) == (rep.realize_digraph() == g)
+    assert not rep.holds_in(Digraph(rep.n + 1))
 
 
 class TestAntiWalkEquivalence:
