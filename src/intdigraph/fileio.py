@@ -13,15 +13,14 @@ Formats (whitespace separated, one record per line):
 Emitters write records in canonical sorted order, so emit(parse(f)) == f
 up to whitespace for canonical files.
 
-Clean integer digraph and intervals files are read in bulk, straight into
-columns; every other file takes the line walk, the only reader of ``p/q``
+Clean integer digraph and intervals files are read by one split of the
+text; every other file takes the line walk, the only reader of ``p/q``
 and the only source of :class:`ParseError`, so errors keep their lines.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
 from operator import le
 
 from .domination import IntervalBigraphRep
@@ -40,14 +39,23 @@ def _lines(text: str):
 
 def _int_fields(text: str, kind: str, width: int):
     """``(n, fields)``: the header's n and the records' integers in file
-    order, when a ``<kind> <n>`` header is followed only by records of
-    ``width`` plain integers; else None, and the caller walks the lines."""
-    rows = list(filter(None, map(str.split, text.splitlines())))
-    if (not rows or rows[0][0] != kind or len(rows[0]) != 2
-            or not set(map(len, islice(rows, 1, None))) <= {width}):
+    order, when the first line is ``<kind> <n>`` and every later one but
+    trailing blank lines holds ``width`` plain integers; else None, and the
+    caller walks the lines.  The text is split once, each ``"\\n"`` made a
+    ``;`` token, so the record width is one check that ``;`` stands after
+    every ``width`` tokens (one anywhere else is no integer).  Only ASCII
+    text with no ``;`` and no line break but ``"\\n"`` is split so."""
+    if not text.isascii() or any(map(text.__contains__, "\r\x0b\x0c\x1c\x1d\x1e;")):
         return None
+    tokens = (text.rstrip() + "\n").replace("\n", " ; ").split()
+    head, step = tokens[:3], width + 1
+    del tokens[:3]
+    if (head[0] != kind or head[2:] != [";"]
+            or tokens[width::step].count(";") * step != len(tokens)):
+        return None
+    del tokens[width::step]
     try:
-        return int(rows[0][1]), list(map(int, chain.from_iterable(islice(rows, 1, None))))
+        return int(head[1]), list(map(int, tokens))
     except ValueError:
         return None
 
@@ -93,14 +101,23 @@ def _format_value(x) -> str:
     return str(x)
 
 
-def _digraph(n: int, arcs, text: str) -> Digraph:
-    """``Digraph(n, arcs)``; an n too large to allocate is an error of the
+def _digraph(text: str, n: int, build, *args) -> Digraph:
+    """``build(*args)``; an n too large to allocate is an error of the
     header line."""
     try:
-        return Digraph(n, arcs)
+        return build(*args)
     except (MemoryError, OverflowError) as exc:
         raise ParseError(next(_lines(text))[0], f"header declares {n} vertices, "
                          f"too many to allocate ({type(exc).__name__})") from None
+
+
+def _bucketed(n: int, fields: list[int]) -> Digraph:
+    """The digraph of the flat arcs ``fields``, every end in ``[0, n)``."""
+    loops = [False] * n  # first, so an n too large to allocate fails at once
+    heads: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(fields[::2], fields[1::2]):
+        heads[u].append(v)
+    return Digraph.from_heads(heads, loops)
 
 
 def parse_digraph(text: str) -> Digraph:
@@ -108,8 +125,7 @@ def parse_digraph(text: str) -> Digraph:
     if clean is not None:
         n, fields = clean
         if min(fields, default=0) >= 0 and max(fields, default=-1) < n:
-            arcs = iter(fields)
-            return _digraph(n, zip(arcs, arcs), text)
+            return _digraph(text, n, _bucketed, n, fields)
     rows = list(_lines(text))
     if not rows or rows[0][1][0] != "digraph":
         raise ParseError(rows[0][0] if rows else 1, "expected 'digraph <n>' header")
@@ -123,7 +139,7 @@ def parse_digraph(text: str) -> Digraph:
             raise ParseError(lineno, f"expected '<u> <v>', got {' '.join(tokens)!r}")
         edges.append((_int(tokens[0], lineno), _int(tokens[1], lineno)))
     try:
-        return _digraph(n, edges, text)
+        return _digraph(text, n, Digraph, n, edges)
     except InvalidVertex as exc:
         # A negative n is the header's fault, else the first arc out of range.
         bad = (line for (line, _), (u, v) in zip(rows[1:], edges)

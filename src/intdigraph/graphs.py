@@ -9,6 +9,7 @@ threads; anything that looks like mutation builds a new object.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidVertex
@@ -36,10 +37,11 @@ class Digraph:
     """A directed graph stored as sorted adjacency tuples.
 
     ``out_adj[u]`` / ``in_adj[u]`` are sorted tuples of neighbours other
-    than ``u`` itself; ``loops[u]`` records a self-loop.  Duplicate edges
-    in the input are collapsed.  Each out-list is sorted once; the
-    in-lists are then filled by one bucket pass over them, which appends
-    to each in rising order.  Edge membership bisects ``out_adj[u]``.
+    than ``u`` itself; ``loops[u]`` records a self-loop.  Every digraph is
+    one fill from per-tail head lists (:meth:`from_heads`): it collapses
+    duplicate arcs, moves self-arcs to ``loops``, sorts each out-list once
+    and fills the in-lists by one bucket pass over them, which appends to
+    each in rising order.  Edge membership bisects ``out_adj[u]``.
     """
 
     __slots__ = ("n", "m", "out_adj", "in_adj", "loops")
@@ -48,26 +50,39 @@ class Digraph:
                  loops: Iterable[int] = ()):
         if n < 0:
             raise InvalidVertex(f"vertex count {n} is negative")
-        self.n = n
-        loop_flags = [False] * n
-        out: list[list[int]] = [[] for _ in range(n)]
+        loop_flags = [False] * n  # first, so an n too large to allocate fails at once
+        heads: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"edge ({u}, {v}) out of range for n={n}")
-            out[u].append(v)
+            heads[u].append(v)
         for v in loops:
             if not (0 <= v < n):
                 raise InvalidVertex(f"loop vertex {v} out of range for n={n}")
             loop_flags[v] = True
-        for u, heads in enumerate(out):
-            heads = set(heads)
-            if u in heads:
-                heads.remove(u)
-                loop_flags[u] = True
-            out[u] = tuple(sorted(heads))
-        self.out_adj = tuple(out)
-        self.in_adj = transpose(self.out_adj, n)
-        self.loops = tuple(loop_flags)
+        self._fill(heads, loop_flags)
+
+    @classmethod
+    def from_heads(cls, heads: list[list[int]], loops: list[bool] | None = None) -> "Digraph":
+        """The digraph of arcs from each u to ``heads[u]`` (unchecked; repeats and
+        u, a loop, allowed), taking over ``heads`` and the flags ``loops``."""
+        g = cls.__new__(cls)
+        g._fill(heads, [False] * len(heads) if loops is None else loops)
+        return g
+
+    def _fill(self, heads: list[list[int]], loops: list[bool]) -> None:
+        for u, vs in enumerate(heads):
+            vs.sort()
+            if any(map(eq, vs, vs[1:])):  # a repeated head
+                vs = sorted(set(vs))
+            if u in vs:
+                vs.remove(u)
+                loops[u] = True
+            heads[u] = tuple(vs)
+        self.n = len(heads)
+        self.out_adj = tuple(heads)
+        self.in_adj = transpose(self.out_adj, self.n)
+        self.loops = tuple(loops)
         self.m = sum(map(len, self.out_adj))  # self-loops excluded
 
     def has_edge(self, u: int, v: int) -> bool:

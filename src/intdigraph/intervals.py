@@ -216,23 +216,22 @@ def realize_digraph(rep) -> Digraph:
         for v, r in enumerate(ranks):
             owner[r] = v
             codes[r] = code
+    heads: list[list[int]] = [[] for _ in range(rep.n)]
     active_s: set[int] = set()
     active_t: set[int] = set()
-    edges: list[tuple[int, int]] = []
     for v, code in zip(owner, codes):
         if code == _SL:
-            for t in active_t:
-                edges.append((v, t))
+            heads[v].extend(active_t)
             active_s.add(v)
         elif code == _TL:
             for s in active_s:
-                edges.append((s, v))
+                heads[s].append(v)
             active_t.add(v)
         elif code == _SR:
             active_s.discard(v)
         else:
             active_t.discard(v)
-    return Digraph(rep.n, edges)
+    return Digraph.from_heads(heads)
 
 
 def verify_representation(rep, g: Digraph) -> bool:

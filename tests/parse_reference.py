@@ -7,11 +7,18 @@ bulk and leave every other file to this line walk.
 give the same result or the same ``ParseError``.  The one intended
 difference: for an arc out of range, this reference names the header's
 line and the library names the arc's own line.
+
+:func:`_int_fields` is the former bulk reader, one token list per line.
+The library's reader splits the whole text once and declines (returns None for)
+the texts it cannot split so: non-ASCII text, text with a ``;`` or a line
+break other than ``"\\n"``, and text with a blank line before its last
+record.  On every other text both give the same result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice
 
 from intdigraph.errors import ParseError
 from intdigraph.graphs import Digraph
@@ -23,6 +30,20 @@ def _lines(text: str):
         line = raw.strip()
         if line:
             yield lineno, line.split()
+
+
+def _int_fields(text: str, kind: str, width: int):
+    """``(n, fields)``: the header's n and the records' integers in file
+    order, when a ``<kind> <n>`` header is followed only by records of
+    ``width`` plain integers; else None, and the caller walks the lines."""
+    rows = list(filter(None, map(str.split, text.splitlines())))
+    if (not rows or rows[0][0] != kind or len(rows[0]) != 2
+            or not set(map(len, islice(rows, 1, None))) <= {width}):
+        return None
+    try:
+        return int(rows[0][1]), list(map(int, chain.from_iterable(islice(rows, 1, None))))
+    except ValueError:
+        return None
 
 
 def _int(token: str, lineno: int) -> int:

@@ -1,17 +1,25 @@
+import os
 import re
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import Digraph, Interval, IntervalBigraphRep, Ordering, normalize
+import intdigraph
+from intdigraph import (Digraph, Interval, IntervalBigraphRep, Ordering, normalize,
+                        realize_digraph)
 from intdigraph.errors import ParseError
-from intdigraph.fileio import (detect_kind, emit_bigraph_rep, emit_digraph,
+from intdigraph.fileio import (_int_fields, detect_kind, emit_bigraph_rep, emit_digraph,
                                emit_interval_rep, emit_ordering,
                                parse_bigraph_rep, parse_digraph,
                                parse_interval_rep, parse_ordering,
                                parse_vertex_set, parse_weights)
+from intdigraph.generators import gen_random_digraph, gen_reflexive_interval, gen_subdivided
 
 from fixtures import no_kernel_duf, two_vertex_example_rep
 
@@ -44,6 +52,66 @@ class TestDigraphFormat:
             parse_digraph("digraph 2\n0 5\n")
         assert "out of range" in str(exc2.value)
         assert exc2.value.line == 2
+
+
+# Parses stdin in a child limited to 1 GiB of address space: a parser that
+# built its n lists before failing would stop there, slowly, instead of
+# taking the memory of the whole test run.
+HUGE_PARSE = """
+import sys, time
+from intdigraph.errors import ParseError
+from intdigraph.fileio import parse_digraph
+start = time.perf_counter()
+try:
+    parse_digraph(sys.stdin.read())
+except ParseError as exc:
+    print(exc.line, time.perf_counter() - start, exc)
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("n,error", [(2**62, "MemoryError"), (2**63, "OverflowError")])
+@pytest.mark.parametrize("arcs,flat", [("0 1\n", True), ("0\t1\r\n1\t0\r\n", False)])
+def test_huge_header_with_arcs_fails_at_once(n, error, arcs, flat):
+    """Arcs after a header too large to allocate, read by the flat split or
+    (a CRLF file) by the line walk: a line 1 error within a second."""
+    text = f"digraph {n}\n{arcs}"
+    assert (_int_fields(text, "digraph", 2) is not None) == flat
+    env = dict(os.environ, PYTHONPATH=str(Path(intdigraph.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", HUGE_PARSE], input=text, text=True,
+                          capture_output=True, env=env, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.stdout, proc.stderr
+    line, seconds, message = proc.stdout.split(" ", 2)
+    assert line == "1" and float(seconds) < 1.0
+    assert message.startswith(f"line 1: header declares {n} vertices")
+    assert message.rstrip().endswith(f"({error})")
+
+
+def _canonical(text, kind, width):
+    """``text`` read by the flat split, which must not decline it."""
+    fields = _int_fields(text, kind, width)
+    assert fields is not None
+    tokens = text.split()
+    assert fields == (int(tokens[1]), list(map(int, tokens[2:])))
+    return fields
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generator_outputs_take_the_flat_split(seed):
+    """Emitted files are read in bulk, so a silent fall-back to the line
+    walk fails here instead of only costing time."""
+    rep = gen_reflexive_interval(40 * seed, seed, max_len=6)
+    digraphs = [realize_digraph(rep), gen_random_digraph(30, 0.2, 0.3, seed),
+                gen_subdivided(10, 0.3, 2, seed).host, Digraph(seed)]
+    for g in digraphs:
+        _canonical(emit_digraph(g), "digraph", 2)
+        assert parse_digraph(emit_digraph(g)) == g
+    _canonical(emit_interval_rep(rep), "intervals", 5)
+    assert parse_interval_rep(emit_interval_rep(rep)).pairs() == rep.pairs()
 
 
 class TestIntervalFormat:

@@ -1,5 +1,6 @@
-"""The counting representation check and the bucket-pass graph constructors
-against the realize-and-compare check and the set-based constructors kept
+"""The counting representation check, the bucket-pass graph constructors,
+the head-list fill and the realizing sweep against the realize-and-compare
+check, the set-based and pair-based constructors and the former sweep kept
 in ``graph_reference``."""
 
 import random
@@ -92,6 +93,34 @@ def test_digraph_matches_the_set_constructor(case):
     n, edges, loops = case
     _same_digraph(Digraph(n, edges, loops), ref.Digraph(n, edges, loops))
     _same_digraph(Digraph(n, iter(edges), iter(loops)), ref.Digraph(n, edges, loops))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraph_inputs(), st.booleans())
+def test_head_lists_match_the_constructor(case, with_flags):
+    """The fill from head lists, loops given as self-arcs or as flags,
+    equals ``Digraph(n, edges, loops)`` and the former pair-based fill."""
+    n, edges, loops = case
+    heads = [[] for _ in range(n)]
+    for u, v in edges:
+        heads[u].append(v)
+    flags = None
+    if with_flags:
+        flags = [False] * n
+        for v in loops:
+            flags[v] = True
+    else:
+        for v in loops:
+            heads[v].append(v)
+    g = Digraph.from_heads(heads, flags)
+    _same_digraph(g, Digraph(n, edges, loops))
+    _same_digraph(g, ref.ArcDigraph(n, edges, loops))
+
+
+@settings(max_examples=250, deadline=None)
+@given(reps())
+def test_realize_matches_the_former_sweep(rep):
+    _same_digraph(realize_digraph(rep), ref.realize_digraph(rep))
 
 
 @settings(max_examples=300, deadline=None)

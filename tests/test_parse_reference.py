@@ -1,10 +1,15 @@
 """The library's interval and digraph parsers against the line walk kept
 in ``parse_reference``: on clean files and on files with one mutation,
-the same result or a ``ParseError`` with the same line and message."""
+the same result or a ``ParseError`` with the same line and message.
+Files end their lines with ``"\\n"`` or with any mix of the other line
+breaks of ``str.splitlines``, and may hold non-ASCII spaces and digits or
+the ``;`` that the library's flat split uses as its line marker."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intdigraph import fileio
 from intdigraph.errors import ParseError
 from intdigraph.fileio import parse_digraph, parse_interval_rep
 from intdigraph.intervals import normalize
@@ -12,14 +17,20 @@ from intdigraph.intervals import normalize
 import parse_reference
 
 MUTATIONS = ("none", "drop", "add", "x", "1/0", "3/2", "split", "duplicate",
-             "out-of-range", "lo>hi", "header+1", "header-1", "header<0")
+             "out-of-range", "lo>hi", "header+1", "header-1", "header<0",
+             "arabic-digits", "marker", "marker-token", "merge", "break-record")
+BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029")
+ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                     "\u0665\u0666\u0667\u0668\u0669")
 
 
 @st.composite
 def files(draw, kind):
-    """An intervals or digraph file, laid out with
-    random blank lines, tabs and indents, its records in order or
-    permuted, then given at most one mutation."""
+    """An intervals or digraph file, laid out with random blank lines,
+    tabs, indents and (in some files) ``\\x1f`` and no-break spaces and
+    other line breaks, its records in order or permuted, then given at
+    most one mutation."""
     n = draw(st.integers(0, 6))
     coord = st.integers(-4, 9)
     if kind == "intervals":
@@ -36,15 +47,18 @@ def files(draw, kind):
     lines = [[kind, str(n)]] + [[str(x) for x in r] for r in records]
     mutation = draw(st.sampled_from(MUTATIONS))
     _mutate(draw, lines, mutation, kind, n)
-    seps = draw(st.lists(st.sampled_from([" ", "\t", "  ", " \t "]),
-                         min_size=len(lines), max_size=len(lines)))
+    spaces = [" ", "\t", "  ", " \t "] + [" \x1f", "\xa0"] * draw(st.booleans())
+    seps = draw(st.lists(st.sampled_from(spaces), min_size=len(lines), max_size=len(lines)))
     out = []
+    blank_lines = draw(st.booleans())
     for tokens, sep in zip(lines, seps):
-        if draw(st.integers(0, 4)) == 0:
+        if blank_lines and draw(st.integers(0, 4)) == 0:
             out.append(draw(st.sampled_from(["", "   ", "\t"])))
         indent = draw(st.sampled_from(["", "", " ", "\t"]))
         out.append(indent + sep.join(tokens))
-    return "\n".join(out) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    breaks = st.sampled_from(BREAKS) if draw(st.booleans()) else st.just("\n")
+    text = "".join(line + draw(breaks) for line in out)
+    return text[:-1] + draw(st.sampled_from(["\n", "", "\n\n"]))
 
 
 def _mutate(draw, lines, mutation, kind, n):
@@ -79,6 +93,25 @@ def _mutate(draw, lines, mutation, kind, n):
         i = draw(st.integers(1, len(lines) - 1))
         j = draw(st.sampled_from([1, 3]))
         lines[i][j] = str(int(lines[i][j + 1]) + 1)
+    elif mutation == "arabic-digits":
+        i, j = draw(st.sampled_from(where))
+        lines[i][j] = lines[i][j].translate(ARABIC)
+    elif mutation == "marker" and records:
+        i = draw(st.integers(1, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i][j] += ";"
+    elif mutation == "marker-token":
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i].insert(draw(st.integers(0, len(lines[i]))), ";")
+    elif mutation == "merge" and len(records) >= 2:
+        # two records on one line, a stray token or a ``;`` between them
+        i = draw(st.integers(1, len(lines) - 2))
+        lines[i:i + 2] = [lines[i] + [draw(st.sampled_from(["0", ";"]))] + lines[i + 1]]
+    elif mutation == "break-record" and records:
+        # a line break of any kind inside a record
+        i = draw(st.integers(1, len(lines) - 1))
+        j = draw(st.integers(1, len(lines[i]) - 1))
+        lines[i][j - 1:j + 1] = [lines[i][j - 1] + draw(st.sampled_from(BREAKS)) + lines[i][j]]
     elif mutation.startswith("header"):
         lines[0][1] = str({"header+1": n + 1, "header-1": n - 1,
                            "header<0": -n - 1}[mutation])
@@ -96,6 +129,19 @@ def _first_arc_out_of_range(text):
     n = int(rows[0][1][1])
     return next(line for line, tokens in rows[1:]
                 if not all(0 <= int(t) < n for t in tokens))
+
+
+@pytest.mark.parametrize("brk", BREAKS)
+@pytest.mark.parametrize("parse,text", [
+    (parse_digraph, "digraph 3\n0 1\n1{}2\n"),
+    (parse_interval_rep, "intervals 2\n0 0 1 0 1\n1 2 3{}2 3\n"),
+])
+def test_a_line_break_inside_a_record(parse, text, brk):
+    """Every line break splits the record, as in the line walk."""
+    text = text.format(brk)
+    reference = getattr(parse_reference, parse.__name__)
+    assert _outcome(parse, text) == _outcome(reference, text)
+    assert _outcome(parse, text)[0] == "error"
 
 
 @settings(max_examples=500, deadline=None)
@@ -127,3 +173,25 @@ def test_digraph_parser_matches_the_reference(text):
     else:
         assert got == want
 
+
+def _splittable(text):
+    """Whether the flat split may read ``text``: ASCII, no ``;``, no line
+    break but ``"\\n"`` and no blank line before the last record."""
+    return (text.isascii() and ";" not in text
+            and "\n".join(text.splitlines()) == text.removesuffix("\n")
+            and all(line.strip() for line in text.rstrip().split("\n")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([("intervals", 5), ("digraph", 2)]).flatmap(
+    lambda kind: st.tuples(st.just(kind), files(kind[0]))))
+def test_flat_split_matches_the_line_split(case):
+    """The flat split gives the former per-line split's fields, and
+    declines only texts it may not read."""
+    (kind, width), text = case
+    got = fileio._int_fields(text, kind, width)
+    want = parse_reference._int_fields(text, kind, width)
+    if got is not None:
+        assert got == want
+    elif want is not None:
+        assert not _splittable(text)
