@@ -13,13 +13,15 @@ Formats (whitespace separated, one record per line):
 Emitters write records in canonical sorted order, so emit(parse(f)) == f
 up to whitespace for canonical files.
 
-Clean integer digraph and intervals files are read by one split of the
-text; every other file takes the line walk, the only reader of ``p/q``
-and the only source of :class:`ParseError`, so errors keep their lines.
+Clean integer digraph and intervals files are read by one ``json.loads``
+of the body, which makes no token a string; every other file takes the
+line walk, the only reader of ``p/q`` and the only source of
+:class:`ParseError`, so errors keep their lines.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from operator import le
 
@@ -37,27 +39,45 @@ def _lines(text: str):
             yield lineno, line.split()
 
 
+# Body bytes: the alphabet of signed decimal records stays, each space, tab
+# and ``\x1f`` becomes ``,`` and every other byte ``;``, which declines.
+_BODY = bytes(c if c in b"0123456789-\n" else 44 if c in b" \t\x1f" else 59
+              for c in range(256))
+
+
 def _int_fields(text: str, kind: str, width: int):
     """``(n, fields)``: the header's n and the records' integers in file
     order, when the first line is ``<kind> <n>`` and every later one but
     trailing blank lines holds ``width`` plain integers; else None, and the
-    caller walks the lines.  The text is split once, each ``"\\n"`` made a
-    ``;`` token, so the record width is one check that ``;`` stands after
-    every ``width`` tokens (one anywhere else is no integer).  Only ASCII
-    text with no ``;`` and no line break but ``"\\n"`` is split so."""
-    if not text.isascii() or any(map(text.__contains__, "\r\x0b\x0c\x1c\x1d\x1e;")):
+    caller walks the lines.
+
+    The body is read by one ``json.loads``, so no token becomes a string:
+    each run of blanks is made one ``,`` and each line end a ``null``, and
+    the record width is one check that ``null`` stands after every
+    ``width`` numbers and nowhere else.  Only ASCII text with no line break
+    but ``"\\n"`` and a body of digits, ``-`` and blanks is read so; a token
+    JSON rejects (``007``, ``+5``, a lone ``-``, more digits than ``int``
+    takes) declines the text too."""
+    header, _, data = text.partition("\n")
+    if not text.isascii() or any(map(header.__contains__, "\r\x0b\x0c\x1c\x1d\x1e")):
         return None
-    tokens = (text.rstrip() + "\n").replace("\n", " ; ").split()
-    head, step = tokens[:3], width + 1
-    del tokens[:3]
-    if (head[0] != kind or head[2:] != [";"]
-            or tokens[width::step].count(";") * step != len(tokens)):
+    head = header.split()
+    data = data.encode().translate(_BODY).decode().rstrip(",\n")
+    if len(head) != 2 or head[0] != kind or ";" in data:
         return None
-    del tokens[width::step]
+    lines, step = data.count("\n") + 1 if data else 0, width + 1
+    data = data.replace("\n", ",null,")
+    while ",," in data:  # blank runs, indents and trailing blanks
+        data = data.replace(",,", ",")
     try:
-        return int(head[1]), list(map(int, tokens))
+        n = int(head[1])
+        fields = json.loads(f"[{data.strip(',')},null]") if lines else []
     except ValueError:
         return None
+    if len(fields) != lines * step or fields[width::step].count(None) != lines:
+        return None
+    del fields[width::step]
+    return n, fields
 
 
 def _int(token: str, lineno: int) -> int:
@@ -115,7 +135,8 @@ def _bucketed(n: int, fields: list[int]) -> Digraph:
     """The digraph of the flat arcs ``fields``, every end in ``[0, n)``."""
     loops = [False] * n  # first, so an n too large to allocate fails at once
     heads: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(fields[::2], fields[1::2]):
+    ends = iter(fields)
+    for u, v in zip(ends, ends):
         heads[u].append(v)
     return Digraph.from_heads(heads, loops)
 

@@ -22,15 +22,19 @@ def _in_sorted(adj: tuple[int, ...], v: int) -> bool:
     return i < len(adj) and adj[i] == v
 
 
-def transpose(adj, size: int) -> tuple[tuple[int, ...], ...]:
-    """The reverse of the sorted lists ``adj`` on ``size`` heads: entry v
-    lists the u with v in ``adj[u]``, sorted, since u is walked upwards."""
+def transpose_lists(adj, size: int) -> list[list[int]]:
+    """The reverse of the lists ``adj`` on ``size`` heads: entry v lists
+    the u with v in ``adj[u]``, sorted, since u is walked upwards."""
     lists: list[list[int]] = [[] for _ in range(size)]
-    appends = [tail.append for tail in lists]
     for u, heads in enumerate(adj):
         for v in heads:
-            appends[v](u)
-    return tuple(map(tuple, lists))
+            lists[v].append(u)
+    return lists
+
+
+def transpose(adj, size: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`transpose_lists` as tuples."""
+    return tuple(map(tuple, transpose_lists(adj, size)))
 
 
 class Digraph:
@@ -39,9 +43,11 @@ class Digraph:
     ``out_adj[u]`` / ``in_adj[u]`` are sorted tuples of neighbours other
     than ``u`` itself; ``loops[u]`` records a self-loop.  Every digraph is
     one fill from per-tail head lists (:meth:`from_heads`): it collapses
-    duplicate arcs, moves self-arcs to ``loops``, sorts each out-list once
-    and fills the in-lists by one bucket pass over them, which appends to
-    each in rising order.  Edge membership bisects ``out_adj[u]``.
+    duplicate arcs, moves self-arcs to ``loops`` and sorts each out-list
+    once.  The in-lists are built the first time ``in_adj`` is read, by
+    one bucket pass over the out-lists (:func:`transpose`), and kept in
+    their slot; routines that read only ``out_adj`` never build them.
+    Edge membership bisects ``out_adj[u]``.
     """
 
     __slots__ = ("n", "m", "out_adj", "in_adj", "loops")
@@ -81,9 +87,15 @@ class Digraph:
             heads[u] = tuple(vs)
         self.n = len(heads)
         self.out_adj = tuple(heads)
-        self.in_adj = transpose(self.out_adj, self.n)
         self.loops = tuple(loops)
         self.m = sum(map(len, self.out_adj))  # self-loops excluded
+
+    def __getattr__(self, name: str):
+        # Called only when normal lookup fails: for ``in_adj``, on its first read.
+        if name != "in_adj":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.in_adj = transpose(self.out_adj, self.n)
+        return self.in_adj
 
     def has_edge(self, u: int, v: int) -> bool:
         """Edge test; ``has_edge(v, v)`` reports the self-loop flag.

@@ -8,7 +8,9 @@ a maximum-weight independent set, as a 'max'
 :class:`~intdigraph.ordering.SuffixTable` where any position may start.
 Ranking the positions above p by value, it probes at most deg(p) + 1 of
 them: O(n + m) probes and O(n log n) comparisons.  The ranked list is a
-``bisect.insort`` list, whose inserts move O(n^2) words in C in total.
+``bisect.insort`` list in rising value, where each insert moves only the
+neighbours of the new position ranked after it: O(m) words in total, so
+the fill is O(m + n log n).
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ def chain_dag(g: Digraph, ordering: Ordering,
     """Fill the chain table; assumes the ordering is already verified DUF.
 
     A chain continues only on the first best tail of positive weight.  The
-    positions above p are kept ranked by (-value, position), encoded as the
-    int -value * n + position; the first ranked position not adjacent to p
-    is that tail, unless its value is 0.  With the neighbours of p marked,
-    each p probes at most deg(p) + 1 entries.
+    positions above p are kept ranked by (value, -position), encoded as
+    the int value * n + (n - 1 - position), in rising order; the last
+    ranked position not adjacent to p is that tail, unless its value is 0.
+    With the neighbours of p marked, each p probes at most deg(p) + 1
+    entries from the end.  Every position above p not adjacent to it has a
+    value of at most ``values[p]`` and a larger position, so only
+    neighbours of p rank after it and each insert moves at most deg(p)
+    entries.
     """
     n = g.n
     perm = ordering.perm
@@ -46,8 +52,8 @@ def chain_dag(g: Digraph, ordering: Ordering,
             mark[q] = p
         best_val = 0
         best_q: Optional[int] = None
-        for key in ranked:
-            q = key % n
+        for key in reversed(ranked):
+            q = n - 1 - key % n
             if values[q] == 0:
                 break
             if mark[q] != p:
@@ -55,7 +61,7 @@ def chain_dag(g: Digraph, ordering: Ordering,
                 break
         values[p] = w[perm[p]] + best_val
         succ[p] = best_q
-        insort(ranked, p - values[p] * n)
+        insort(ranked, values[p] * n + n - 1 - p)
     return SuffixTable(ordering, "max", tuple(values), tuple(succ), tuple(range(n)))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
-from .graphs import Certificate, Digraph, UndirectedGraph, verify_set
+from .graphs import Certificate, Digraph, UndirectedGraph, transpose_lists, verify_set
 from .intervals import IntervalRep, verify_representation
 
 # Largest n for which a failing check still locates a concrete quadruple;
@@ -54,13 +54,16 @@ class Ordering:
 
         Entry p lists, in rising order, the positions of the out- (in-)
         neighbours of ``perm[p]``; an :class:`UndirectedGraph` gives its
-        ``adj`` as both.  One O(n + m) bucket pass per direction and no
-        sort: each list is appended to in rising position order.
+        ``adj`` as both.  O(n + m) and no sort: one bucket pass over
+        ``out_adj`` gives the in-positions, and transposing those in
+        position space gives the out-positions, so ``in_adj`` is never
+        read.  Every list is appended to in rising position order.
         """
         if isinstance(g, UndirectedGraph):
             adj = self._bucket(g.adj)
             return adj, adj
-        return self._bucket(g.in_adj), self._bucket(g.out_adj)
+        in_pos = self._bucket(g.out_adj)
+        return transpose_lists(in_pos, len(in_pos)), in_pos
 
     def _bucket(self, adj) -> list[list[int]]:
         """Entry p lists the positions q whose vertex has ``perm[p]`` in its

@@ -5,11 +5,15 @@ a stamp array; :func:`chain_dag` scans every position above p once per p.
 Both are Theta(n^2) on any input.  They return the same
 :class:`~intdigraph.ordering.SuffixTable` as the library's fills, which
 ``test_dp_reference.py`` checks on random inputs.
+
+:func:`chain_dag_insort` is the former ranked fill, kept as the reference
+for its tie rule: it ranks by (-value, position) in rising order and
+probes from the front, so each insert may move every ranked entry.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, Optional
 
 from intdigraph.graphs import Digraph, check_weights
@@ -95,4 +99,42 @@ def chain_dag(g: Digraph, ordering: Ordering,
                 best_val, best_q = values[q], q
         values[p] = w[perm[p]] + best_val
         succ[p] = best_q
+    return SuffixTable(ordering, "max", tuple(values), tuple(succ), tuple(range(n)))
+
+
+def chain_dag_insort(g: Digraph, ordering: Ordering,
+              weights: Optional[Iterable[int]] = None) -> SuffixTable:
+    """Fill the chain table; assumes the ordering is already verified DUF.
+
+    A chain continues only on the first best tail of positive weight.  The
+    positions above p are kept ranked by (-value, position), encoded as the
+    int -value * n + position; the first ranked position not adjacent to p
+    is that tail, unless its value is 0.  With the neighbours of p marked,
+    each p probes at most deg(p) + 1 entries.
+    """
+    n = g.n
+    perm = ordering.perm
+    w = check_weights(weights, n)
+    out_pos, in_pos = ordering.place(g)
+    values = [0] * n
+    succ: list[Optional[int]] = [None] * n
+    ranked: list[int] = []
+    mark = [-1] * n  # mark[q] == p when q is adjacent to p
+    for p in range(n - 1, -1, -1):
+        for q in out_pos[p]:
+            mark[q] = p
+        for q in in_pos[p]:
+            mark[q] = p
+        best_val = 0
+        best_q: Optional[int] = None
+        for key in ranked:
+            q = key % n
+            if values[q] == 0:
+                break
+            if mark[q] != p:
+                best_val, best_q = values[q], q
+                break
+        values[p] = w[perm[p]] + best_val
+        succ[p] = best_q
+        insort(ranked, p - values[p] * n)
     return SuffixTable(ordering, "max", tuple(values), tuple(succ), tuple(range(n)))

@@ -9,6 +9,10 @@ scan every middle position of every spanning arc, and
 library now reads one :meth:`~intdigraph.ordering.Ordering.place` per
 call; ``test_ordering_reference.py`` checks on random inputs that both
 give the same witnesses, triples and endpoints.
+
+:class:`BucketOrdering` keeps the former ``place``, one bucket pass per
+direction over ``in_adj`` and ``out_adj``.  The library's buckets only
+``out_adj`` and transposes the in-positions it gives.
 """
 
 from __future__ import annotations
@@ -19,6 +23,36 @@ from typing import Optional
 from intdigraph.errors import InvalidOrdering
 from intdigraph.graphs import Digraph, UndirectedGraph
 from intdigraph.ordering import Ordering, StructureWitness, _require_matching
+
+
+class BucketOrdering(Ordering):
+    """An :class:`Ordering` with the former :meth:`place`."""
+
+    __slots__ = ()
+
+    def place(self, g: Digraph | UndirectedGraph
+              ) -> tuple[list[list[int]], list[list[int]]]:
+        """``g``'s out- and in-neighbour lists in position space.
+
+        Entry p lists, in rising order, the positions of the out- (in-)
+        neighbours of ``perm[p]``; an :class:`UndirectedGraph` gives its
+        ``adj`` as both.  One O(n + m) bucket pass per direction and no
+        sort: each list is appended to in rising position order.
+        """
+        if isinstance(g, UndirectedGraph):
+            adj = self._bucket(g.adj)
+            return adj, adj
+        return self._bucket(g.in_adj), self._bucket(g.out_adj)
+
+    def _bucket(self, adj) -> list[list[int]]:
+        """Entry p lists the positions q whose vertex has ``perm[p]`` in its
+        ``adj``: walking q upwards appends them sorted."""
+        pos = self.positions
+        lists: list[list[int]] = [[] for _ in self.perm]
+        for q, v in enumerate(self.perm):
+            for u in adj[v]:
+                lists[pos[u]].append(q)
+        return lists
 
 
 def _umbrella_at(near, far, perm, pos, p) -> Optional[tuple[int, int]]:

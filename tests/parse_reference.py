@@ -8,11 +8,14 @@ give the same result or the same ``ParseError``.  The one intended
 difference: for an arc out of range, this reference names the header's
 line and the library names the arc's own line.
 
-:func:`_int_fields` is the former bulk reader, one token list per line.
-The library's reader splits the whole text once and declines (returns None for)
-the texts it cannot split so: non-ASCII text, text with a ``;`` or a line
-break other than ``"\\n"``, and text with a blank line before its last
-record.  On every other text both give the same result.
+:func:`_int_fields` is the first bulk reader, one token list per line.
+:func:`_flat_int_fields` is the second, which split the whole text once and
+declined (returned None for) the texts it could not split so: non-ASCII
+text, text with a ``;`` or a line break other than ``"\\n"``, and text
+with a blank line before its last record.  On every other text both give
+the same result.  The library's reader scans the body as one JSON array
+and declines, beyond those texts, only texts with a token that ``int``
+reads and JSON does not (``test_int_fields.py``).
 """
 
 from __future__ import annotations
@@ -42,6 +45,29 @@ def _int_fields(text: str, kind: str, width: int):
         return None
     try:
         return int(rows[0][1]), list(map(int, chain.from_iterable(islice(rows, 1, None))))
+    except ValueError:
+        return None
+
+
+def _flat_int_fields(text: str, kind: str, width: int):
+    """``(n, fields)``: the header's n and the records' integers in file
+    order, when the first line is ``<kind> <n>`` and every later one but
+    trailing blank lines holds ``width`` plain integers; else None, and the
+    caller walks the lines.  The text is split once, each ``"\\n"`` made a
+    ``;`` token, so the record width is one check that ``;`` stands after
+    every ``width`` tokens (one anywhere else is no integer).  Only ASCII
+    text with no ``;`` and no line break but ``"\\n"`` is split so."""
+    if not text.isascii() or any(map(text.__contains__, "\r\x0b\x0c\x1c\x1d\x1e;")):
+        return None
+    tokens = (text.rstrip() + "\n").replace("\n", " ; ").split()
+    head, step = tokens[:3], width + 1
+    del tokens[:3]
+    if (head[0] != kind or head[2:] != [";"]
+            or tokens[width::step].count(";") * step != len(tokens)):
+        return None
+    del tokens[width::step]
+    try:
+        return int(head[1]), list(map(int, tokens))
     except ValueError:
         return None
 

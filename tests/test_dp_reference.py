@@ -1,5 +1,6 @@
 """The library's suffix-table fills against the quadratic ones in
-``dp_reference``: equal values, successors and candidates."""
+``dp_reference``: equal values, successors and candidates; and the chain
+fill against the former insort fill kept there, for its tie rule."""
 
 import random
 
@@ -71,3 +72,12 @@ def test_duf_ordered_tables_match_the_reference(case):
 @given(any_ordered())
 def test_any_ordering_tables_match_the_reference(case):
     assert_same_tables(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(duf_ordered() | any_ordered())
+def test_chain_fill_keeps_the_insort_tie_rule(case):
+    """Ranking in rising order and probing from the end picks the same
+    tails as the former (-value, position) ranking probed from the front."""
+    table, former = chain_dag(*case), dp_reference.chain_dag_insort(*case)
+    assert (table.values, table.succ) == (former.values, former.succ)

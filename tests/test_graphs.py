@@ -1,14 +1,19 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intdigraph import (Bigraph, Digraph, Ordering, UndirectedGraph, brute_kernel,
-                        brute_max_independent, induced_subgraph,
-                        max_independent_duf, optimal_kernel_duf, reverse,
-                        symmetric_digraph, underlying_undirected, verify_set)
+                        brute_max_independent, check_reflexive_interval_ordering,
+                        extract_duf_ordering, induced_subgraph, kernel_linear,
+                        max_independent_duf, normalize, optimal_kernel_duf,
+                        realize_digraph, reverse, symmetric_digraph,
+                        underlying_undirected, verify_set)
 from intdigraph.errors import InvalidVertex
+from intdigraph.fileio import emit_digraph, parse_digraph
+from intdigraph.generators import gen_reflexive_interval
 
 from fixtures import no_kernel_duf
-from conftest import all_subsets, digraphs, undirected_graphs
+from conftest import all_subsets, digraphs, interval_reps, undirected_graphs
 
 
 class TestDigraph:
@@ -203,3 +208,65 @@ WEIGHTED_SOLVERS = {
 def test_weighted_solvers_reject_bool_and_negative_weights(solver, weights):
     with pytest.raises(ValueError, match="non-negative integers"):
         WEIGHTED_SOLVERS[solver](Digraph(2), weights)
+
+
+def in_lists_built(g: Digraph) -> bool:
+    """Whether ``g`` holds its in-lists, read from the slot itself."""
+    try:
+        Digraph.in_adj.__get__(g, Digraph)
+    except AttributeError:
+        return False
+    return True
+
+
+@st.composite
+def built_digraphs(draw):
+    """One digraph built each way: the constructor (repeated arcs, loops
+    as self-arcs and as flags), the head lists, a parsed file (read in
+    bulk or, tab-separated with CRLF ends, by the line walk) and the
+    realizing sweep."""
+    how = draw(st.sampled_from(["init", "heads", "parse-bulk", "parse-walk", "realize"]))
+    if how == "realize":
+        return realize_digraph(draw(interval_reps(max_n=8)))
+    n = draw(st.integers(0, 8))
+    vertex = st.integers(0, max(n - 1, 0))
+    arcs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n) if n else st.just([]))
+    loops = draw(st.lists(vertex, max_size=n) if n else st.just([]))
+    if how == "init":
+        return Digraph(n, arcs, loops)
+    if how == "heads":
+        heads = [[] for _ in range(n)]
+        for u, v in arcs:
+            heads[u].append(v)
+        flags = [v in loops for v in range(n)]
+        return Digraph.from_heads(heads, flags if draw(st.booleans()) else None)
+    text = emit_digraph(Digraph(n, arcs, loops))
+    if how == "parse-walk":
+        text = text.replace(" ", "\t").replace("\n", "\r\n")
+    return parse_digraph(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(built_digraphs())
+def test_in_lists_are_built_on_first_read(g):
+    """Unbuilt after construction; on first read, each vertex's sorted
+    in-neighbours, kept for every later read."""
+    assert not in_lists_built(g)
+    want = tuple(tuple(u for u in range(g.n) if v in g.out_adj[u]) for v in range(g.n))
+    assert g.in_adj == want
+    assert in_lists_built(g) and g.in_adj is g.in_adj
+    with pytest.raises(AttributeError):
+        g.no_such_attribute
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_out_list_routines_leave_the_in_lists_unbuilt(seed):
+    """The reflexive-ordering check, the kernel verification, the kernel
+    DP and the chain DP read only the out-lists."""
+    rep = normalize(gen_reflexive_interval(30 + 10 * seed, seed, max_len=5))
+    g, ordering = realize_digraph(rep), extract_duf_ordering(rep)
+    assert check_reflexive_interval_ordering(g, ordering) is None
+    assert verify_set(g, kernel_linear(rep).vertices, "kernel").all_checks_pass()
+    assert optimal_kernel_duf(g, ordering, "min") is not None
+    assert max_independent_duf(g, ordering).all_checks_pass()
+    assert not in_lists_built(g)

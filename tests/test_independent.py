@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import time
 
 import pytest
 
@@ -107,3 +109,42 @@ def test_non_adjacency_is_transitive_along_duf_order():
             a, b, c = perm[i], perm[j], perm[k]
             if not h.has_edge(a, b) and not h.has_edge(b, c):
                 assert not h.has_edge(a, c)
+
+
+DOUBLING_SIZES = (25_000, 50_000, 100_000)
+
+
+@pytest.fixture(scope="module")
+def chain_inputs():
+    """Per size, the edgeless digraph and the reflexive path, each under
+    the identity ordering (both DUF).  On both the chain values grow
+    leftwards, so a ranking that inserts at the front of its list moves
+    every entry each time."""
+    out = {}
+    for n in DOUBLING_SIZES:
+        path = Digraph.from_heads([[w for w in (v - 1, v + 1) if 0 <= w < n]
+                                   for v in range(n)], [True] * n)
+        out[n] = [(Digraph(n), Ordering(range(n))), (path, Ordering(range(n)))]
+    return out
+
+
+def _fill_seconds(g, ordering):
+    """Best of two fills, with cyclic GC off as in a CLI run."""
+    gc.disable()
+    try:
+        best = float("inf")
+        for _ in range(2):
+            t0 = time.perf_counter()
+            chain_dag(g, ordering)
+            best = min(best, time.perf_counter() - t0)
+        return best
+    finally:
+        gc.enable()
+
+
+def test_chain_fill_doubles_linearly(chain_inputs):
+    """O(m + n log n): doubling n at most triples the fill time."""
+    for family in range(2):
+        times = {n: _fill_seconds(*chain_inputs[n][family]) for n in DOUBLING_SIZES}
+        for n in DOUBLING_SIZES[:-1]:
+            assert times[2 * n] <= 3 * times[n] + 0.05, times

@@ -1,6 +1,6 @@
 """The position-space ordered routines against the vertex-space ones kept
 in ``ordering_reference``, and :meth:`Ordering.place` against a per-vertex
-sort."""
+sort and against the former two bucket passes."""
 
 import json
 import random
@@ -99,6 +99,14 @@ def test_place_is_the_sorted_neighbour_positions(digraph_case, graph_case):
     h, ordering = graph_case
     adj = sorted_positions(h.adj, ordering)
     assert ordering.place(h) == (adj, adj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ordered_digraphs(max_n=12), ordered_graphs(max_n=12))
+def test_place_matches_the_former_bucket_passes(digraph_case, graph_case):
+    """One bucket pass and a transpose give the former two passes' lists."""
+    for g, ordering in (digraph_case, graph_case):
+        assert ordering.place(g) == ref.BucketOrdering(ordering.perm).place(g)
 
 
 def test_ordered_solvers_on_the_empty_digraph():
