@@ -13,10 +13,10 @@ Formats (whitespace separated, one record per line):
 Emitters write records in canonical sorted order, so emit(parse(f)) == f
 up to whitespace for canonical files.
 
-Clean integer digraph and intervals files are read by one ``json.loads``
-of the body, which makes no token a string; every other file takes the
-line walk, the only reader of ``p/q`` and the only source of
-:class:`ParseError`, so errors keep their lines.
+Clean integer digraph and intervals files, with ``"\\n"`` or CRLF line
+ends, are read by one ``json.loads`` of the body, which makes no token a
+string; every other file takes the line walk, the only reader of ``p/q``
+and the only source of :class:`ParseError`, so errors keep their lines.
 """
 
 from __future__ import annotations
@@ -55,9 +55,11 @@ def _int_fields(text: str, kind: str, width: int):
     each run of blanks is made one ``,`` and each line end a ``null``, and
     the record width is one check that ``null`` stands after every
     ``width`` numbers and nowhere else.  Only ASCII text with no line break
-    but ``"\\n"`` and a body of digits, ``-`` and blanks is read so; a token
-    JSON rejects (``007``, ``+5``, a lone ``-``, more digits than ``int``
-    takes) declines the text too."""
+    but ``"\\n"`` (each ``"\\r\\n"`` is read as one) and a body of digits,
+    ``-`` and blanks is read so; a token JSON rejects (``007``, ``+5``, a
+    lone ``-``, more digits than ``int`` takes) declines the text too."""
+    if "\r" in text:  # a lone "\r" left by this declines below
+        text = text.replace("\r\n", "\n")
     header, _, data = text.partition("\n")
     if not text.isascii() or any(map(header.__contains__, "\r\x0b\x0c\x1c\x1d\x1e")):
         return None
@@ -113,14 +115,6 @@ def _rational(token: str, lineno: int):
         raise ParseError(lineno, f"expected an integer or p/q rational, got {token!r}") from None
 
 
-def _format_value(x) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
 def _digraph(text: str, n: int, build, *args) -> Digraph:
     """``build(*args)``; an n too large to allocate is an error of the
     header line."""
@@ -145,7 +139,8 @@ def parse_digraph(text: str) -> Digraph:
     clean = _int_fields(text, "digraph", 2)
     if clean is not None:
         n, fields = clean
-        if min(fields, default=0) >= 0 and max(fields, default=-1) < n:
+        # one pass for the bound; only a text with a "-" can hold a negative end
+        if max(fields, default=-1) < n and ("-" not in text or min(fields, default=0) >= 0):
             return _digraph(text, n, _bucketed, n, fields)
     rows = list(_lines(text))
     if not rows or rows[0][1][0] != "digraph":
@@ -210,7 +205,7 @@ def parse_interval_rep(text: str) -> IntervalRep:
 def emit_interval_rep(rep: IntervalRep) -> str:
     lines = [f"intervals {rep.n}"]
     for v, ends in enumerate(zip(rep.ls, rep.rs, rep.lt, rep.rt)):
-        lines.append(" ".join([str(v), *map(_format_value, ends)]))
+        lines.append(" ".join(map(str, (v, *ends))))  # a Fraction prints as p/q or p
     return "\n".join(lines) + "\n"
 
 
@@ -243,9 +238,9 @@ def parse_bigraph_rep(text: str) -> IntervalBigraphRep:
 def emit_bigraph_rep(rep: IntervalBigraphRep) -> str:
     lines = [f"bigraph {rep.a_size} {rep.b_size}"]
     for i, iv in enumerate(rep.a_intervals):
-        lines.append(f"A {i} {_format_value(iv.lo)} {_format_value(iv.hi)}")
+        lines.append(f"A {i} {iv.lo} {iv.hi}")
     for j, iv in enumerate(rep.b_intervals):
-        lines.append(f"B {j} {_format_value(iv.lo)} {_format_value(iv.hi)}")
+        lines.append(f"B {j} {iv.lo} {iv.hi}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,11 +12,11 @@ coordinates compare first; at equal coordinates every left endpoint precedes
 every right endpoint (the unique order-preserving perturbation for closed
 intervals); remaining ties break by (vertex id, S-before-T).  The result,
 a :class:`NormalizedRep`, is nothing but the four rank sequences ``ls``,
-``rs``, ``lt`` and ``rt``.  All downstream algorithms run on these distinct
-integer ranks, so there is no floating point anywhere.  Every function here
-accepts a raw :class:`IntervalRep` too and normalizes it on entry.  A raw
-representation is the same four columns holding coordinates instead of
-ranks; its :class:`Interval` pairs are views of the columns.
+``rs``, ``lt`` and ``rt``, together exactly 0..4n-1.  All downstream
+algorithms run on these distinct integer ranks: no floating point anywhere.
+Every function here accepts a raw :class:`IntervalRep` too and normalizes
+it on entry.  A raw representation is the same four columns holding
+coordinates instead of ranks; its :class:`Interval` pairs are views of them.
 
 :func:`stable_ranks` is the one ranking routine.  It also ranks the
 endpoints of an interval bigraph (:mod:`intdigraph.domination`); each
@@ -26,9 +26,10 @@ caller fixes its tie rule by the order in which it lists the endpoints.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from operator import attrgetter
+from itertools import chain
 from typing import Iterable
 
 from .errors import DimensionMismatch, MalformedInterval, NotReflexive
@@ -37,7 +38,7 @@ from .graphs import Digraph
 # Endpoint codes of a sweep: the S and T left ends, the S right end; the T
 # right end is code 3, the only other.
 _SL, _TL, _SR = 0, 1, 2
-_lo, _hi = attrgetter("lo"), attrgetter("hi")
+_lo, _hi = operator.attrgetter("lo"), operator.attrgetter("hi")
 
 
 def _coerce(x):
@@ -138,7 +139,8 @@ class NormalizedRep:
     """A representation as four flat rank sequences.
 
     Vertex ``v`` has ``S_v = [ls[v], rs[v]]`` and ``T_v = [lt[v], rt[v]]``,
-    where the 4n ranks are distinct integers, so closed intervals meet
+    where the 4n ranks are exactly the integers 0..4n-1, which every build
+    checks in one pass over a ``bytearray(4n)``.  Closed intervals meet
     exactly when each one's left rank is below the other's right rank.
     ``adjusted`` reports whether the raw representation had matching left
     endpoints; the ranks themselves are never equal.
@@ -147,9 +149,16 @@ class NormalizedRep:
     __slots__ = ("ls", "rs", "lt", "rt", "adjusted")
 
     def __init__(self, ls, rs, lt, rt, adjusted: bool):
-        if len(set(ls + rs + lt + rt)) != 4 * len(ls) or not all(
-                a < b and c < d for a, b, c, d in zip(ls, rs, lt, rt)):
-            raise MalformedInterval("normalized endpoints are not distinct ranks "
+        seen = bytearray(4 * len(ls))
+        try:  # 4n ranks fill the 4n slots iff distinct; a negative one wraps
+            for r in chain(ls, rs, lt, rt):
+                seen[r] = 1
+        except (IndexError, TypeError):
+            seen = b"\0"
+        if (0 in seen or not len(ls) == len(rs) == len(lt) == len(rt)
+                or min(chain(ls, lt), default=0) < 0
+                or not all(map(operator.lt, chain(ls, lt), chain(rs, rt)))):
+            raise MalformedInterval("normalized endpoints are not the ranks 0..4n-1 "
                                     "with each left below its right")
         self.ls, self.rs, self.lt, self.rt = ls, rs, lt, rt
         self.adjusted = adjusted
@@ -161,10 +170,13 @@ class NormalizedRep:
     def swapped(self) -> "NormalizedRep":
         """The representation of the reversal: S and T exchanged per vertex.
 
-        Distinct ranks re-normalize to themselves, so relabelling them is
-        exactly the normalization of the swapped intervals.
+        Distinct ranks re-normalize to themselves, so relabelling the shared
+        tuples, unchecked, is exactly the normalization of the swapped intervals.
         """
-        return NormalizedRep(self.lt, self.rt, self.ls, self.rs, self.adjusted)
+        rep = NormalizedRep.__new__(NormalizedRep)
+        rep.ls, rep.rs, rep.lt, rep.rt = self.lt, self.rt, self.ls, self.rs
+        rep.adjusted = self.adjusted
+        return rep
 
     def __repr__(self):
         return f"NormalizedRep(n={self.n})"
@@ -258,14 +270,14 @@ def verify_representation(rep, g: Digraph) -> bool:
 def is_reflexive(rep) -> bool:
     """True when S_u and T_u intersect for every vertex u."""
     rep = normalize(rep)
-    return all(ls < rt and lt < rs for ls, rs, lt, rt in zip(rep.ls, rep.rs, rep.lt, rep.rt))
+    return all(map(operator.lt, rep.ls, rep.rt)) and all(map(operator.lt, rep.lt, rep.rs))
 
 
 def require_reflexive(rep) -> None:
     rep = normalize(rep)
-    for v, (ls, rs, lt, rt) in enumerate(zip(rep.ls, rep.rs, rep.lt, rep.rt)):
-        if not (ls < rt and lt < rs):
-            raise NotReflexive(v)
+    if not is_reflexive(rep):
+        raise NotReflexive(next(v for v, (a, b, c, d) in enumerate(
+            zip(rep.ls, rep.rs, rep.lt, rep.rt)) if not (a < d and c < b)))
 
 
 def extract_duf_ordering(rep):

@@ -74,10 +74,12 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("n,error", [(2**62, "MemoryError"), (2**63, "OverflowError")])
-@pytest.mark.parametrize("arcs,flat", [("0 1\n", True), ("0\t1\r\n1\t0\r\n", False)])
+@pytest.mark.parametrize("arcs,flat", [("0 1\n", True), ("0 1\r\n", True),
+                                       ("0\t1\r1\t0\r\n", False)])
 def test_huge_header_with_arcs_fails_at_once(n, error, arcs, flat):
-    """Arcs after a header too large to allocate, read by the flat split or
-    (a CRLF file) by the line walk: a line 1 error within a second."""
+    """Arcs after a header too large to allocate, read by the bulk reader
+    (``\\n`` or CRLF line ends) or, with a lone ``\\r``, by the line walk:
+    a line 1 error within a second."""
     text = f"digraph {n}\n{arcs}"
     assert (_int_fields(text, "digraph", 2) is not None) == flat
     env = dict(os.environ, PYTHONPATH=str(Path(intdigraph.__file__).parents[1]))

@@ -5,11 +5,11 @@ it replaced, and the parsers on hostile bodies against the line walk.
 once.  It must give the flat split's ``(n, fields)`` (kept as
 ``parse_reference._flat_int_fields``) whenever it reads a text, and may
 decline a text the flat split read only for a token that is an integer to
-``int`` but not a JSON number.  Whatever it reads or declines,
-``parse_digraph`` and ``parse_interval_rep`` must agree with the line walk
-of ``parse_reference``."""
-
-import re
+``int`` but not a JSON number; a CRLF text is held to the flat split of
+its ``"\\n"`` form.  Whatever it reads or declines, ``parse_digraph`` and
+``parse_interval_rep`` must agree with the line walk of
+``parse_reference``.  The drawn files of ``test_parse_reference`` get the
+same comparison there, in one property with the others."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,19 +20,15 @@ from intdigraph.errors import ParseError
 from intdigraph.fileio import parse_digraph, parse_interval_rep
 
 import parse_reference
-from test_parse_reference import _first_arc_out_of_range, _outcome, files
+from test_parse_reference import (_first_arc_out_of_range, _outcome,
+                                  assert_json_reader_matches_the_flat_split)
 
 KINDS = (("digraph", 2), ("intervals", 5))
 WIDTH = dict(KINDS)
-JSON_INT = re.compile(r"-?(0|[1-9][0-9]*)")
 # Spellings ``int`` reads and JSON does not, and tokens neither reads.
 ODD_TOKENS = ("007", "+5", "1_000", "-0", "00", "-", "--1", "1-2", "+", "_1", "x")
 BLANKS = (" ", " ", " ", "\t", "  ", "\x1f", " \t\x1f ")
 HOSTILE = "0123456789-+_ \t\n\x1f;"
-
-
-def _json_rejects(token: str) -> bool:
-    return JSON_INT.fullmatch(token) is None or len(token.lstrip("-")) > 4300
 
 
 @st.composite
@@ -40,7 +36,7 @@ def integer_texts(draw):
     """A ``<kind> <n>`` file of records near the right width, its tokens
     plain integers or odd spellings, laid out with any blanks the flat
     split reads: indents, runs, tabs, ``\\x1f``, trailing blanks and blank
-    lines."""
+    lines, its lines ended by ``"\\n"`` or by ``"\\r\\n"``."""
     kind, width = draw(st.sampled_from(KINDS))
     token = st.integers(-20, 3000).map(str) | st.sampled_from(ODD_TOKENS)
     sizes = st.sampled_from([width] * 6 + [width - 1, width + 1])
@@ -54,23 +50,17 @@ def integer_texts(draw):
         lines.append(draw(st.sampled_from(["", "", " ", "\t"]))
                      + "".join(t + draw(blank) for t in tokens).rstrip()
                      + draw(st.sampled_from(["", "", " ", "\t "])))
-    return kind, width, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n"]))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n", "\n \n"]))
+    return kind, width, text.replace("\n", "\r\n") if draw(st.booleans()) else text
 
 
 @settings(max_examples=200, deadline=None)
-@given(integer_texts() | st.sampled_from(KINDS).flatmap(
-    lambda kw: st.tuples(st.just(kw[0]), st.just(kw[1]), files(kw[0]))))
+@given(integer_texts())
 def test_json_reader_matches_the_flat_split(case):
     """Equal fields wherever it reads a text; a text the flat split read is
     declined only for a token JSON rejects."""
     kind, width, text = case
-    got = fileio._int_fields(text, kind, width)
-    want = parse_reference._flat_int_fields(text, kind, width)
-    if got is not None:
-        assert got == want
-    elif want is not None:
-        body = text.split("\n", 1)[1].split()
-        assert any(map(_json_rejects, body)), text
+    assert_json_reader_matches_the_flat_split(text, kind, width)
 
 
 def _assert_like_the_line_walk(parse, text):
@@ -142,3 +132,36 @@ def test_a_line_break_inside_the_header(parse, brk):
     text = f"{kind}{brk}1\n" + ("0 0\n" if kind == "digraph" else "0 0 1 0 1\n")
     assert fileio._int_fields(text, kind, WIDTH[kind]) is None
     _assert_like_the_line_walk(parse, text)
+
+
+@pytest.mark.parametrize("text,line", [
+    ("digraph 3\n0 1\n2 -1\n", 3),
+    ("digraph 3\n-1 0\n0 2\n", 2),
+    ("digraph 3\r\n0 1\r\n1 -3\r\n", 3),
+    ("digraph 3\n0 1\n1 3\n", 3),
+])
+def test_an_arc_end_out_of_range_fails_on_its_line(text, line):
+    """A clean file is read in bulk and then range-checked: a negative end
+    (which ``heads[-1]`` would take) or one of n goes to the line walk."""
+    assert fileio._int_fields(text, "digraph", 2) is not None
+    with pytest.raises(ParseError) as exc:
+        parse_digraph(text)
+    assert exc.value.line == line
+    _assert_like_the_line_walk(parse_digraph, text)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_digraph, "digraph 3\r\n0 1\r\n\t1  2 \r\n2 0\r\n\r\n"),
+    (parse_interval_rep, "intervals 2\r\n0 0 1 -1 1\r\n1 2 3 2 3\r\n"),
+])
+def test_crlf_files_take_the_bulk_reader(parse, text):
+    """Every ``\\r`` starts a ``\\r\\n``: read in bulk as the ``\\n`` file;
+    one lone ``\\r`` sends the file to the line walk."""
+    kind = "digraph" if parse is parse_digraph else "intervals"
+    lf = text.replace("\r\n", "\n")
+    assert fileio._int_fields(text, kind, WIDTH[kind]) == fileio._int_fields(lf, kind, WIDTH[kind])
+    assert fileio._int_fields(text, kind, WIDTH[kind]) is not None
+    _assert_like_the_line_walk(parse, text)
+    lone = text.replace("\r\n", "\r", 1)
+    assert fileio._int_fields(lone, kind, WIDTH[kind]) is None
+    _assert_like_the_line_walk(parse, lone)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from intdigraph import (Digraph, Interval, IntervalRep, extract_duf_ordering,
                         verify_representation, verify_set,
                         check_reflexive_interval_ordering, verify_duf_ordering)
 from intdigraph.errors import DimensionMismatch, MalformedInterval, NotReflexive
+from intdigraph.generators import gen_reflexive_interval
+from intdigraph.intervals import NormalizedRep
 
 from fixtures import two_vertex_example_rep
 from conftest import all_subsets, brute_realize, interval_reps
@@ -201,3 +204,64 @@ def test_normalize_and_swapped_match_the_event_sort(rep):
         assert realize_digraph(swapped) == reverse(realize_digraph(raw))
         assert swapped.adjusted == raw.adjusted
     assert adjusted.adjusted
+
+
+# Valid ranks of two vertices: (ls, rs, lt, rt), together 0..7.
+GOOD = ((0, 4), (2, 6), (1, 5), (3, 7))
+
+
+@pytest.mark.parametrize("ls,rs,lt,rt", [
+    ((0, 4), (2, 6), (1, 5), (3, 5)),                 # a repeated rank
+    ((-1, 0), (1, 2), (3, 4), (5, 6)),                # -1 marks slot 7 if unchecked
+    ((0, 4), (2, 6), (1, 5), (3, 8)),                 # a rank of 4n
+    ((0, 4), (2, 6), (1, 5), (3, 2**70)),             # past any index
+    ((0, 4), (2, 6), (1, 5.0), (3, 7)),               # a float
+    ((0, 4), (2, 6), (1, Fraction(5)), (3, 7)),       # a Fraction
+    ((0, 4), (2, 6), (1, "5"), (3, 7)),               # a string
+    ((0, 6), (2, 4), (1, 5), (3, 7)),                 # ls[1] above rs[1]
+    ((0, 4), (2, 6), (3, 5), (1, 7)),                 # lt[0] above rt[0]
+    ((0, 4), (2, 6, 6), (1, 5), (3, 7)),              # unequal columns, 6 twice
+    ((0, 1), (2,), (3, 4, 5), (6, 7)),                # unequal columns, 0..7 once
+])
+def test_normalized_rep_rejects_anything_but_the_ranks(ls, rs, lt, rt):
+    """The constructor's check: any rank outside 0..4n-1, a repeated or
+    non-int rank, unequal columns or a left not below its right is a
+    :class:`MalformedInterval`, never an ``IndexError`` or ``TypeError``."""
+    with pytest.raises(MalformedInterval):
+        NormalizedRep(ls, rs, lt, rt, False)
+
+
+def test_normalized_rep_accepts_the_ranks():
+    assert ranks(NormalizedRep(*GOOD, False)) == GOOD
+    assert NormalizedRep((), (), (), (), False).n == 0
+
+
+def test_swapped_shares_the_tuples_and_round_trips():
+    nrep = NormalizedRep(*GOOD, True)
+    swapped = nrep.swapped()
+    assert ranks(swapped) == (nrep.lt, nrep.rt, nrep.ls, nrep.rs)
+    assert swapped.ls is nrep.lt and swapped.rs is nrep.rt
+    assert swapped.lt is nrep.ls and swapped.rt is nrep.rs
+    twice = swapped.swapped()
+    assert ranks(twice) == ranks(nrep) and twice.adjusted is True
+
+
+def test_normalize_and_swapped_stay_small():
+    """``normalize`` of 20k vertices peaks at most 450 bytes per vertex
+    above the raw representation (the rank set it built before took about
+    550), and ``swapped()`` allocates almost nothing."""
+    n = 20_000
+    rep = gen_reflexive_interval(n, 7, grid=4 * n, max_len=6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        nrep = normalize(rep)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        nrep.swapped()
+        swap_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450 * n, peak / n
+    assert swap_peak < 1024, swap_peak

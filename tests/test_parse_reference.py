@@ -1,9 +1,16 @@
 """The library's interval and digraph parsers against the line walk kept
 in ``parse_reference``: on clean files and on files with one mutation,
 the same result or a ``ParseError`` with the same line and message.
-Files end their lines with ``"\\n"`` or with any mix of the other line
-breaks of ``str.splitlines``, and may hold non-ASCII spaces and digits or
-the ``;`` that the library's flat split uses as its line marker."""
+Files end their lines with ``"\\n"``, with ``"\\r\\n"`` throughout or with
+any mix of the line breaks of ``str.splitlines``, and may hold non-ASCII
+spaces and digits or the ``;`` that the library's flat split uses as its
+line marker.
+
+One property per drawn file makes all three comparisons: the library's
+parser against the line walk, its bulk reader against the per-line split,
+and the JSON reader against the flat split."""
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +28,7 @@ MUTATIONS = ("none", "drop", "add", "x", "1/0", "3/2", "split", "duplicate",
              "arabic-digits", "marker", "marker-token", "merge", "break-record")
 BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
           "\u2028", "\u2029")
+JSON_INT = re.compile(r"-?(0|[1-9][0-9]*)")
 ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                      "\u0665\u0666\u0667\u0668\u0669")
 
@@ -28,9 +36,9 @@ ARABIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
 @st.composite
 def files(draw, kind):
     """An intervals or digraph file, laid out with random blank lines,
-    tabs, indents and (in some files) ``\\x1f`` and no-break spaces and
-    other line breaks, its records in order or permuted, then given at
-    most one mutation."""
+    tabs, indents and (in some files) ``\\x1f`` and no-break spaces, its
+    lines ended by ``"\\n"``, by ``"\\r\\n"`` or by a mix of line breaks,
+    its records in order or permuted, then given at most one mutation."""
     n = draw(st.integers(0, 6))
     coord = st.integers(-4, 9)
     if kind == "intervals":
@@ -56,9 +64,11 @@ def files(draw, kind):
             out.append(draw(st.sampled_from(["", "   ", "\t"])))
         indent = draw(st.sampled_from(["", "", " ", "\t"]))
         out.append(indent + sep.join(tokens))
-    breaks = st.sampled_from(BREAKS) if draw(st.booleans()) else st.just("\n")
+    mixed = draw(st.booleans())
+    eol = "\n" if mixed else draw(st.sampled_from(["\n", "\r\n"]))
+    breaks = st.sampled_from(BREAKS) if mixed else st.just(eol)
     text = "".join(line + draw(breaks) for line in out)
-    return text[:-1] + draw(st.sampled_from(["\n", "", "\n\n"]))
+    return text[:-len(eol)] + draw(st.sampled_from([eol, "", eol * 2]))
 
 
 def _mutate(draw, lines, mutation, kind, n):
@@ -144,36 +154,6 @@ def test_a_line_break_inside_a_record(parse, text, brk):
     assert _outcome(parse, text)[0] == "error"
 
 
-@settings(max_examples=500, deadline=None)
-@given(files("intervals"))
-def test_interval_parser_matches_the_reference(text):
-    kind, want = _outcome(parse_reference.parse_interval_rep, text)
-    got_kind, got = _outcome(parse_interval_rep, text)
-    assert got_kind == kind
-    if kind == "error":
-        assert got == want
-        return
-    assert got.pairs() == want.pairs()
-    assert got.adjusted == want.adjusted
-    a, b = normalize(got), normalize(want)
-    assert (a.ls, a.rs, a.lt, a.rt, a.adjusted) == (b.ls, b.rs, b.lt, b.rt, b.adjusted)
-
-
-@settings(max_examples=500, deadline=None)
-@given(files("digraph"))
-def test_digraph_parser_matches_the_reference(text):
-    kind, want = _outcome(parse_reference.parse_digraph, text)
-    got_kind, got = _outcome(parse_digraph, text)
-    assert got_kind == kind
-    if kind == "ok":
-        assert got == want
-    elif want[1].startswith("edge ("):
-        # The one intended change: the arc's own line, not the header's.
-        assert got == (_first_arc_out_of_range(text), want[1])
-    else:
-        assert got == want
-
-
 def _splittable(text):
     """Whether the flat split may read ``text``: ASCII, no ``;``, no line
     break but ``"\\n"`` and no blank line before the last record."""
@@ -182,16 +162,58 @@ def _splittable(text):
             and all(line.strip() for line in text.rstrip().split("\n")))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from([("intervals", 5), ("digraph", 2)]).flatmap(
-    lambda kind: st.tuples(st.just(kind), files(kind[0]))))
-def test_flat_split_matches_the_line_split(case):
-    """The flat split gives the former per-line split's fields, and
-    declines only texts it may not read."""
-    (kind, width), text = case
+def assert_json_reader_matches_the_flat_split(text, kind, width):
+    """Equal fields wherever the JSON reader reads a text; a text the flat
+    split read (CRLF line ends made ``"\\n"``) is declined only for a token
+    JSON rejects."""
+    got = fileio._int_fields(text, kind, width)
+    want = parse_reference._flat_int_fields(text.replace("\r\n", "\n"), kind, width)
+    if got is not None:
+        assert got == want
+    elif want is not None:
+        body = text.split("\n", 1)[1].split()
+        assert any(map(_json_rejects, body)), text
+
+
+def _json_rejects(token: str) -> bool:
+    return JSON_INT.fullmatch(token) is None or len(token.lstrip("-")) > 4300
+
+
+def _assert_every_reader_agrees(text, kind, width, parse):
+    # the library's parser against the line walk
+    reference = getattr(parse_reference, parse.__name__)
+    want_kind, want = _outcome(reference, text)
+    got_kind, got = _outcome(parse, text)
+    assert got_kind == want_kind
+    if want_kind == "ok" and kind == "intervals":
+        assert got.pairs() == want.pairs()
+        assert got.adjusted == want.adjusted
+        a, b = normalize(got), normalize(want)
+        assert (a.ls, a.rs, a.lt, a.rt, a.adjusted) == (b.ls, b.rs, b.lt, b.rt, b.adjusted)
+    elif want_kind == "error" and want[1].startswith("edge ("):
+        # The one intended change: the arc's own line, not the header's.
+        assert got == (_first_arc_out_of_range(text), want[1])
+    else:
+        assert got == want
+    # the bulk reader against the per-line split it replaced: the same
+    # fields, and a decline only of a text the flat split may not read
     got = fileio._int_fields(text, kind, width)
     want = parse_reference._int_fields(text, kind, width)
     if got is not None:
         assert got == want
     elif want is not None:
         assert not _splittable(text)
+    # the JSON reader against the flat split
+    assert_json_reader_matches_the_flat_split(text, kind, width)
+
+
+@settings(max_examples=500, deadline=None)
+@given(files("intervals"))
+def test_interval_file_matches_every_reference(text):
+    _assert_every_reader_agrees(text, "intervals", 5, parse_interval_rep)
+
+
+@settings(max_examples=500, deadline=None)
+@given(files("digraph"))
+def test_digraph_file_matches_every_reference(text):
+    _assert_every_reader_agrees(text, "digraph", 2, parse_digraph)
