@@ -24,8 +24,7 @@ _EXPORTS = {
                 "optimal_kernel_duf", "z_sequence"),
     "domination": ("Bigraph", "IntervalBigraphRep", "RedBlueState",
                    "build_red_blue_state", "min_absorbing_reflexive",
-                   "min_dominating_reflexive", "red_blue_min_dominating",
-                   "splitting_bigraph"),
+                   "min_dominating_reflexive", "red_blue_min_dominating"),
     "independent": ("chain_dag", "max_independent_duf"),
     "pointpoint": ("AntiWalkWitness", "PointRep", "SubdivisionMap",
                    "find_anti_directed_walk", "k_subdivision", "lift_set",

@@ -22,13 +22,14 @@ with the same :func:`~intdigraph.intervals.stable_ranks` as
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DimensionMismatch
-from .graphs import Certificate, Digraph, _in_sorted, transpose
-from .intervals import (Interval, IntervalRep, NormalizedRep, StabIndex,
-                        frontier_walk, normalize, require_reflexive,
-                        set_is_absorbing, stable_ranks, verify_representation)
+from .graphs import Certificate, _in_sorted, transpose
+from .intervals import (Interval, IntervalRep, NormalizedRep, frontier_walk,
+                        normalize, reach_line, require_reflexive,
+                        set_is_absorbing, stable_ranks)
 
 
 class Bigraph:
@@ -95,27 +96,6 @@ class IntervalBigraphRep:
         return f"IntervalBigraphRep(|A|={self.a_size}, |B|={self.b_size})"
 
 
-def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
-                      ) -> tuple[Bigraph, Optional[IntervalBigraphRep]]:
-    """Left/right split of ``g``; self-loops become cross edges too.
-
-    With a representation of ``g``, also returns the induced interval
-    bigraph model (S intervals on the left part, T on the right).
-    """
-    edges = list(g.edges())
-    edges.extend((v, v) for v in range(g.n) if g.loops[v])
-    big = Bigraph(g.n, g.n, edges)
-    brep = None
-    if rep is not None:
-        rep = normalize(rep)
-        if rep.n != g.n:
-            raise DimensionMismatch(f"representation has {rep.n} vertices, digraph {g.n}")
-        if not verify_representation(rep, g):
-            raise DimensionMismatch("representation does not realize the digraph")
-        brep = IntervalBigraphRep(zip(rep.ls, rep.rs), zip(rep.lt, rep.rt))
-    return big, brep
-
-
 class RedBlueState(NamedTuple):
     """The sweep's steps: ``a_first[k]`` is the uncovered A index ending
     first at step k, ``cover[k]`` its B-neighbour reaching furthest right.
@@ -146,13 +126,24 @@ def bigraph_ranks(rep) -> tuple:
     return rank[:t], rank[k:k + t][::-1], rank[t:k], rank[k + t:][::-1]
 
 
+def furthest_cover(a_lo, a_hi, b_lo, b_hi):
+    """``cover(i)``: the ``(b_hi[j], j)`` of the B interval meeting A interval
+    i that reaches furthest right, or None."""
+    top = reach_line(2 * (len(a_lo) + len(b_lo)), b_lo, b_hi)
+    owner = dict(zip(b_hi, range(len(b_hi))))
+
+    def cover(i):
+        r = top[a_hi[i]]
+        return (r, owner[r]) if r > a_lo[i] else None
+    return cover
+
+
 def build_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[RedBlueState]:
     """The sweep over the A intervals ``[a_lo[i], a_hi[i]]`` and the B
-    intervals ``[b_lo[j], b_hi[j]]``, all endpoints distinct ranks; None
-    when it reaches an A-vertex with no B-neighbour.  Only the A intervals
-    it picks are stabbed."""
-    index = StabIndex(zip(b_lo, b_hi, range(len(b_lo))))
-    steps = frontier_walk(a_lo, a_hi, lambda i: index.stab(a_lo[i], a_hi[i]))
+    intervals ``[b_lo[j], b_hi[j]]``, their endpoints the ranks 0..2(|A| +
+    |B|)-1; None when it reaches an A-vertex with no B-neighbour."""
+    steps = frontier_walk(a_lo, a_hi, furthest_cover(a_lo, a_hi, b_lo, b_hi),
+                          2 * (len(a_lo) + len(b_lo)))
     if steps is None:
         return None
     return RedBlueState(steps[0], steps[1])
@@ -163,15 +154,16 @@ def red_blue_min_dominating(rep) -> Optional[Certificate]:
 
     ``rep`` is an :class:`IntervalBigraphRep`, or a :class:`NormalizedRep`
     read as its splitting bigraph model (see :func:`bigraph_ranks`).
-    Returns None exactly when some A-vertex is isolated.  O(n log n).
+    Returns None exactly when some A-vertex is isolated.  O(n) after ranking.
     """
     a_lo, a_hi, b_lo, b_hi = bigraph_ranks(rep)
     state = build_red_blue_state(a_lo, a_hi, b_lo, b_hi)
     if state is None:
         return None
     vertices = tuple(sorted(state.cover))
-    index = StabIndex((b_lo[j], b_hi[j], j) for j in vertices)
-    if not all(index.stab(lo, hi) is not None for lo, hi in zip(a_lo, a_hi)):
+    top = reach_line(2 * (len(a_lo) + len(b_lo)), map(b_lo.__getitem__, vertices),
+                     map(b_hi.__getitem__, vertices))
+    if not all(map(operator.gt, map(top.__getitem__, a_hi), a_lo)):
         raise RuntimeError("red-blue sweep produced a non-dominating set")
     return Certificate(vertices=vertices, checks={"a-dominating": True},
                        algorithm="red-blue-sweep", optimal=True,

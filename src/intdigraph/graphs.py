@@ -282,6 +282,15 @@ def _check_dominating(g: Digraph, sset: set[int]) -> bool:
     return True
 
 
+def vertex_set(s: Iterable[int], n: int) -> set[int]:
+    """``s`` as a set; :class:`InvalidVertex` names its least id outside 0..n-1."""
+    sset = set(s)
+    if sset and not 0 <= min(sset) <= max(sset) < n:
+        bad = min(v for v in sset if not 0 <= v < n)
+        raise InvalidVertex(f"vertex {bad} out of range for n={n}")
+    return sset
+
+
 def verify_set(g: Digraph, s: Iterable[int], mode: str) -> Certificate:
     """Run the definitional check(s) named by ``mode`` on the set ``s``.
 
@@ -291,11 +300,8 @@ def verify_set(g: Digraph, s: Iterable[int], mode: str) -> Certificate:
     """
     if mode not in VERIFY_MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {VERIFY_MODES}")
-    vertices = tuple(sorted(set(s)))
-    for v in vertices:
-        if not (0 <= v < g.n):
-            raise InvalidVertex(f"vertex {v} out of range for n={g.n}")
-    sset = set(vertices)
+    sset = vertex_set(s, g.n)
+    vertices = tuple(sorted(sset))
     checks: dict[str, bool] = {}
     if mode in ("independent", "kernel", "solution"):
         checks["independent"] = _check_independent(g, sset)

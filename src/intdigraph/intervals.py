@@ -21,22 +21,22 @@ coordinates instead of ranks; its :class:`Interval` pairs are views of them.
 :func:`stable_ranks` is the one ranking routine.  It also ranks the
 endpoints of an interval bigraph (:mod:`intdigraph.domination`); each
 caller fixes its tie rule by the order in which it lists the endpoints.
+Every later query reads a one-pass array over the rank line instead.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, compress, repeat
 from typing import Iterable
 
 from .errors import DimensionMismatch, MalformedInterval, NotReflexive
-from .graphs import Digraph
+from .graphs import Digraph, vertex_set
 
-# Endpoint codes of a sweep: the S and T left ends, the S right end; the T
-# right end is code 3, the only other.
+# Sweep codes, an id in chain(ls, lt, rs, rt) divided by n: the S and T left
+# ends, the S right end; the T right end is code 3, the only other.
 _SL, _TL, _SR = 0, 1, 2
 _lo, _hi = operator.attrgetter("lo"), operator.attrgetter("hi")
 
@@ -222,16 +222,11 @@ def realize_digraph(rep) -> Digraph:
     O(n log n) plus the number of realized edges.
     """
     rep = normalize(rep)
-    owner = [0] * (4 * rep.n)
-    codes = [0] * (4 * rep.n)
-    for code, ranks in enumerate((rep.ls, rep.lt, rep.rs, rep.rt)):
-        for v, r in enumerate(ranks):
-            owner[r] = v
-            codes[r] = code
+    events = rank_order(chain(rep.ls, rep.lt, rep.rs, rep.rt), 4 * rep.n)
     heads: list[list[int]] = [[] for _ in range(rep.n)]
     active_s: set[int] = set()
     active_t: set[int] = set()
-    for v, code in zip(owner, codes):
+    for code, v in map(divmod, events, repeat(rep.n)):
         if code == _SL:
             heads[v].extend(active_t)
             active_s.add(v)
@@ -252,7 +247,7 @@ def verify_representation(rep, g: Digraph) -> bool:
     Every arc of ``g`` must be realized and every loop flag must equal its
     vertex's own S/T meet; then the digraph of ``rep`` holds no other arc
     exactly when its :func:`meeting_pairs` number ``g.m`` plus the loops.
-    O(m + n log n), with no digraph realized.
+    O(m + n) after normalizing, with no digraph realized.
     """
     if rep.n != g.n:
         raise DimensionMismatch(f"representation has {rep.n} vertices, digraph {g.n}")
@@ -285,87 +280,89 @@ def extract_duf_ordering(rep):
 
     The resulting ordering is directed umbrella-free for the realized
     digraph and also passes the stronger forbidden-structure check; ranks
-    are distinct so no tie rule is needed.
+    are distinct, so no tie rule is needed and the bucket order needs no sort.
     """
     from .ordering import Ordering  # deferred: ordering depends on this module
 
     rep = normalize(rep)
     require_reflexive(rep)
-    return Ordering(sorted(range(rep.n), key=lambda v: max(rep.ls[v], rep.lt[v])))
+    return Ordering(rank_order(map(max, rep.ls, rep.lt), 4 * rep.n))
 
 
-# --- definitional set checks computed through the representation ----------
-#
-# These evaluate exactly the same properties as graphs.verify_set but walk
-# the ranks instead of adjacency lists, so they stay O(n log n) even when
-# the realized digraph is too large to materialize.
-
-class StabIndex:
-    """Closed intervals with payloads, queried by the interval they meet.
-
-    Built from (lo, hi, payload) items; :meth:`stab` returns the (hi,
-    payload) of the stored interval meeting [lo, hi] that reaches furthest
-    right, the first in (lo, hi, payload) order on ties, or None.
-    """
-
-    __slots__ = ("los", "best")
-
-    def __init__(self, items):
-        self.los = []
-        self.best = []
-        top = None
-        for lo, hi, payload in sorted(items):
-            if top is None or hi > top[0]:
-                top = (hi, payload)
-            self.los.append(lo)
-            self.best.append(top)
-
-    def stab(self, lo, hi):
-        i = bisect_right(self.los, hi)
-        if i and self.best[i - 1][0] >= lo:
-            return self.best[i - 1]
-        return None
+def rank_order(ranks, size: int) -> list[int]:
+    """The ids of the distinct ``ranks`` in rising rank order, by buckets."""
+    slot = [None] * size
+    for i, r in enumerate(ranks):
+        slot[r] = i
+    return [i for i in slot if i is not None]
 
 
-def frontier_walk(lo, hi, reach):
+def reach_line(size: int, lo, hi) -> list[int]:
+    """``top[x]``, the furthest right rank of the intervals ``[lo[i], hi[i]]``
+    with ``lo[i] <= x``, else 0: some one meets [a, b] iff ``top[b] > a``."""
+    top = [0] * size
+    for a, b in zip(lo, hi):
+        top[a] = b
+    best = 0
+    for x in range(size):
+        if top[x] > best:
+            best = top[x]
+        else:
+            top[x] = best
+    return top
+
+
+def count_line(size: int, ranks) -> list[int]:
+    """``below[x]``: how many of the distinct ``ranks`` are at most x."""
+    marks = bytearray(size)
+    for r in ranks:
+        marks[r] = 1
+    return list(accumulate(marks))
+
+
+def frontier_walk(lo, hi, reach, size: int):
     """The greedy of both interval sweeps: ``(firsts, payloads, passed)``.
 
-    Items are taken by rising ``hi``.  An item the frontier has not passed
-    is a step: ``reach(i)`` gives its ``(bound, payload)``, or None, which
-    stops the walk and returns None.  One pointer over the ``lo`` order then
-    passes every item with ``lo < bound``; ``passed`` counts them per step.
+    Items, with distinct ranks below ``size``, are taken by rising ``hi``.
+    An item the frontier has not passed is a step: ``reach(i)`` gives its
+    ``(bound, payload)``, or None, which stops the walk and returns None.
+    The frontier, the largest bound so far (never a ``lo``), has passed the
+    items with ``lo`` below it; ``passed`` counts them per step.
     """
-    n = len(lo)
-    by_lo = sorted(range(n), key=lo.__getitem__)
-    done = [False] * n
-    front = 0
+    below = count_line(size, lo)
+    front = total = 0
     firsts: list[int] = []
     payloads: list = []
     passed: list[int] = []
-    for i in sorted(range(n), key=hi.__getitem__):
-        if done[i]:
+    for i in rank_order(hi, size):
+        if lo[i] < front:
             continue
         step = reach(i)
         if step is None:
             return None
         bound, payload = step
-        start = front
-        while front < n and lo[by_lo[front]] < bound:
-            done[by_lo[front]] = True
-            front += 1
+        front = max(front, bound)
         firsts.append(i)
         payloads.append(payload)
-        passed.append(front - start)
+        passed.append(below[front] - total)
+        total = below[front]
     return tuple(firsts), tuple(payloads), tuple(passed)
 
+
+# --- definitional set checks computed through the representation ----------
+#
+# These evaluate exactly the same properties as graphs.verify_set, with its
+# id check, but read the rank line instead of adjacency lists, so they stay
+# O(n) even when the realized digraph is too large to materialize.
 
 def set_is_absorbing(rep, s: Iterable[int]) -> bool:
     """Every vertex outside ``s`` has an out-neighbour in ``s``."""
     rep = normalize(rep)
-    sset = set(s)
-    index = StabIndex((rep.lt[u], rep.rt[u], u) for u in sset)
-    return all(v in sset or index.stab(rep.ls[v], rep.rs[v]) is not None
-               for v in range(rep.n))
+    sset = vertex_set(s, rep.n)
+    top = reach_line(4 * rep.n, map(rep.lt.__getitem__, sset), map(rep.rt.__getitem__, sset))
+    # S_v meets no member's T interval exactly when top[r(S_v)] <= l(S_v)
+    return sset.issuperset(compress(range(rep.n), map(
+        operator.le, map(top.__getitem__, rep.rs), rep.ls)))
 
 
 def set_is_dominating(rep, s: Iterable[int]) -> bool:
@@ -379,12 +376,13 @@ def meeting_pairs(rep: NormalizedRep, members) -> int:
     S_u meets T_v exactly when l(T_v) < r(S_u) but not r(T_v) < l(S_u),
     and the second implies the first, so the count is the sum over u of
     the members' T intervals starting below r(S_u) less those ending below
-    l(S_u), each one bisection.
+    l(S_u), each one look-up in a :func:`count_line`.
     """
     ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
-    lts = sorted(lt[v] for v in members)
-    rts = sorted(rt[v] for v in members)
-    return sum(bisect_left(lts, rs[u]) - bisect_left(rts, ls[u]) for u in members)
+    lts = count_line(4 * rep.n, map(lt.__getitem__, members))
+    rts = count_line(4 * rep.n, map(rt.__getitem__, members))
+    return (sum(map(lts.__getitem__, map(rs.__getitem__, members)))
+            - sum(map(rts.__getitem__, map(ls.__getitem__, members))))
 
 
 def set_is_independent(rep, s: Iterable[int]) -> bool:
@@ -392,6 +390,6 @@ def set_is_independent(rep, s: Iterable[int]) -> bool:
     the :func:`meeting_pairs` of ``s`` are only its reflexive members."""
     rep = normalize(rep)
     ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
-    members = set(s)
+    members = vertex_set(s, rep.n)
     return meeting_pairs(rep, members) == sum(
         ls[u] < rt[u] and lt[u] < rs[u] for u in members)

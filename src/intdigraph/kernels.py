@@ -7,8 +7,8 @@ Three routes, by input:
   picks the surviving vertex whose source interval ends first and removes
   it together with its surviving in-neighbours; a backward pass thins the
   picked sequence to an independent set.  Never fails: reflexive interval
-  digraphs are kernel-perfect.  Runs in two sorts plus O(n): the forward
-  pass is one monotone frontier pointer over the l(S) order; the digraph
+  digraphs are kernel-perfect.  Runs in one sort plus O(n): the forward
+  pass is one monotone frontier over the l(S) ranks; the digraph
   itself is never materialized.
 
 * :func:`optimal_kernel_duf` finds a minimum/maximum (optionally weighted)
@@ -21,7 +21,8 @@ Three routes, by input:
 
 * :func:`optimal_kernel_adjusted` finds the same optimum in O(n^2) when the
   representation has matching left endpoints, exploiting that each
-  vertex's higher neighbourhoods are then contiguous runs.
+  vertex's higher neighbourhoods are then contiguous runs, whose ends are
+  counts of left ranks (:func:`adjusted_maxima`).
 
 Both fill a :class:`~intdigraph.ordering.SuffixTable`, which certifies the kernel.
 """
@@ -29,14 +30,15 @@ Both fill a :class:`~intdigraph.ordering.SuffixTable`, which certifies the kerne
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
 from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
                      symmetric_digraph)
-from .intervals import (IntervalRep, frontier_walk, normalize, realize_digraph,
-                        require_reflexive, set_is_absorbing,
-                        set_is_independent)
+from .intervals import (IntervalRep, NormalizedRep, count_line, frontier_walk,
+                        normalize, rank_order, realize_digraph,
+                        require_reflexive, set_is_absorbing, set_is_independent)
 from .ordering import (Ordering, SuffixTable, argbest, covered, first_gap,
                        verify_cocomparability_ordering, verify_duf_ordering)
 
@@ -71,13 +73,13 @@ def z_sequence(rep: IntervalRep) -> ZSequence:
     exactly when l(S_u) < r(T_v).  Those survivors are a prefix of the l(S)
     order, and a popped prefix stays empty, so this is the
     :func:`~intdigraph.intervals.frontier_walk` with bound r(T_v).  The
-    pointer passes v too, as l(S_v) < r(T_v), so every vertex it passes was
+    frontier passes v too, as l(S_v) < r(T_v), so every vertex it passes was
     still a survivor.
     """
     rep = normalize(rep)
     require_reflexive(rep)
     rs, rt = rep.rs, rep.rt
-    picked, _, counts = frontier_walk(rep.ls, rs, lambda v: (rt[v], v))
+    picked, _, counts = frontier_walk(rep.ls, rs, lambda v: (rt[v], v), 4 * rep.n)
     return ZSequence(picked, counts, tuple(map(rs.__getitem__, picked)))
 
 
@@ -89,18 +91,11 @@ def kernel_linear(rep: IntervalRep) -> Certificate:
     """
     rep = normalize(rep)
     seq = z_sequence(rep)
-    zs = seq.vertices
-    if not zs:
-        return Certificate(vertices=(), checks={"independent": True, "absorbing": True},
-                           algorithm="kernel-linear")
     ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
-    keep = [zs[-1]]
-    last = zs[-1]
-    for i in range(len(zs) - 2, -1, -1):
-        z = zs[i]
-        if not (ls[z] < rt[last] and lt[last] < rs[z]):  # (z, last) not an edge
-            keep.append(z)
-            last = z
+    keep: list[int] = []
+    for z in reversed(seq.vertices):
+        if not keep or not (ls[z] < rt[keep[-1]] and lt[keep[-1]] < rs[z]):
+            keep.append(z)  # (z, last kept) is not an edge
     vertices = tuple(sorted(keep))
     checks = {"independent": set_is_independent(rep, vertices),
               "absorbing": set_is_absorbing(rep, vertices)}
@@ -184,6 +179,18 @@ def optimal_kernel_duf(g: Digraph, ordering: Ordering, objective: str = "min",
 # O(n^2) specialization for representations with shared left endpoints
 
 
+def adjusted_maxima(rep: NormalizedRep, perm) -> tuple[list[int], list[int]]:
+    """Per position of ``perm``, the l(S) order of the adjusted ``rep``, the
+    highest position that is an out- (in-) neighbour or the position itself.
+
+    Normalizing ranks l(T_v) right after l(S_v) (one coordinate, both left,
+    one vertex, S first; swapped() right before), so for u above v both left
+    ranks of u exceed both of v's: u is an out- (in-) neighbour of v iff
+    l(S_u) < r(S_v) (r(T_v)), which also holds for v and all below it."""
+    below = count_line(4 * rep.n, rep.ls)
+    return [below[rep.rs[v]] - 1 for v in perm], [below[rep.rt[v]] - 1 for v in perm]
+
+
 def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optional[Certificate]:
     """Optimal kernel when every vertex's intervals share a left endpoint.
 
@@ -197,16 +204,11 @@ def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optiona
         raise NotAdjusted("representation does not have matching left endpoints")
     n = rep.n
     g = realize_digraph(rep)
-    ordering = Ordering(sorted(range(n), key=rep.ls.__getitem__))
-    out_pos, in_pos = ordering.place(g)
-    # self-loops count: reflexivity makes every vertex its own neighbour here
-    max_out = [max(p, nbrs[-1]) if nbrs else p for p, nbrs in enumerate(out_pos)]
-    max_in = [max(p, nbrs[-1]) if nbrs else p for p, nbrs in enumerate(in_pos)]
+    ordering = Ordering(rank_order(rep.ls, 4 * n))
+    max_out, max_in = adjusted_maxima(rep, ordering.perm)
 
-    suffix_min_out = [0] * (n + 1)
-    suffix_min_out[n] = n  # sentinel above any real position
-    for p in range(n - 1, -1, -1):
-        suffix_min_out[p] = min(max_out[p], suffix_min_out[p + 1])
+    # suffix minima of max_out, then a sentinel above any real position
+    suffix_min_out = list(accumulate(reversed(max_out), min))[::-1] + [n]
 
     values: list[Optional[int]] = [None] * n
     succ: list[Optional[int]] = [None] * n

@@ -9,6 +9,10 @@ Both are Theta(n^2) on any input.  They return the same
 :func:`chain_dag_insort` is the former ranked fill, kept as the reference
 for its tie rule: it ranks by (-value, position) in rising order and
 probes from the front, so each insert may move every ranked entry.
+
+:func:`adjusted_maxima` is the adjusted solver's former fill of its
+per-position maxima, read off both full position lists of
+:meth:`~intdigraph.ordering.Ordering.place`.
 """
 
 from __future__ import annotations
@@ -138,3 +142,12 @@ def chain_dag_insort(g: Digraph, ordering: Ordering,
         succ[p] = best_q
         insort(ranked, p - values[p] * n)
     return SuffixTable(ordering, "max", tuple(values), tuple(succ), tuple(range(n)))
+
+
+def adjusted_maxima(g: Digraph, ordering: Ordering) -> tuple[list[int], list[int]]:
+    """Per position, the highest out- (in-) neighbour position, or itself."""
+    out_pos, in_pos = ordering.place(g)
+    # self-loops count: reflexivity makes every vertex its own neighbour here
+    max_out = [max(p, nbrs[-1]) if nbrs else p for p, nbrs in enumerate(out_pos)]
+    max_in = [max(p, nbrs[-1]) if nbrs else p for p, nbrs in enumerate(in_pos)]
+    return max_out, max_in

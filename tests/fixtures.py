@@ -2,15 +2,19 @@
 
 Each function builds a fresh object, so callers may not worry about
 sharing.  These are the standard counterexamples used across the test
-suite.
+suite.  :func:`splitting_bigraph`, which the library no longer calls,
+builds the splitting bigraph of a digraph for the tests and references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
+from intdigraph.domination import Bigraph, IntervalBigraphRep
+from intdigraph.errors import DimensionMismatch
 from intdigraph.graphs import Digraph
-from intdigraph.intervals import Interval, IntervalRep
+from intdigraph.intervals import Interval, IntervalRep, normalize, verify_representation
 from intdigraph.ordering import Ordering
 
 
@@ -76,3 +80,24 @@ def reflexive_path(n: int) -> tuple[Digraph, Ordering]:
     """Arcs i -> i+1 with loops everywhere and the natural ordering."""
     g = Digraph(n, [(i, i + 1) for i in range(n - 1)], loops=range(n))
     return g, Ordering(range(n))
+
+
+def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
+                      ) -> tuple[Bigraph, Optional[IntervalBigraphRep]]:
+    """Left/right split of ``g``; self-loops become cross edges too.
+
+    With a representation of ``g``, also returns the induced interval
+    bigraph model (S intervals on the left part, T on the right).
+    """
+    edges = list(g.edges())
+    edges.extend((v, v) for v in range(g.n) if g.loops[v])
+    big = Bigraph(g.n, g.n, edges)
+    brep = None
+    if rep is not None:
+        rep = normalize(rep)
+        if rep.n != g.n:
+            raise DimensionMismatch(f"representation has {rep.n} vertices, digraph {g.n}")
+        if not verify_representation(rep, g):
+            raise DimensionMismatch("representation does not realize the digraph")
+        brep = IntervalBigraphRep(zip(rep.ls, rep.rs), zip(rep.lt, rep.rt))
+    return big, brep

@@ -1,7 +1,7 @@
 """The former point-point recognizer, kept as a differential reference.
 
 It builds the splitting bigraph of ``g`` with
-:func:`~intdigraph.domination.splitting_bigraph`, labels its components
+:func:`fixtures.splitting_bigraph`, labels its components
 by one DFS over the bigraph's adjacency, and accepts when every component
 is complete bipartite.  The library now decides by interning each
 vertex's out-list and labels components only on a rejection;
@@ -11,9 +11,10 @@ vertex's out-list and labels components only on a rejection;
 
 from __future__ import annotations
 
-from intdigraph.domination import splitting_bigraph
 from intdigraph.graphs import Digraph
 from intdigraph.pointpoint import AntiWalkWitness, PointRep
+
+from fixtures import splitting_bigraph
 
 
 def _split_components(g: Digraph):

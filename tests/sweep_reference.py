@@ -1,12 +1,15 @@
 """The forward sweep's former segment tree, the red-blue sweep's former jump
-table, the former independence sweep and the graph types' former arc sets,
-kept as differential references.
+table, the former stab index and pair count, the former independence sweep
+and the graph types' former arc sets, kept as differential references.
 
 :func:`z_sequence` here is the kernel sweep's forward pass as it was, with
 :class:`_SurvivorIndex`, a max segment tree over the vertices sorted by
 l(S), answering every in-neighbour query.  :func:`build_red_blue_state`
 stabs every A interval and stores, per slot of the right-end order, the
 first slot its cover does not reach; :func:`walk` follows those jumps.
+:class:`StabIndex` answers a stab by bisecting a sorted copy of the stored
+intervals, and :func:`meeting_pairs` counts by bisecting two sorted lists;
+the library reads both off prefix arrays over the rank line.
 :func:`set_is_independent` sweeps the members' endpoints with two active
 sets.  :class:`Digraph`,
 :class:`UndirectedGraph` and :class:`Bigraph` here keep every arc a second
@@ -24,9 +27,50 @@ from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from intdigraph.errors import DimensionMismatch, InvalidVertex
-from intdigraph.intervals import (IntervalRep, StabIndex, normalize,
+from intdigraph.intervals import (IntervalRep, NormalizedRep, normalize,
                                   require_reflexive)
 from intdigraph.kernels import ZSequence
+
+
+class StabIndex:
+    """Closed intervals with payloads, queried by the interval they meet.
+
+    Built from (lo, hi, payload) items; :meth:`stab` returns the (hi,
+    payload) of the stored interval meeting [lo, hi] that reaches furthest
+    right, the first in (lo, hi, payload) order on ties, or None.
+    """
+
+    __slots__ = ("los", "best")
+
+    def __init__(self, items):
+        self.los = []
+        self.best = []
+        top = None
+        for lo, hi, payload in sorted(items):
+            if top is None or hi > top[0]:
+                top = (hi, payload)
+            self.los.append(lo)
+            self.best.append(top)
+
+    def stab(self, lo, hi):
+        i = bisect_right(self.los, hi)
+        if i and self.best[i - 1][0] >= lo:
+            return self.best[i - 1]
+        return None
+
+
+def meeting_pairs(rep: NormalizedRep, members) -> int:
+    """The pairs (u, v) of ``members``, u = v included, where S_u meets T_v.
+
+    S_u meets T_v exactly when l(T_v) < r(S_u) but not r(T_v) < l(S_u),
+    and the second implies the first, so the count is the sum over u of
+    the members' T intervals starting below r(S_u) less those ending below
+    l(S_u), each one bisection.
+    """
+    ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
+    lts = sorted(lt[v] for v in members)
+    rts = sorted(rt[v] for v in members)
+    return sum(bisect_left(lts, rs[u]) - bisect_left(rts, ls[u]) for u in members)
 
 
 class _SurvivorIndex:

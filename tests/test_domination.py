@@ -8,13 +8,13 @@ from intdigraph import (Certificate, Digraph, Interval, IntervalBigraphRep, Inte
                         brute_min_absorbing, brute_red_blue,
                         build_red_blue_state, kernel_linear, min_absorbing_reflexive,
                         min_dominating_reflexive, normalize, realize_digraph,
-                        red_blue_min_dominating, reverse, splitting_bigraph,
+                        red_blue_min_dominating, reverse,
                         verify_set)
 from intdigraph.domination import bigraph_ranks
 from intdigraph.errors import DimensionMismatch, NotReflexive
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
 
-from fixtures import symmetric_triangle, two_vertex_example_rep
+from fixtures import splitting_bigraph, symmetric_triangle, two_vertex_example_rep
 from conftest import interval_reps
 
 
@@ -164,6 +164,25 @@ def test_wrong_cover_is_caught_by_each_solver(monkeypatch):
     for solve in (min_absorbing_reflexive, min_dominating_reflexive):
         with pytest.raises(RuntimeError, match="non-absorbing"):
             solve(disjoint)
+
+
+def test_cover_missing_only_the_rank_zero_a_interval_is_caught(monkeypatch):
+    """The A interval whose left end is rank 0 is checked too: on two
+    disjoint vertices, repeating the last cover leaves only it uncovered."""
+    from intdigraph import domination
+    build = domination.build_red_blue_state
+
+    def last_cover(*ranks):
+        state = build(*ranks)
+        return domination.RedBlueState(state.a_first, (state.cover[-1],) * len(state.cover))
+
+    monkeypatch.setattr(domination, "build_red_blue_state", last_cover)
+    pairs = [(Interval(2 * v, 2 * v + 1),) * 2 for v in range(2)]
+    for solve, rep in ((red_blue_min_dominating, IntervalBigraphRep(*zip(*pairs))),
+                       (min_absorbing_reflexive, IntervalRep(pairs)),
+                       (min_dominating_reflexive, IntervalRep(pairs))):
+        with pytest.raises(RuntimeError, match="non-dominating"):
+            solve(rep)
 
 
 class TestAbsorbingDominating:

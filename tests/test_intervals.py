@@ -9,7 +9,7 @@ from intdigraph import (Digraph, Interval, IntervalRep, extract_duf_ordering,
                         set_is_absorbing, set_is_dominating, set_is_independent,
                         verify_representation, verify_set,
                         check_reflexive_interval_ordering, verify_duf_ordering)
-from intdigraph.errors import DimensionMismatch, MalformedInterval, NotReflexive
+from intdigraph.errors import DimensionMismatch, InvalidVertex, MalformedInterval, NotReflexive
 from intdigraph.generators import gen_reflexive_interval
 from intdigraph.intervals import NormalizedRep
 
@@ -108,6 +108,31 @@ class TestIsReflexive:
         rep = IntervalRep([(Interval(2, 9), Interval(2, 4)),
                            (Interval(5, 6), Interval(5, 11))])
         assert rep.adjusted and is_reflexive(rep)
+
+
+class TestSetChecksRejectNonVertices:
+    """An id outside 0..n-1 raises InvalidVertex, as verify_set does, and
+    never wraps round to a vertex from the end."""
+
+    REP = IntervalRep([((0, 9), (0, 9)), ((5, 6), (5, 6))])
+
+    @pytest.mark.parametrize("check", [set_is_absorbing, set_is_dominating,
+                                       set_is_independent])
+    @pytest.mark.parametrize("s", [[-1], [-2], [2], [0, 7], [7, 2], [-1, 2]])
+    def test_out_of_range_id(self, check, s):
+        # the least bad id is named, as verify_set's sorted scan named it
+        want = f"vertex {min(v for v in s if not 0 <= v < 2)} out of range for n=2"
+        for run in (lambda: check(self.REP, s),
+                    lambda: verify_set(realize_digraph(self.REP), s, "kernel")):
+            with pytest.raises(InvalidVertex, match=f"^{want}$"):
+                run()
+
+    def test_in_range_ids_still_answer(self):
+        # 0 and 1 are adjacent both ways
+        for s in ([0], [1]):
+            assert set_is_absorbing(self.REP, s) and set_is_dominating(self.REP, s)
+        assert not set_is_independent(self.REP, [0, 1])
+        assert not set_is_absorbing(self.REP, []) and set_is_independent(self.REP, [])
 
 
 class TestExtractDufOrdering:

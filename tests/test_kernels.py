@@ -13,7 +13,9 @@ from intdigraph import (Digraph, Interval, IntervalRep, Ordering,
                         verify_set, z_sequence)
 from intdigraph.errors import NotAdjusted, NotCocompOrdered, NotDufOrdered, NotReflexive
 from intdigraph.generators import gen_reflexive_interval
+from intdigraph.kernels import adjusted_maxima
 
+import dp_reference
 from fixtures import (in_star_adjusted, no_kernel_duf, reflexive_path,
                       two_vertex_example_rep)
 from conftest import all_digraphs, min_solution_size, random_adjusted_rep
@@ -180,6 +182,10 @@ class TestOptimalKernelAdjusted:
         for trial in range(120):
             rep = normalize(random_adjusted_rep(rng.randint(1, 10), rng))
             g = realize_digraph(rep)
+            for r, h in ((rep, g), (rep.swapped(), reverse(g))):
+                ordering = Ordering(sorted(range(r.n), key=r.ls.__getitem__))
+                assert (adjusted_maxima(r, ordering.perm)
+                        == dp_reference.adjusted_maxima(h, ordering))
             for objective in ("min", "max"):
                 adj = optimal_kernel_adjusted(rep, objective)
                 gen = optimal_kernel_duf(g, extract_duf_ordering(rep), objective)

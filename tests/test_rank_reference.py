@@ -1,6 +1,7 @@
 """The library's bigraph ranking against ``rank_reference._endpoint_ranks``,
-and its red-blue sweep against the jump table of ``sweep_reference``: the
-same endpoint order, and the same red-blue certificate."""
+its red-blue sweep against the jump table of ``sweep_reference`` and its
+rank-line stab against the ``StabIndex`` kept there: the same endpoint
+order, the same red-blue certificate and the same (hi, payload) stabs."""
 
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intdigraph import Interval, IntervalBigraphRep, red_blue_min_dominating
-from intdigraph.domination import bigraph_ranks
+from intdigraph.domination import bigraph_ranks, furthest_cover
 from intdigraph.generators import gen_interval_bigraph
 
 import sweep_reference
@@ -55,6 +56,10 @@ def test_bigraph_ranks_match_the_reference(rep):
     ref = ([lo for lo, _ in a], [hi for _, hi in a], [lo for lo, _ in b], [hi for _, hi in b])
     ranks = bigraph_ranks(rep)
     assert _order(sum(ranks, [])) == _order(sum(ref, []))
+    a_lo, a_hi, b_lo, b_hi = ranks
+    index = sweep_reference.StabIndex(zip(b_lo, b_hi, range(rep.b_size)))
+    assert (list(map(furthest_cover(a_lo, a_hi, b_lo, b_hi), range(rep.a_size)))
+            == [index.stab(lo, hi) for lo, hi in zip(a_lo, a_hi)])
     cert = red_blue_min_dominating(rep)
     state = sweep_reference.build_red_blue_state(*ref)
     assert (cert is None) == (state is None)

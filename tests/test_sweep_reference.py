@@ -1,6 +1,7 @@
-"""The frontier-walk forward sweep, the counting independence check and the
-adjacency-only graph types against the segment tree, the active-set sweep
-and the arc sets kept in ``sweep_reference``."""
+"""The frontier-walk forward sweep, the counting independence check, its
+rank-line pair count and the adjacency-only graph types against the segment
+tree, the active-set sweep, the bisection count and the arc sets kept in
+``sweep_reference``."""
 
 import random
 
@@ -8,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intdigraph import (Bigraph, Digraph, UndirectedGraph, induced_subgraph,
-                        reverse, set_is_independent, splitting_bigraph,
+                        normalize, reverse, set_is_independent,
                         symmetric_digraph, underlying_undirected, z_sequence)
 from intdigraph.generators import gen_reflexive_interval
+from intdigraph.intervals import meeting_pairs
 from intdigraph.pointpoint import k_subdivision
 
 import sweep_reference as ref
 from conftest import interval_reps, random_adjusted_rep
+from fixtures import splitting_bigraph
 
 
 @st.composite
@@ -44,6 +47,9 @@ def test_set_is_independent_matches_the_active_set_sweep(rep, data):
     ids = st.integers(0, rep.n - 1) if rep.n else st.nothing()
     s = data.draw(st.lists(ids, max_size=min(rep.n, 5)))
     assert set_is_independent(rep, s) == ref.set_is_independent(rep, s)
+    nrep = normalize(rep)
+    for members in (set(s), range(rep.n)):
+        assert meeting_pairs(nrep, members) == ref.meeting_pairs(nrep, members)
 
 
 def _pairs(n, m):
