@@ -17,7 +17,7 @@ _EXPORTS = {
                   "set_is_independent", "verify_representation"),
     "ordering": ("Ordering", "StructureWitness", "SuffixTable",
                  "build_representation", "check_reflexive_interval_ordering",
-                 "find_forbidden_structure", "structure_present",
+                 "duf_witness", "find_forbidden_structure", "structure_present",
                  "verify_cocomparability_ordering", "verify_duf_ordering"),
     "kernels": ("ZSequence", "compute_kernel_table", "kernel_linear",
                 "min_independent_dominating_cocomp", "optimal_kernel_adjusted",

@@ -59,13 +59,11 @@ def _cert_payload(cert) -> dict:
     return payload
 
 
-def _load_weights(args, n: int):
-    if getattr(args, "weights", None) is None:
+def _load_weights(args):
+    """The ``--weights`` file's integers; each solver checks their count."""
+    if args.weights is None:
         return None
-    w = parse_weights(_read(args.weights))
-    if len(w) != n:
-        raise ValueError(f"weights file has {len(w)} entries, expected {n}")
-    return w
+    return parse_weights(_read(args.weights))
 
 
 def _cmd_kernel(args):
@@ -86,11 +84,11 @@ def _optimal_kernel(args, objective: str):
             rep = normalize(parse_interval_rep(texts[0]))
             g = realize_digraph(rep)
             ordering = extract_duf_ordering(rep)
-            cert = optimal_kernel_duf(g, ordering, objective, _load_weights(args, g.n))
+            cert = optimal_kernel_duf(g, ordering, objective, _load_weights(args))
     elif kinds == ["digraph", "ordering"]:
         g = parse_digraph(texts[0])
         ordering = parse_ordering(texts[1])
-        cert = optimal_kernel_duf(g, ordering, objective, _load_weights(args, g.n))
+        cert = optimal_kernel_duf(g, ordering, objective, _load_weights(args))
     else:
         raise ValueError("expected an interval file, or a digraph plus an ordering; "
                          f"got {kinds}")
@@ -112,7 +110,7 @@ def _cmd_dominating(args):
 def _cmd_mis(args):
     g = parse_digraph(_read(args.digraph))
     ordering = parse_ordering(_read(args.ordering))
-    cert = max_independent_duf(g, ordering, _load_weights(args, g.n))
+    cert = max_independent_duf(g, ordering, _load_weights(args))
     return _cert_payload(cert), EXIT_OK
 
 
@@ -170,15 +168,28 @@ def _serialize_map(sub: SubdivisionMap) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_map(text: str) -> SubdivisionMap:
+    """The map as ``subdivide`` writes it; any other shape is a ValueError."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a subdivision map is a JSON object")
+    raw, k, origin, host = map(data.get, ("paths", "k", "origin", "host"))
+    if not (isinstance(raw, dict) and _is_int(k)
+            and isinstance(origin, str) and isinstance(host, str)):
+        raise ValueError('a subdivision map needs an object "paths", an integer "k" '
+                         'and digraph texts "origin" and "host"')
     paths = {}
-    for key, ids in data["paths"].items():
+    for key, ids in raw.items():
+        if not (isinstance(ids, list) and all(map(_is_int, ids))):
+            raise ValueError(f"path {key!r} is not a list of integers")
         u, v = key.split()
         paths[(int(u), int(v))] = tuple(ids)
-    return SubdivisionMap(origin=parse_digraph(data["origin"]),
-                          host=parse_digraph(data["host"]),
-                          k=int(data["k"]), paths=paths)
+    return SubdivisionMap(origin=parse_digraph(origin), host=parse_digraph(host),
+                          k=k, paths=paths)
 
 
 def _cmd_subdivide(args):
@@ -229,7 +240,7 @@ def _cmd_oracle(args):
         return _cert_payload(oracle.brute_min_absorbing(g, budget=budget)), EXIT_OK
     if args.problem == "independent":
         g = _load_digraph(_read(args.inputs[0]))
-        w = _load_weights(args, g.n)
+        w = _load_weights(args)
         return _cert_payload(oracle.brute_max_independent(g, w, budget=budget)), EXIT_OK
     if args.problem == "red-blue":
         rep = parse_bigraph_rep(_read(args.inputs[0]))

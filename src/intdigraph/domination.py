@@ -10,7 +10,9 @@ uncovered A-vertex whose interval ends first with its furthest-reaching
 B-neighbour.  Every uncovered A interval ends later, so that neighbour
 covers exactly those starting before it ends, a prefix of the left-end
 order: the sweep is :func:`~intdigraph.intervals.frontier_walk`, the
-forward pass of the kernel sweep too.
+forward pass of the kernel sweep too.  Its one re-check, a prefix
+maximum over the chosen B intervals, is on a reflexive representation
+the absorbing (swapped, dominating) check, so those solvers run no other.
 
 The sweep reads only the order of the endpoints, as four rank sequences
 in the form of a :class:`~intdigraph.intervals.NormalizedRep`.  The
@@ -28,8 +30,7 @@ from typing import Iterable, NamedTuple, Optional
 from .errors import DimensionMismatch
 from .graphs import Certificate, _in_sorted, transpose
 from .intervals import (Interval, IntervalRep, NormalizedRep, frontier_walk,
-                        normalize, reach_line, require_reflexive,
-                        set_is_absorbing, stable_ranks)
+                        normalize, reach_line, require_reflexive, stable_ranks)
 
 
 class Bigraph:
@@ -144,9 +145,7 @@ def build_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[RedBlueState]:
     |B|)-1; None when it reaches an A-vertex with no B-neighbour."""
     steps = frontier_walk(a_lo, a_hi, furthest_cover(a_lo, a_hi, b_lo, b_hi),
                           2 * (len(a_lo) + len(b_lo)))
-    if steps is None:
-        return None
-    return RedBlueState(steps[0], steps[1])
+    return None if steps is None else RedBlueState(*steps)
 
 
 def red_blue_min_dominating(rep) -> Optional[Certificate]:
@@ -179,12 +178,13 @@ def min_absorbing_reflexive(rep: IntervalRep) -> Certificate:
     """
     nrep = normalize(rep)
     require_reflexive(nrep)
+    # The red-blue solver has checked that every source interval meets a
+    # chosen target interval.  That makes the set absorbing, and as every
+    # vertex is reflexive it is exactly the absorbing condition.
     inner = red_blue_min_dominating(nrep)
     if inner is None:
         raise RuntimeError("reflexive representation produced an isolated copy")
     vertices = inner.vertices
-    if not set_is_absorbing(nrep, vertices):
-        raise RuntimeError("absorbing sweep produced a non-absorbing set")
     return Certificate(vertices=vertices, checks={"absorbing": True},
                        algorithm="red-blue-sweep", optimal=True,
                        objective="min", value=len(vertices))
@@ -195,7 +195,7 @@ def min_dominating_reflexive(rep: IntervalRep) -> Certificate:
 
     Swapping each vertex's source and target intervals represents the
     reversed digraph, where dominating and absorbing trade places; the
-    absorbing check on the swapped ranks is exactly ``set_is_dominating``.
+    coverage check on the swapped ranks is exactly the dominating condition.
     """
     vertices = min_absorbing_reflexive(normalize(rep).swapped()).vertices
     return Certificate(vertices=vertices, checks={"dominating": True},

@@ -18,14 +18,15 @@ from __future__ import annotations
 from bisect import insort
 from typing import Iterable, Optional
 
-from .errors import NotDufOrdered
 from .graphs import Certificate, Digraph, check_weights
-from .ordering import Ordering, SuffixTable, verify_duf_ordering
+from .ordering import Ordering, SuffixTable, duf_placement
 
 
-def chain_dag(g: Digraph, ordering: Ordering,
+def chain_dag(ordering: Ordering, placed,
               weights: Optional[Iterable[int]] = None) -> SuffixTable:
-    """Fill the chain table; assumes the ordering is already verified DUF.
+    """Fill the chain table from ``placed``, the caller's
+    :meth:`~intdigraph.ordering.Ordering.place` of the digraph under
+    ``ordering``, which the caller has already verified DUF.
 
     A chain continues only on the first best tail of positive weight.  The
     positions above p are kept ranked by (value, -position), encoded as
@@ -37,10 +38,10 @@ def chain_dag(g: Digraph, ordering: Ordering,
     neighbours of p rank after it and each insert moves at most deg(p)
     entries.
     """
-    n = g.n
+    n = ordering.n
     perm = ordering.perm
     w = check_weights(weights, n)
-    out_pos, in_pos = ordering.place(g)
+    out_pos, in_pos = placed
     values = [0] * n
     succ: list[Optional[int]] = [None] * n
     ranked: list[int] = []
@@ -67,8 +68,7 @@ def chain_dag(g: Digraph, ordering: Ordering,
 
 def max_independent_duf(g: Digraph, ordering: Ordering,
                         weights: Optional[Iterable[int]] = None) -> Certificate:
-    """Maximum-weight independent set of a DUF-ordered digraph."""
-    witness = verify_duf_ordering(g, ordering)
-    if witness is not None:
-        raise NotDufOrdered(witness)
-    return chain_dag(g, ordering, weights).certify(g, "independent", "chain-dp")
+    """Maximum-weight independent set of a DUF-ordered digraph; the
+    ordering is re-verified on the placement the fill reads."""
+    table = chain_dag(ordering, duf_placement(g, ordering), weights)
+    return table.certify(g, "independent", "chain-dp")

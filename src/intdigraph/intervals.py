@@ -321,19 +321,17 @@ def count_line(size: int, ranks) -> list[int]:
 
 
 def frontier_walk(lo, hi, reach, size: int):
-    """The greedy of both interval sweeps: ``(firsts, payloads, passed)``.
+    """The greedy of both interval sweeps: ``(firsts, payloads)``.
 
     Items, with distinct ranks below ``size``, are taken by rising ``hi``.
     An item the frontier has not passed is a step: ``reach(i)`` gives its
     ``(bound, payload)``, or None, which stops the walk and returns None.
     The frontier, the largest bound so far (never a ``lo``), has passed the
-    items with ``lo`` below it; ``passed`` counts them per step.
+    items with ``lo`` below it.
     """
-    below = count_line(size, lo)
-    front = total = 0
+    front = 0
     firsts: list[int] = []
     payloads: list = []
-    passed: list[int] = []
     for i in rank_order(hi, size):
         if lo[i] < front:
             continue
@@ -344,9 +342,7 @@ def frontier_walk(lo, hi, reach, size: int):
         front = max(front, bound)
         firsts.append(i)
         payloads.append(payload)
-        passed.append(below[front] - total)
-        total = below[front]
-    return tuple(firsts), tuple(payloads), tuple(passed)
+    return tuple(firsts), tuple(payloads)
 
 
 # --- definitional set checks computed through the representation ----------

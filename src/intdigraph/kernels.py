@@ -8,8 +8,9 @@ Three routes, by input:
   it together with its surviving in-neighbours; a backward pass thins the
   picked sequence to an independent set.  Never fails: reflexive interval
   digraphs are kernel-perfect.  Runs in one sort plus O(n): the forward
-  pass is one monotone frontier over the l(S) ranks; the digraph
-  itself is never materialized.
+  pass is one monotone frontier over the l(S) ranks, and one prefix count
+  of them gives the per-step removals; the digraph itself is never
+  materialized.
 
 * :func:`optimal_kernel_duf` finds a minimum/maximum (optionally weighted)
   kernel of any digraph with a directed umbrella-free ordering, or the
@@ -17,7 +18,9 @@ Three routes, by input:
   ordering: each position has at most Delta + 1 candidate continuations
   (Delta the largest degree), each tested by a count with bisection, so
   the table costs O(m log n + n Delta (Delta + log n)).  Re-verifying the
-  ordering counts the same way, in O(m (Delta + log n)).
+  ordering counts the same way, in O(m (Delta + log n)), on the same
+  :meth:`~intdigraph.ordering.Ordering.place` the table reads: one
+  placement per solve.
 
 * :func:`optimal_kernel_adjusted` finds the same optimum in O(n^2) when the
   representation has matching left endpoints, exploiting that each
@@ -29,18 +32,19 @@ Both fill a :class:`~intdigraph.ordering.SuffixTable`, which certifies the kerne
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
+from .errors import NotAdjusted, NotCocompOrdered
 from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
                      symmetric_digraph)
 from .intervals import (IntervalRep, NormalizedRep, count_line, frontier_walk,
                         normalize, rank_order, realize_digraph,
                         require_reflexive, set_is_absorbing, set_is_independent)
-from .ordering import (Ordering, SuffixTable, argbest, covered, first_gap,
-                       verify_cocomparability_ordering, verify_duf_ordering)
+from .ordering import (Ordering, SuffixTable, argbest, covered, duf_placement,
+                       first_gap, verify_cocomparability_ordering)
 
 OBJECTIVES = ("min", "max")
 
@@ -74,12 +78,17 @@ def z_sequence(rep: IntervalRep) -> ZSequence:
     order, and a popped prefix stays empty, so this is the
     :func:`~intdigraph.intervals.frontier_walk` with bound r(T_v).  The
     frontier passes v too, as l(S_v) < r(T_v), so every vertex it passes was
-    still a survivor.
+    still a survivor.  The frontier had not passed v, so l(S_v) is at least
+    the old frontier and r(T_v) is the new one: after step k the removed
+    vertices are those with l(S) below r(T_{z_k}), one prefix count.
     """
     rep = normalize(rep)
     require_reflexive(rep)
     rs, rt = rep.rs, rep.rt
-    picked, _, counts = frontier_walk(rep.ls, rs, lambda v: (rt[v], v), 4 * rep.n)
+    picked, _ = frontier_walk(rep.ls, rs, lambda v: (rt[v], v), 4 * rep.n)
+    below = count_line(4 * rep.n, rep.ls)
+    totals = [0, *map(below.__getitem__, map(rt.__getitem__, picked))]
+    counts = tuple(map(operator.sub, totals[1:], totals))
     return ZSequence(picked, counts, tuple(map(rs.__getitem__, picked)))
 
 
@@ -108,9 +117,11 @@ def kernel_linear(rep: IntervalRep) -> Certificate:
 # min/max kernel on digraphs with a DUF-ordering
 
 
-def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
+def compute_kernel_table(ordering: Ordering, placed, objective: str = "min",
                          weights: Optional[Iterable[int]] = None) -> SuffixTable:
-    """Fill the suffix table; assumes ``ordering`` is already verified DUF.
+    """Fill the suffix table from ``placed``, the caller's
+    :meth:`~intdigraph.ordering.Ordering.place` of the digraph under
+    ``ordering``, which the caller has already verified DUF.
 
     A continuation of position i is a position j above i, adjacent to i in
     neither direction, such that every position strictly between that is
@@ -127,10 +138,10 @@ def compute_kernel_table(g: Digraph, ordering: Ordering, objective: str = "min",
     O(m log n + n Delta (Delta + log n)) for largest degree Delta.
     """
     _check_objective(objective)
-    n = g.n
+    n = ordering.n
     w = check_weights(weights, n)
     wpos = [w[v] for v in ordering.perm]
-    out_pos, in_pos = ordering.place(g)
+    out_pos, in_pos = placed
 
     values: list[Optional[int]] = [None] * n
     succ: list[Optional[int]] = [None] * n
@@ -164,14 +175,11 @@ def optimal_kernel_duf(g: Digraph, ordering: Ordering, objective: str = "min",
     """Optimal kernel of a DUF-ordered digraph, or None when no kernel exists.
 
     ``objective`` picks minimum or maximum total weight (unit weights by
-    default).  The ordering is re-verified; a violation raises
-    :class:`NotDufOrdered` with a witness.
+    default).  The ordering is re-verified on the one placement the table
+    reads; a violation raises :class:`NotDufOrdered` with a witness.
     """
     _check_objective(objective)
-    witness = verify_duf_ordering(g, ordering)
-    if witness is not None:
-        raise NotDufOrdered(witness)
-    table = compute_kernel_table(g, ordering, objective, weights)
+    table = compute_kernel_table(ordering, duf_placement(g, ordering), objective, weights)
     return table.certify(g, "kernel", "kernel-dp")
 
 
@@ -239,15 +247,15 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
     Kernels of the symmetric digraph of ``h`` are exactly the independent
     dominating sets of ``h``, and the same ordering is umbrella-free in
     both senses, so after one umbrella check on ``h`` this fills the
-    kernel table of that digraph.  Always succeeds: every maximal
-    independent set dominates.
+    kernel table of that digraph.  Its placement is ``ordering.place(h)``,
+    ``h``'s adjacency as both lists, so the digraph is built only for the
+    certificate.  Always succeeds: every maximal independent set dominates.
     """
     triple = verify_cocomparability_ordering(h, ordering)
     if triple is not None:
         raise NotCocompOrdered(triple)
-    g = symmetric_digraph(h)
-    cert = compute_kernel_table(g, ordering, "min").certify(g, "solution",
-                                                            "cocomp-min-ind-dom")
+    table = compute_kernel_table(ordering, ordering.place(h), "min")
+    cert = table.certify(symmetric_digraph(h), "solution", "cocomp-min-ind-dom")
     if cert is None:
         raise RuntimeError("symmetric digraph without a kernel")
     return cert

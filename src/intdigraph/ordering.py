@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import ForbiddenStructure, InvalidOrdering, NotReflexive
+from .errors import ForbiddenStructure, InvalidOrdering, NotDufOrdered, NotReflexive
 from .graphs import Certificate, Digraph, UndirectedGraph, transpose_lists, verify_set
 from .intervals import IntervalRep, verify_representation
 
@@ -226,19 +226,19 @@ def _umbrella_at(near, far, p) -> Optional[tuple[int, int]]:
     return None
 
 
-def verify_duf_ordering(g: Digraph, ordering: Ordering) -> Optional[StructureWitness]:
-    """None if the ordering is directed umbrella-free, else a witness.
+def duf_witness(ordering: Ordering, placed) -> Optional[StructureWitness]:
+    """None if the digraph placed as ``placed`` (its :meth:`Ordering.place`
+    under ``ordering``) is directed umbrella-free, else a witness.
 
     Tests, for every arc spanning at least one middle position, that the
     positions in between are covered, by one count per arc:
     O(m (Delta + log n)) for largest degree Delta.  At each position the
     out-arcs are scanned before the in-arcs.
     """
-    _require_matching(g, ordering)
     perm = ordering.perm
-    outs, ins = ordering.place(g)
+    outs, ins = placed
     scans = (("duf-out", outs, ins), ("duf-in", ins, outs))
-    for p in range(g.n):
+    for p in range(ordering.n):
         for kind, near, far in scans:
             hit = _umbrella_at(near, far, p)
             if hit is not None:
@@ -246,6 +246,25 @@ def verify_duf_ordering(g: Digraph, ordering: Ordering) -> Optional[StructureWit
                 return StructureWitness(kind, (perm[p], perm[r], perm[r], perm[q]),
                                         (p, r, r, q))
     return None
+
+
+def verify_duf_ordering(g: Digraph, ordering: Ordering) -> Optional[StructureWitness]:
+    """None if the ordering is directed umbrella-free for ``g``, else the
+    :func:`duf_witness` of its placement."""
+    _require_matching(g, ordering)
+    return duf_witness(ordering, ordering.place(g))
+
+
+def duf_placement(g: Digraph, ordering: Ordering):
+    """``ordering.place(g)`` once :func:`duf_witness` has passed it: the one
+    placement an ordered solver reads.  A violation raises
+    :class:`NotDufOrdered` with the witness of :func:`verify_duf_ordering`."""
+    _require_matching(g, ordering)
+    placed = ordering.place(g)
+    witness = duf_witness(ordering, placed)
+    if witness is not None:
+        raise NotDufOrdered(witness)
+    return placed
 
 
 def find_forbidden_structure(g: Digraph, ordering: Ordering) -> Optional[StructureWitness]:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
-from intdigraph import Digraph, Interval, IntervalRep, UndirectedGraph
+from intdigraph import Digraph, Interval, IntervalRep, Ordering, UndirectedGraph
 
 
 def brute_realize(rep: IntervalRep) -> Digraph:
@@ -122,3 +123,16 @@ def undirected_graphs(draw, min_n=0, max_n=8):
     edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n) if pairs
                  else st.just([]))
     return UndirectedGraph(n, edges)
+
+
+@pytest.fixture
+def placements(monkeypatch):
+    """The type name of every graph that ``Ordering.place`` places, in order."""
+    seen = []
+    place = Ordering.place
+
+    def counted(self, g):
+        seen.append(type(g).__name__)
+        return place(self, g)
+    monkeypatch.setattr(Ordering, "place", counted)
+    return seen

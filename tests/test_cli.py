@@ -338,6 +338,35 @@ class TestErrors:
         assert code == 1 and payload["status"] == "error"
         assert "line 1" in payload["error"]
 
+    @pytest.mark.parametrize("change", [
+        lambda m: [], lambda m: "s", lambda m: {**m, "paths": []},
+        lambda m: {**m, "paths": {"0 1": 5}}, lambda m: {**m, "paths": {"0 1": [2, "3"]}},
+        lambda m: {**m, "k": None}, lambda m: {**m, "k": "2"},
+        lambda m: {**m, "origin": 5}, lambda m: {**m, "host": ["digraph 2"]},
+    ], ids=["list", "string", "paths-list", "path-int", "path-str-id", "k-null", "k-str",
+            "origin-int", "host-list"])
+    @pytest.mark.parametrize("command", ["lift", "project"])
+    def test_malformed_subdivision_map_is_a_json_error(self, files, capsys, tmp_path,
+                                                       command, change):
+        code, payload = run_json(capsys, "subdivide", files["ab.dg"], "--k", "2")
+        path = tmp_path / "bad.map"
+        path.write_text(json.dumps(change(payload["map"])))
+        code, payload = run_json(capsys, command, str(path), files["set0.txt"])
+        assert code == 1 and payload["status"] == "error"
+
+    @pytest.mark.parametrize("argv", [
+        ["mis", "@path.dg", "@path.ord", "--weights", "@w.txt"],
+        ["max-kernel", "@path.dg", "@path.ord", "--weights", "@w.txt"],
+    ])
+    def test_short_weights_file_is_a_json_error(self, capsys, tmp_path, argv):
+        for name, text in (("path.dg", "digraph 3\n0 1\n1 2\n"), ("path.ord", "0 1 2\n"),
+                           ("w.txt", "5 9\n")):
+            (tmp_path / name).write_text(text)
+        code, payload = run_json(capsys, *[str(tmp_path / a[1:]) if a[0] == "@" else a
+                                           for a in argv])
+        assert code == 1 and payload == {"status": "error",
+                                         "error": "ValueError: expected 3 weights, got 2"}
+
     @pytest.mark.parametrize("n,error", [
         (2**62, "MemoryError"),
         (2**63, "OverflowError: cannot fit 'int' into an index-sized integer"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from intdigraph import (Certificate, Digraph, Interval, IntervalBigraphRep, IntervalRep,
+from intdigraph import (Digraph, Interval, IntervalBigraphRep, IntervalRep,
                         brute_min_absorbing, brute_red_blue,
                         build_red_blue_state, kernel_linear, min_absorbing_reflexive,
                         min_dominating_reflexive, normalize, realize_digraph,
@@ -143,7 +143,8 @@ class TestRedBlueMinDominating:
 
 
 def test_wrong_cover_is_caught_by_each_solver(monkeypatch):
-    """A wrong sweep state or a wrong red-blue answer is caught by a check."""
+    """A wrong sweep state is caught by the red-blue coverage check, which
+    is the only check the absorbing and dominating solvers run."""
     from intdigraph import domination
     build = domination.build_red_blue_state
 
@@ -158,12 +159,6 @@ def test_wrong_cover_is_caught_by_each_solver(monkeypatch):
                        (min_dominating_reflexive, disjoint)):
         with pytest.raises(RuntimeError, match="non-dominating"):
             solve(rep)
-    # past the red-blue check, the absorbing check still runs on its own
-    monkeypatch.setattr(domination, "red_blue_min_dominating",
-                        lambda rep: Certificate(vertices=(0,), checks={}, algorithm="wrong"))
-    for solve in (min_absorbing_reflexive, min_dominating_reflexive):
-        with pytest.raises(RuntimeError, match="non-absorbing"):
-            solve(disjoint)
 
 
 def test_cover_missing_only_the_rank_zero_a_interval_is_caught(monkeypatch):
@@ -183,6 +178,20 @@ def test_cover_missing_only_the_rank_zero_a_interval_is_caught(monkeypatch):
                        (min_dominating_reflexive, IntervalRep(pairs))):
         with pytest.raises(RuntimeError, match="non-dominating"):
             solve(rep)
+
+
+def test_absorbing_solver_counts_nothing(monkeypatch):
+    """The sweep builds no prefix count, and the only re-check is the
+    red-blue coverage check, a prefix maximum."""
+    from intdigraph import intervals
+    calls = []
+    count_line = intervals.count_line
+    monkeypatch.setattr(intervals, "count_line",
+                        lambda *args: calls.append(args) or count_line(*args))
+    rep = normalize(gen_reflexive_interval(40, seed=9))
+    assert min_absorbing_reflexive(rep).all_checks_pass()
+    assert min_dominating_reflexive(rep).all_checks_pass()
+    assert calls == []
 
 
 class TestAbsorbingDominating:

@@ -20,11 +20,12 @@ def _tables(table):
 
 
 def assert_same_tables(g, ordering, weights):
+    placed = ordering.place(g)
     for objective in ("min", "max"):
-        assert (_tables(compute_kernel_table(g, ordering, objective, weights))
+        assert (_tables(compute_kernel_table(ordering, placed, objective, weights))
                 == _tables(dp_reference.compute_kernel_table(g, ordering, objective,
                                                              weights)))
-    assert (_tables(chain_dag(g, ordering, weights))
+    assert (_tables(chain_dag(ordering, placed, weights))
             == _tables(dp_reference.chain_dag(g, ordering, weights)))
 
 
@@ -79,5 +80,7 @@ def test_any_ordering_tables_match_the_reference(case):
 def test_chain_fill_keeps_the_insort_tie_rule(case):
     """Ranking in rising order and probing from the end picks the same
     tails as the former (-value, position) ranking probed from the front."""
-    table, former = chain_dag(*case), dp_reference.chain_dag_insort(*case)
+    g, ordering, weights = case
+    table = chain_dag(ordering, ordering.place(g), weights)
+    former = dp_reference.chain_dag_insort(g, ordering, weights)
     assert (table.values, table.succ) == (former.values, former.succ)

@@ -44,9 +44,16 @@ def test_rejects_non_duf_ordering():
         max_independent_duf(Digraph(3, [(0, 2)]), Ordering((0, 1, 2)))
 
 
+def test_one_placement_per_solve(placements):
+    """The umbrella check and the chain fill read the same placement."""
+    rep = normalize(gen_reflexive_interval(30, seed=5))
+    cert = max_independent_duf(realize_digraph(rep), extract_duf_ordering(rep))
+    assert cert.all_checks_pass() and placements == ["Digraph"]
+
+
 def test_chain_values_decrease_along_successors():
     g, ordering = reflexive_path(4)
-    dag = chain_dag(g, ordering)
+    dag = chain_dag(ordering, ordering.place(g))
     for p, nxt in enumerate(dag.succ):
         if nxt is not None:
             assert dag.values[p] > dag.values[nxt]
@@ -135,7 +142,7 @@ def _fill_seconds(g, ordering):
         best = float("inf")
         for _ in range(2):
             t0 = time.perf_counter()
-            chain_dag(g, ordering)
+            chain_dag(ordering, ordering.place(g))
             best = min(best, time.perf_counter() - t0)
         return best
     finally:

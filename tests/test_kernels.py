@@ -83,7 +83,7 @@ class TestOptimalKernelDuf:
 
     def test_path_dp_trace(self):
         g, ordering = reflexive_path(3)
-        table = compute_kernel_table(g, ordering, "min")
+        table = compute_kernel_table(ordering, ordering.place(g), "min")
         assert table.values == (2, None, 1)
         assert table.candidates == (0, 1)
         cert = optimal_kernel_duf(g, ordering, "min")
@@ -99,6 +99,15 @@ class TestOptimalKernelDuf:
         with pytest.raises(NotDufOrdered) as exc:
             optimal_kernel_duf(g, Ordering((0, 1, 2)))
         assert exc.value.witness.kind == "duf-out"
+
+    def test_one_placement_per_solve(self, placements):
+        """The umbrella check and the table read the same placement."""
+        rep = normalize(gen_reflexive_interval(30, seed=5))
+        g, ordering = realize_digraph(rep), extract_duf_ordering(rep)
+        for objective in ("min", "max"):
+            placements.clear()
+            assert optimal_kernel_duf(g, ordering, objective) is not None
+            assert placements == ["Digraph"]
 
     def test_tied_continuations_take_the_lowest_position(self):
         # from position 0, positions 1 and 2 continue equally well
@@ -204,6 +213,11 @@ class TestMinIndependentDominatingCocomp:
         p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
         cert = min_independent_dominating_cocomp(p4, Ordering((0, 1, 2, 3)))
         assert cert.size == 2
+
+    def test_fills_from_the_undirected_placement(self, placements):
+        p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
+        assert min_independent_dominating_cocomp(p4, Ordering((0, 1, 2, 3))).size == 2
+        assert set(placements) == {"UndirectedGraph"}
 
     def test_rejects_bad_ordering(self):
         p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intdigraph import (Digraph, IntervalRep, Ordering, UndirectedGraph,
-                        extract_duf_ordering, max_independent_duf,
+                        duf_witness, extract_duf_ordering, max_independent_duf,
                         min_independent_dominating_cocomp, normalize,
                         optimal_kernel_adjusted, optimal_kernel_duf,
                         realize_digraph, verify_cocomparability_ordering,
@@ -66,9 +66,12 @@ def _witness(w):
 @settings(max_examples=400, deadline=None)
 @given(ordered_digraphs() | duf_ordered_digraphs())
 def test_duf_witness_matches_the_reference(case):
+    """Both the check and the scan of a given placement, which the ordered
+    solvers run, return the former vertex-space scan's witness."""
     g, ordering = case
-    assert (_witness(verify_duf_ordering(g, ordering))
-            == _witness(ref.verify_duf_ordering(g, ordering)))
+    expected = _witness(ref.verify_duf_ordering(g, ordering))
+    assert _witness(verify_duf_ordering(g, ordering)) == expected
+    assert _witness(duf_witness(ordering, ordering.place(g))) == expected
 
 
 @settings(max_examples=400, deadline=None)
