@@ -205,17 +205,23 @@ def _cmd_lift_project(args, move):
     return {"status": "ok", "set": list(moved), "size": len(moved)}, EXIT_OK
 
 
-def _load_digraph(text: str) -> Digraph:
+def _load_instance(text: str):
     kind = detect_kind(text)
     if kind == "digraph":
         return parse_digraph(text)
     if kind == "intervals":
-        return realize_digraph(parse_interval_rep(text))
+        return parse_interval_rep(text)
     raise ValueError(f"expected a digraph or intervals file, got {kind}")
 
 
+def _load_digraph(text: str) -> Digraph:
+    g = _load_instance(text)
+    return g if isinstance(g, Digraph) else realize_digraph(g)
+
+
 def _cmd_verify(args):
-    g = _load_digraph(_read(args.instance))
+    # an intervals file's representation is checked on its ranks, not realized
+    g = _load_instance(_read(args.instance))
     s = parse_vertex_set(_read(args.set))
     cert = verify_set(g, s, args.kind)
     payload = {"status": "ok", "mode": args.kind, "set": list(cert.vertices),

@@ -82,6 +82,14 @@ def _int_fields(text: str, kind: str, width: int):
     return n, fields
 
 
+def _header(rows, kind: str, usage: str):
+    """The first row, ``(lineno, tokens)``, if it is a ``kind`` header as
+    wide as ``usage``; else a ParseError on its line (line 1 for none)."""
+    if not rows or rows[0][1][0] != kind or len(rows[0][1]) != len(usage.split()):
+        raise ParseError(rows[0][0] if rows else 1, f"expected '{usage}' header")
+    return rows[0]
+
+
 def _int(token: str, lineno: int) -> int:
     try:
         return int(token)
@@ -143,11 +151,7 @@ def parse_digraph(text: str) -> Digraph:
         if max(fields, default=-1) < n and ("-" not in text or min(fields, default=0) >= 0):
             return _digraph(text, n, _bucketed, n, fields)
     rows = list(_lines(text))
-    if not rows or rows[0][1][0] != "digraph":
-        raise ParseError(rows[0][0] if rows else 1, "expected 'digraph <n>' header")
-    lineno, header = rows[0]
-    if len(header) != 2:
-        raise ParseError(lineno, "expected 'digraph <n>' header")
+    lineno, header = _header(rows, "digraph", "digraph <n>")
     n = _int(header[1], lineno)
     edges = []
     for lineno, tokens in rows[1:]:
@@ -179,11 +183,7 @@ def parse_interval_rep(text: str) -> IntervalRep:
                 and all(map(le, ls, rs)) and all(map(le, lt, rt))):
             return IntervalRep.from_columns(ls, rs, lt, rt)
     rows = list(_lines(text))
-    if not rows or rows[0][1][0] != "intervals":
-        raise ParseError(rows[0][0] if rows else 1, "expected 'intervals <n>' header")
-    lineno, header = rows[0]
-    if len(header) != 2:
-        raise ParseError(lineno, "expected 'intervals <n>' header")
+    lineno, header = _header(rows, "intervals", "intervals <n>")
     n, = _counts(header[1:], lineno, len(rows) - 1)
     pairs: list = [None] * n
     for lineno, tokens in rows[1:]:
@@ -211,11 +211,7 @@ def emit_interval_rep(rep: IntervalRep) -> str:
 
 def parse_bigraph_rep(text: str) -> IntervalBigraphRep:
     rows = list(_lines(text))
-    if not rows or rows[0][1][0] != "bigraph":
-        raise ParseError(rows[0][0] if rows else 1, "expected 'bigraph <|A|> <|B|>' header")
-    lineno, header = rows[0]
-    if len(header) != 3:
-        raise ParseError(lineno, "expected 'bigraph <|A|> <|B|>' header")
+    lineno, header = _header(rows, "bigraph", "bigraph <|A|> <|B|>")
     a_size, b_size = _counts(header[1:], lineno, len(rows) - 1)
     a_ivs: list = [None] * a_size
     b_ivs: list = [None] * b_size

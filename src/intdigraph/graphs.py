@@ -1,4 +1,5 @@
-"""Directed and undirected graph types plus the definitional set checkers.
+"""Directed and undirected graph types plus the one definitional set checker,
+:func:`verify_set`, which also checks an interval representation, on its ranks.
 
 Vertices are dense 0-based integers.  Self-loops are stored as per-vertex
 flags, never inside the adjacency lists, and are not counted in ``m``.
@@ -14,7 +15,10 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import InvalidVertex
 
-VERIFY_MODES = ("independent", "absorbing", "dominating", "kernel", "solution")
+# The checks each mode of verify_set runs, in report order.
+VERIFY_CHECKS = {"independent": ("independent",), "absorbing": ("absorbing",),
+                 "dominating": ("dominating",), "kernel": ("independent", "absorbing"),
+                 "solution": ("independent", "dominating")}
 
 
 def _in_sorted(adj: tuple[int, ...], v: int) -> bool:
@@ -255,29 +259,22 @@ def check_weights(weights, n: int) -> list[int]:
     return weights
 
 
-def _check_independent(g: Digraph, sset: set[int]) -> bool:
+def _check_independent(g: Digraph | UndirectedGraph, sset: set[int]) -> bool:
+    outs = g.adj if isinstance(g, UndirectedGraph) else g.out_adj
     for u in sset:
-        for v in g.out_adj[u]:
+        for v in outs[u]:
             if v in sset:
                 return False
     return True
 
 
-def _check_absorbing(g: Digraph, sset: set[int]) -> bool:
-    # A loop never absorbs a vertex outside the set.
-    for v in range(g.n):
-        if v in sset:
-            continue
-        if not any(w in sset for w in g.out_adj[v]):
-            return False
-    return True
-
-
-def _check_dominating(g: Digraph, sset: set[int]) -> bool:
-    for v in range(g.n):
-        if v in sset:
-            continue
-        if not any(w in sset for w in g.in_adj[v]):
+def _check_absorbing(g: Digraph | UndirectedGraph, sset: set[int], inward: bool = False) -> bool:
+    """Every vertex outside ``sset`` has an out- (``inward``: in-) neighbour
+    in it; an undirected graph's ``adj`` is both lists.  A loop never
+    absorbs a vertex outside the set."""
+    lists = g.adj if isinstance(g, UndirectedGraph) else g.in_adj if inward else g.out_adj
+    for v, ws in enumerate(lists):
+        if v not in sset and not any(w in sset for w in ws):
             return False
     return True
 
@@ -291,23 +288,28 @@ def vertex_set(s: Iterable[int], n: int) -> set[int]:
     return sset
 
 
-def verify_set(g: Digraph, s: Iterable[int], mode: str) -> Certificate:
+def verify_set(g, s: Iterable[int], mode: str) -> Certificate:
     """Run the definitional check(s) named by ``mode`` on the set ``s``.
 
-    kernel = independent and absorbing; solution = independent and
-    dominating.  Returns a :class:`Certificate` whose ``checks`` record
-    exactly the properties evaluated.
+    ``g`` is a :class:`Digraph`, an :class:`UndirectedGraph` or an interval
+    representation, normalized and checked on its ranks by the ``set_is_*``
+    of :mod:`intdigraph.intervals`.  kernel = independent and absorbing;
+    solution = independent and dominating.  The returned :class:`Certificate`
+    records exactly the checks run, in :data:`VERIFY_CHECKS` order.
     """
-    if mode not in VERIFY_MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {VERIFY_MODES}")
+    if mode not in VERIFY_CHECKS:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {tuple(VERIFY_CHECKS)}")
+    if isinstance(g, (Digraph, UndirectedGraph)):
+        checkers = (_check_independent, _check_absorbing,
+                    lambda g, sset: _check_absorbing(g, sset, inward=True))
+    else:
+        from . import intervals  # deferred: intervals imports this module
+        g = intervals.normalize(g)
+        # read off the module per call, so a rebound attribute is the one run
+        checkers = (intervals.set_is_independent, intervals.set_is_absorbing,
+                    intervals.set_is_dominating)
     sset = vertex_set(s, g.n)
-    vertices = tuple(sorted(sset))
-    checks: dict[str, bool] = {}
-    if mode in ("independent", "kernel", "solution"):
-        checks["independent"] = _check_independent(g, sset)
-    if mode in ("absorbing", "kernel"):
-        checks["absorbing"] = _check_absorbing(g, sset)
-    if mode in ("dominating", "solution"):
-        checks["dominating"] = _check_dominating(g, sset)
-    return Certificate(vertices=vertices, checks=checks,
+    run = dict(zip(("independent", "absorbing", "dominating"), checkers))
+    checks = {name: run[name](g, sset) for name in VERIFY_CHECKS[mode]}
+    return Certificate(vertices=tuple(sorted(sset)), checks=checks,
                        algorithm="definition-check")

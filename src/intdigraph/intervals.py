@@ -347,9 +347,9 @@ def frontier_walk(lo, hi, reach, size: int):
 
 # --- definitional set checks computed through the representation ----------
 #
-# These evaluate exactly the same properties as graphs.verify_set, with its
-# id check, but read the rank line instead of adjacency lists, so they stay
-# O(n) even when the realized digraph is too large to materialize.
+# graphs.verify_set runs these on a representation: the properties it checks
+# on a digraph, with its id check, read off the rank line instead of adjacency
+# lists, so they stay O(n) even when the realized digraph is too large to build.
 
 def set_is_absorbing(rep, s: Iterable[int]) -> bool:
     """Every vertex outside ``s`` has an out-neighbour in ``s``."""

@@ -38,8 +38,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotAdjusted, NotCocompOrdered
-from .graphs import (Certificate, Digraph, UndirectedGraph, check_weights,
-                     symmetric_digraph)
+from .graphs import Certificate, Digraph, UndirectedGraph, check_weights
 from .intervals import (IntervalRep, NormalizedRep, count_line, frontier_walk,
                         normalize, rank_order, realize_digraph,
                         require_reflexive, set_is_absorbing, set_is_independent)
@@ -247,15 +246,16 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
     Kernels of the symmetric digraph of ``h`` are exactly the independent
     dominating sets of ``h``, and the same ordering is umbrella-free in
     both senses, so after one umbrella check on ``h`` this fills the
-    kernel table of that digraph.  Its placement is ``ordering.place(h)``,
-    ``h``'s adjacency as both lists, so the digraph is built only for the
-    certificate.  Always succeeds: every maximal independent set dominates.
+    kernel table of that digraph.  Both read ``h``'s adjacency as the out-
+    and in-lists: the table from ``ordering.place(h)``, the certificate
+    from ``verify_set`` on ``h``, so that digraph is never built.  Always
+    succeeds: every maximal independent set dominates.
     """
     triple = verify_cocomparability_ordering(h, ordering)
     if triple is not None:
         raise NotCocompOrdered(triple)
     table = compute_kernel_table(ordering, ordering.place(h), "min")
-    cert = table.certify(symmetric_digraph(h), "solution", "cocomp-min-ind-dom")
+    cert = table.certify(h, "solution", "cocomp-min-ind-dom")
     if cert is None:
-        raise RuntimeError("symmetric digraph without a kernel")
+        raise RuntimeError("graph without an independent dominating set")
     return cert

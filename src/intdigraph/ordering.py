@@ -143,10 +143,11 @@ class SuffixTable(NamedTuple):
             out.append(self.succ[out[-1]])
         return out
 
-    def certify(self, g: Digraph, mode: str, algorithm: str) -> Optional[Certificate]:
-        """The best candidate's solution, re-checked against ``g`` in ``mode``;
-        None when no candidate has a value.  An empty ordering gives the
-        empty set, of value 0."""
+    def certify(self, g: Digraph | UndirectedGraph, mode: str,
+                algorithm: str) -> Optional[Certificate]:
+        """The best candidate's solution, re-checked by ``verify_set`` on ``g``
+        in ``mode``; None when no candidate has a value.  An empty ordering
+        gives the empty set, of value 0."""
         if not self.ordering.n:
             chain, value = [], 0
         else:

@@ -7,8 +7,8 @@ exists: arcs (a,b), (c,b), (c,d) present with (a,d) absent.  The recognizer
 decides in O(n + m) by interning each vertex's out-list (its left
 neighbourhood in the splitting bigraph) and checking that the distinct
 lists are disjoint; the list ids are the component ids and serve as the
-points.  Only a rejection labels components, to find the witness.  Either
-answer is re-checked against the digraph, also in O(n + m).
+source points and their members' target points.  Only a rejection reads
+the in-lists, to find the witness.  Either answer is re-checked, in O(n + m).
 
 Subdividing every arc of a loopless digraph through k fresh vertices
 always yields a point-point digraph.  For even k, kernels and absorbing
@@ -151,20 +151,22 @@ def recognize_point_point(g: Digraph):
 def _decide_point_point(g: Digraph):
     """The answer of :func:`recognize_point_point`, not yet checked.
 
-    One interning pass decides in O(n + m).  ``A_u``, the out-list of u
-    with u added when looped, is u's left neighbourhood in the splitting
-    bigraph; each distinct non-empty ``A_u`` gets one id from one dict.
-    The bigraph is a disjoint union of complete bipartite graphs iff the
-    distinct lists are pairwise disjoint, that is iff their sizes sum to
-    the number of vertices with an in-neighbour (or a loop).  The ids are
-    the component ids, in the order of each component's smallest node:
-    left copies 0..n-1 in turn, an empty ``A_u`` taking an id of its own,
-    then each right copy with no in-neighbour, in vertex order.  Only a
-    rejection labels components, to pick the witness.
+    One interning pass over the out-lists decides in O(n + m).  ``A_u``,
+    the out-list of u with u added when looped, is u's left neighbourhood
+    in the splitting bigraph; each distinct non-empty ``A_u`` gets one id
+    from one dict, and each member of a new distinct list takes its id as
+    a target point.  The bigraph is a disjoint union of complete bipartite
+    graphs iff the distinct lists are pairwise disjoint, so a member that
+    already holds a point rejects.  The ids are the component ids, in the
+    order of each component's smallest node: left copies 0..n-1 in turn,
+    an empty ``A_u`` taking an id of its own, then each right copy left
+    without a point (no in-neighbour, no loop), in vertex order.  Only a
+    rejection reads the in-lists, to label components for the witness.
     """
-    n, in_adj, loops = g.n, g.in_adj, g.loops
+    loops = g.loops
     ids: dict[tuple[int, ...], int] = {}
     s_points: list[int] = []
+    t_points: list[Optional[int]] = [None] * g.n
     next_id = 0
     for u, heads in enumerate(g.out_adj):
         if loops[u]:
@@ -176,18 +178,14 @@ def _decide_point_point(g: Digraph):
         cid = ids.setdefault(heads, next_id)
         if cid == next_id:
             next_id += 1
+            for v in heads:
+                if t_points[v] is not None:  # two distinct lists overlap
+                    return _incomplete_component_walk(g)
+                t_points[v] = cid
         s_points.append(cid)
-    covered = sum(1 for v in range(n) if loops[v] or in_adj[v])
-    if sum(map(len, ids)) != covered:
-        return _incomplete_component_walk(g)
-    t_points: list[int] = []
-    for v in range(n):
-        if loops[v]:
-            t_points.append(s_points[v])
-        elif in_adj[v]:
-            t_points.append(s_points[in_adj[v][0]])
-        else:
-            t_points.append(next_id)
+    for v, point in enumerate(t_points):
+        if point is None:
+            t_points[v] = next_id
             next_id += 1
     return PointRep(s_points=tuple(s_points), t_points=tuple(t_points))
 

@@ -136,3 +136,20 @@ def placements(monkeypatch):
         return place(self, g)
     monkeypatch.setattr(Ordering, "place", counted)
     return seen
+
+
+# verify_set's modes, as the CLI's ``verify --kind`` lists them
+VERIFY_MODES = ("independent", "absorbing", "dominating", "kernel", "solution")
+
+
+def verify_outcome(g, s, mode: str):
+    """``verify_set(g, s, mode)`` with its checks in report order, or the
+    message of the :class:`InvalidVertex` it raises."""
+    from intdigraph import verify_set
+    from intdigraph.errors import InvalidVertex
+
+    try:
+        cert = verify_set(g, s, mode)
+    except InvalidVertex as exc:
+        return str(exc)
+    return cert, tuple(cert.checks)

@@ -19,6 +19,7 @@ from intdigraph.generators import gen_reflexive_interval
 from fixtures import (anti_walk_example, directed_triangle,
                       in_star_adjusted, no_kernel_duf,
                       two_vertex_example_rep)
+from conftest import VERIFY_MODES
 
 
 @pytest.fixture()
@@ -193,6 +194,41 @@ class TestRecognitionAndChecks:
         code, payload = run_json(capsys, "verify", files["two.irep"],
                                  files["set0.txt"], "--kind", "kernel")
         assert code == 2 and payload["pass"] is False
+
+
+def refuse_everywhere(monkeypatch, fn):
+    """Make every module of the package that bound ``fn`` raise on a call."""
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{fn.__name__} was called")
+    for name, module in list(sys.modules.items()):
+        if name == "intdigraph" or name.startswith("intdigraph."):
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, refuse)
+
+
+def test_verify_checks_an_intervals_file_as_its_realized_digraph(capsys, monkeypatch, tmp_path):
+    """Every kind of ``verify`` on an intervals file answers as on the
+    digraph it realizes, and realizes none."""
+    reps = [two_vertex_example_rep(), gen_reflexive_interval(14, 3, grid=20, max_len=5),
+            intdigraph.IntervalRep([((0, 1), (2, 3)), ((2, 5), (0, 2)), ((1, 1), (1, 4))])]
+    sets = ["", "0\n", "2 0 2\n", "1 2 5 7 11 13\n", "0 9\n"]
+    for i, text in enumerate(sets):
+        (tmp_path / f"{i}.set").write_text(text)
+    calls = []
+    for r, rep in enumerate(reps):
+        (tmp_path / f"{r}.irep").write_text(emit_interval_rep(rep))
+        (tmp_path / f"{r}.dg").write_text(emit_digraph(intdigraph.realize_digraph(rep)))
+        calls += [(r, i, kind) for i in range(len(sets)) for kind in VERIFY_MODES]
+
+    def answer(r, i, kind, suffix):
+        return run(capsys, "verify", str(tmp_path / f"{r}.{suffix}"),
+                   str(tmp_path / f"{i}.set"), "--kind", kind)
+    want = [answer(*call, "dg") for call in calls]
+    assert {code for code, _ in want} == {0, 1, 2}
+    assert [answer(*call, "irep") for call in calls] == want
+    refuse_everywhere(monkeypatch, intdigraph.realize_digraph)
+    assert [answer(*call, "irep") for call in calls] == want
 
 
 class TestBuildRepAndSubdivision:

@@ -1,19 +1,23 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import (Bigraph, Digraph, Ordering, UndirectedGraph, brute_kernel,
-                        brute_max_independent, check_reflexive_interval_ordering,
-                        extract_duf_ordering, induced_subgraph, kernel_linear,
-                        max_independent_duf, normalize, optimal_kernel_duf,
-                        realize_digraph, reverse, symmetric_digraph,
+from intdigraph import (Bigraph, Digraph, IntervalRep, Ordering, PointRep,
+                        UndirectedGraph, brute_kernel, brute_max_independent,
+                        check_reflexive_interval_ordering, extract_duf_ordering,
+                        induced_subgraph, kernel_linear, max_independent_duf,
+                        normalize, optimal_kernel_duf, realize_digraph,
+                        recognize_point_point, reverse, symmetric_digraph,
                         underlying_undirected, verify_set)
 from intdigraph.errors import InvalidVertex
 from intdigraph.fileio import emit_digraph, parse_digraph
-from intdigraph.generators import gen_reflexive_interval
+from intdigraph.generators import gen_reflexive_interval, gen_subdivided
 
 from fixtures import no_kernel_duf
-from conftest import all_subsets, digraphs, interval_reps, undirected_graphs
+from conftest import (VERIFY_MODES, all_subsets, digraphs, interval_reps,
+                      undirected_graphs, verify_outcome)
 
 
 class TestDigraph:
@@ -148,6 +152,23 @@ class TestVerifySet:
         with pytest.raises(InvalidVertex):
             verify_set(g, [7], "independent")
 
+    @pytest.mark.parametrize("g", [Digraph(2), UndirectedGraph(2),
+                                   IntervalRep([((0, 1), (0, 1)), ((2, 3), (2, 3))])],
+                             ids=["digraph", "undirected", "intervals"])
+    def test_every_instance_type_reports_the_same_keys_and_errors(self, g):
+        want = ("unknown mode 'nonsense', expected one of ('independent', "
+                "'absorbing', 'dominating', 'kernel', 'solution')")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            verify_set(g, [0], "nonsense")
+        with pytest.raises(InvalidVertex, match="^vertex -1 out of range for n=2$"):
+            verify_set(g, [5, -1], "kernel")
+        for mode, keys in (("independent", ["independent"]), ("absorbing", ["absorbing"]),
+                           ("dominating", ["dominating"]),
+                           ("kernel", ["independent", "absorbing"]),
+                           ("solution", ["independent", "dominating"])):
+            cert = verify_set(g, [1, 0, 1], mode)
+            assert list(cert.checks) == keys and cert.vertices == (0, 1)
+
 
 def test_has_edge_is_false_out_of_range():
     """A bare adjacency lookup would wrap -1 to the last vertex, whose arcs
@@ -171,6 +192,16 @@ def test_reverse_duality(g):
         absorbing = verify_set(g, s, "absorbing").all_checks_pass()
         dominating = verify_set(rg, s, "dominating").all_checks_pass()
         assert absorbing == dominating
+
+
+@settings(max_examples=150, deadline=None)
+@given(undirected_graphs(), st.lists(st.integers(-1, 9), max_size=6))
+def test_undirected_graph_is_checked_as_its_symmetric_digraph(h, drawn):
+    """``h.adj`` serves as both out- and in-lists."""
+    d = symmetric_digraph(h)
+    for s in (drawn, [v % h.n for v in drawn] if h.n else [], *list(all_subsets(h.n))[:24]):
+        for mode in VERIFY_MODES:
+            assert verify_outcome(h, s, mode) == verify_outcome(d, s, mode)
 
 
 @settings(max_examples=150, deadline=None)
@@ -262,7 +293,8 @@ def test_in_lists_are_built_on_first_read(g):
 @pytest.mark.parametrize("seed", range(4))
 def test_out_list_routines_leave_the_in_lists_unbuilt(seed):
     """The reflexive-ordering check, the kernel verification, the kernel
-    DP and the chain DP read only the out-lists."""
+    DP, the chain DP and an accepting point-point recognition read only
+    the out-lists."""
     rep = normalize(gen_reflexive_interval(30 + 10 * seed, seed, max_len=5))
     g, ordering = realize_digraph(rep), extract_duf_ordering(rep)
     assert check_reflexive_interval_ordering(g, ordering) is None
@@ -270,3 +302,6 @@ def test_out_list_routines_leave_the_in_lists_unbuilt(seed):
     assert optimal_kernel_duf(g, ordering, "min") is not None
     assert max_independent_duf(g, ordering).all_checks_pass()
     assert not in_lists_built(g)
+    host = gen_subdivided(6 + 2 * seed, 0.5, 2, seed).host
+    assert isinstance(recognize_point_point(host), PointRep)
+    assert not in_lists_built(host)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intdigraph import (Digraph, Interval, IntervalRep, extract_duf_ordering,
                         is_reflexive, normalize, realize_digraph, reverse,
@@ -14,7 +15,8 @@ from intdigraph.generators import gen_reflexive_interval
 from intdigraph.intervals import NormalizedRep
 
 from fixtures import two_vertex_example_rep
-from conftest import all_subsets, brute_realize, interval_reps
+from conftest import (VERIFY_MODES, all_subsets, brute_realize, interval_reps,
+                      verify_outcome)
 
 
 class TestInterval:
@@ -171,16 +173,28 @@ def test_normalization_preserves_realized_digraph(rep):
 
 
 @settings(max_examples=100, deadline=None)
-@given(interval_reps(max_n=6))
-def test_interval_checkers_agree_with_definition(rep):
+@given(interval_reps(max_n=6), st.lists(st.integers(-2, 8), max_size=8))
+def test_interval_checkers_agree_with_definition(rep, drawn):
     g = realize_digraph(rep)
-    for s in list(all_subsets(rep.n))[:40]:
+    subsets = list(all_subsets(rep.n))[:40]
+    for s in subsets:
         assert set_is_independent(rep, s) == \
             verify_set(g, s, "independent").all_checks_pass()
         assert set_is_absorbing(rep, s) == \
             verify_set(g, s, "absorbing").all_checks_pass()
         assert set_is_dominating(rep, s) == \
             verify_set(g, s, "dominating").all_checks_pass()
+    # verify_set checks a representation on its ranks: the same certificate,
+    # or the same InvalidVertex message, as on the realized digraph; the
+    # adjusted variant gives T_v the left end of S_v
+    adjusted = IntervalRep((s, Interval(s.lo, max(s.lo, t.hi)))
+                           for s, t in zip(rep.source, rep.target))
+    sets = [drawn, [v % rep.n for v in drawn] if rep.n else [], *subsets[::5]]
+    for instance in (rep, normalize(rep), adjusted):
+        g = realize_digraph(instance)
+        for s in sets:
+            for mode in VERIFY_MODES:
+                assert verify_outcome(instance, s, mode) == verify_outcome(g, s, mode)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,8 +9,9 @@ from intdigraph import (Digraph, Interval, IntervalRep, Ordering,
                         kernel_linear,
                         min_independent_dominating_cocomp, normalize,
                         optimal_kernel_adjusted, optimal_kernel_duf,
-                        realize_digraph, reverse, verify_duf_ordering,
-                        verify_set, z_sequence)
+                        realize_digraph, reverse, underlying_undirected,
+                        verify_duf_ordering, verify_set, z_sequence)
+from intdigraph import graphs, kernels
 from intdigraph.errors import NotAdjusted, NotCocompOrdered, NotDufOrdered, NotReflexive
 from intdigraph.generators import gen_reflexive_interval
 from intdigraph.kernels import adjusted_maxima
@@ -218,6 +219,19 @@ class TestMinIndependentDominatingCocomp:
         p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
         assert min_independent_dominating_cocomp(p4, Ordering((0, 1, 2, 3))).size == 2
         assert set(placements) == {"UndirectedGraph"}
+
+    def test_builds_no_symmetric_digraph(self, monkeypatch):
+        """The certificate is checked on ``h`` itself."""
+        rep = normalize(gen_reflexive_interval(30, 6, max_len=6))
+        h, ordering = underlying_undirected(realize_digraph(rep)), extract_duf_ordering(rep)
+        want = min_independent_dominating_cocomp(h, ordering)
+
+        def refuse(h):
+            raise AssertionError("symmetric digraph built")
+        monkeypatch.setattr(graphs, "symmetric_digraph", refuse)
+        monkeypatch.setattr(kernels, "symmetric_digraph", refuse, raising=False)
+        cert = min_independent_dominating_cocomp(h, ordering)
+        assert cert == want and cert.checks == {"independent": True, "dominating": True}
 
     def test_rejects_bad_ordering(self):
         p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
