@@ -13,6 +13,7 @@ import gc
 import json
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .domination import red_blue_min_dominating, min_absorbing_reflexive, \
@@ -404,6 +405,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _nests(values) -> bool:
+    """Whether any of ``values`` is a container, told apart as the JSON
+    encoder does, by ``isinstance`` (a NamedTuple is a list)."""
+    return any(issubclass(t, (dict, list, tuple)) for t in set(map(type, values)))
+
+
+def _layout(x, pad: str) -> str:
+    r"""``json.dumps(x, indent=2)`` with each line break followed by ``pad``'s
+    indent, so ``_layout(x, "\n")`` is exactly ``json.dumps(x, indent=2)``.
+
+    The indenting encoder is pure Python; the C encoder runs when there is
+    no indent, and its item separator can carry the line break and indent.
+    So a container of scalars is one C call, and so is a container of
+    arrays of scalars, cut where one array ends and the next begins: no
+    encoded scalar ends in ``]`` and no encoded string holds a line break.
+    Any other container is laid out item by item.  Every other value, and
+    a dict with a non-``str`` key, is indented whole: each newline of that
+    text is a line break.
+    """
+    if isinstance(x, dict):
+        items = x.values() if all(issubclass(t, str) for t in set(map(type, x))) else ()
+    else:
+        items = x if isinstance(x, (list, tuple)) else ()
+    if not items:
+        return json.dumps(x, indent=2).replace("\n", pad)
+    inner = pad + "  "
+    if not _nests(items):
+        text = json.dumps(x, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + pad + text[-1]
+    items = list(items)
+    if (all(isinstance(v, (list, tuple)) for v in items)
+            and not _nests(chain.from_iterable(items))):
+        sep = inner + "  "
+        text = json.dumps(items, separators=("," + sep, ": "))
+        laid = ["[" + sep + t + inner + "]" if t else "[]"
+                for t in text[2:-2].split("]," + sep + "[")]
+    else:
+        laid = [_layout(v, inner) for v in items]
+    if isinstance(x, dict):
+        keys = json.dumps(list(x), separators=("\n", ": "))[1:-1].split("\n")
+        laid = map(": ".join, zip(keys, laid))
+        return "{" + inner + ("," + inner).join(laid) + pad + "}"
+    return "[" + inner + ("," + inner).join(laid) + pad + "]"
+
+
 def _run(args) -> int:
     """Run the chosen command, print its payload and return the exit code."""
     try:
@@ -416,7 +462,7 @@ def _run(args) -> int:
                               "error": f"{type(exc).__name__}: {exc}"}) + "\n"
         code = EXIT_ERROR
     if not isinstance(payload, str):
-        payload = json.dumps(payload, indent=2) + "\n"
+        payload = _layout(payload, "\n") + "\n"
     try:
         # A pipe takes a write of at most PIPE_BUF bytes (512 or more) whole
         # or not at all, so once the reader has gone each piece raises

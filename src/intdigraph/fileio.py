@@ -22,7 +22,6 @@ and the only source of :class:`ParseError`, so errors keep their lines.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from operator import le
 
 from .domination import IntervalBigraphRep
@@ -116,6 +115,7 @@ def _counts(tokens: list[str], lineno: int, records: int) -> list[int]:
 def _rational(token: str, lineno: int):
     try:
         if "/" in token:
+            from fractions import Fraction  # loaded only when a p/q is read
             num, den = token.split("/", 1)
             return Fraction(int(num), int(den))
         return int(token)

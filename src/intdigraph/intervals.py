@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 from typing import Iterable
 
@@ -44,6 +43,7 @@ _lo, _hi = operator.attrgetter("lo"), operator.attrgetter("hi")
 def _coerce(x):
     if isinstance(x, int):
         return x
+    from fractions import Fraction  # loaded only for a non-int endpoint
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
@@ -253,10 +253,12 @@ def verify_representation(rep, g: Digraph) -> bool:
         raise DimensionMismatch(f"representation has {rep.n} vertices, digraph {g.n}")
     rep = normalize(rep)
     ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
-    # ranks are distinct, so S_u meets T_v iff ls[u] < rt[v] and lt[v] < rs[u]
+    # ranks are distinct, so S_u meets T_v iff ls[u] < rt[v] and lt[v] < rs[u];
+    # read through list copies, as list.__getitem__ is cheaper to call than a tuple's
+    rt_at, lt_at = list(rt).__getitem__, list(lt).__getitem__
     for u, heads in enumerate(g.out_adj):
-        if heads and (min(map(rt.__getitem__, heads)) < ls[u]
-                      or max(map(lt.__getitem__, heads)) > rs[u]):
+        if heads and (min(map(rt_at, heads)) < ls[u]
+                      or max(map(lt_at, heads)) > rs[u]):
             return False
     loops = tuple(a < d and c < b for a, b, c, d in zip(ls, rs, lt, rt))
     return loops == g.loops and meeting_pairs(rep, range(rep.n)) == g.m + sum(loops)

@@ -37,13 +37,13 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import NotAdjusted, NotCocompOrdered
+from .errors import NotAdjusted
 from .graphs import Certificate, Digraph, UndirectedGraph, check_weights
 from .intervals import (IntervalRep, NormalizedRep, count_line, frontier_walk,
                         normalize, rank_order, realize_digraph,
                         require_reflexive, set_is_absorbing, set_is_independent)
-from .ordering import (Ordering, SuffixTable, argbest, covered, duf_placement,
-                       first_gap, verify_cocomparability_ordering)
+from .ordering import (Ordering, SuffixTable, argbest, cocomp_placement, covered,
+                       duf_placement, first_gap)
 
 OBJECTIVES = ("min", "max")
 
@@ -247,14 +247,12 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
     dominating sets of ``h``, and the same ordering is umbrella-free in
     both senses, so after one umbrella check on ``h`` this fills the
     kernel table of that digraph.  Both read ``h``'s adjacency as the out-
-    and in-lists: the table from ``ordering.place(h)``, the certificate
-    from ``verify_set`` on ``h``, so that digraph is never built.  Always
+    and in-lists: the check and the table from one ``ordering.place(h)``
+    (:func:`~intdigraph.ordering.cocomp_placement`), the certificate from
+    ``verify_set`` on ``h``, so that digraph is never built.  Always
     succeeds: every maximal independent set dominates.
     """
-    triple = verify_cocomparability_ordering(h, ordering)
-    if triple is not None:
-        raise NotCocompOrdered(triple)
-    table = compute_kernel_table(ordering, ordering.place(h), "min")
+    table = compute_kernel_table(ordering, cocomp_placement(h, ordering), "min")
     cert = table.certify(h, "solution", "cocomp-min-ind-dom")
     if cert is None:
         raise RuntimeError("graph without an independent dominating set")

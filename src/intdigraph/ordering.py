@@ -16,10 +16,10 @@ Two nested conditions appear throughout:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import ForbiddenStructure, InvalidOrdering, NotDufOrdered, NotReflexive
+from .errors import (ForbiddenStructure, InvalidOrdering, NotCocompOrdered,
+                     NotDufOrdered, NotReflexive)
 from .graphs import Certificate, Digraph, UndirectedGraph, transpose_lists, verify_set
 from .intervals import IntervalRep, verify_representation
 
@@ -207,7 +207,8 @@ def structure_present(g: Digraph, witness: StructureWitness) -> bool:
 
 def _require_matching(g, ordering) -> None:
     if ordering.n != g.n:
-        raise InvalidOrdering(f"ordering covers {ordering.n} vertices, digraph has {g.n}")
+        noun = "graph" if isinstance(g, UndirectedGraph) else "digraph"
+        raise InvalidOrdering(f"ordering covers {ordering.n} vertices, {noun} has {g.n}")
 
 
 def _umbrella_at(near, far, p) -> Optional[tuple[int, int]]:
@@ -378,6 +379,8 @@ def build_representation(g: Digraph, ordering: Ordering) -> IntervalRep:
     the exact rationals of the construction (right ends y - 1 + z/(n+1),
     left ends the matching minima).
     """
+    from fractions import Fraction  # loaded only here, not at start-up
+
     rep, witness = _scaled_check(g, ordering, True)
     if witness is not None:
         raise ForbiddenStructure(witness)
@@ -392,6 +395,19 @@ def umbrella_triple(witness: StructureWitness) -> tuple[int, int, int]:
     return (i, j, k)
 
 
+def cocomp_triple(ordering: Ordering, adj) -> Optional[tuple[int, int, int]]:
+    """None if the graph with position lists ``adj`` (either half of its
+    :meth:`Ordering.place` under ``ordering``) is umbrella-free, else the
+    triple of :func:`verify_cocomparability_ordering`."""
+    perm = ordering.perm
+    for p in range(ordering.n):
+        hit = _umbrella_at(adj, adj, p)
+        if hit is not None:
+            r, q = hit
+            return (perm[p], perm[r], perm[q])
+    return None
+
+
 def verify_cocomparability_ordering(
         h: UndirectedGraph, ordering: Ordering) -> Optional[tuple[int, int, int]]:
     """None if the ordering is umbrella-free for ``h``, else a violating
@@ -400,13 +416,18 @@ def verify_cocomparability_ordering(
     check, run on ``h`` itself: on the symmetric digraph of ``h`` the
     in-arc scan at a position fails only where the out-arc scan already
     has, so the triple is the :func:`umbrella_triple` of that check."""
-    if ordering.n != h.n:
-        raise InvalidOrdering(f"ordering covers {ordering.n} vertices, graph has {h.n}")
-    perm = ordering.perm
-    adj, _ = ordering.place(h)
-    for p in range(h.n):
-        hit = _umbrella_at(adj, adj, p)
-        if hit is not None:
-            r, q = hit
-            return (perm[p], perm[r], perm[q])
-    return None
+    _require_matching(h, ordering)
+    return cocomp_triple(ordering, ordering.place(h)[0])
+
+
+def cocomp_placement(h: UndirectedGraph, ordering: Ordering):
+    """``ordering.place(h)`` once :func:`cocomp_triple` has passed it: the
+    one placement the cocomparability solver reads.  A violation raises
+    :class:`NotCocompOrdered` with the triple of
+    :func:`verify_cocomparability_ordering`."""
+    _require_matching(h, ordering)
+    placed = ordering.place(h)
+    triple = cocomp_triple(ordering, placed[0])
+    if triple is not None:
+        raise NotCocompOrdered(triple)
+    return placed

@@ -10,9 +10,11 @@ from intdigraph import (Digraph, Interval, IntervalRep, Ordering,
                         min_independent_dominating_cocomp, normalize,
                         optimal_kernel_adjusted, optimal_kernel_duf,
                         realize_digraph, reverse, underlying_undirected,
+                        verify_cocomparability_ordering,
                         verify_duf_ordering, verify_set, z_sequence)
 from intdigraph import graphs, kernels
-from intdigraph.errors import NotAdjusted, NotCocompOrdered, NotDufOrdered, NotReflexive
+from intdigraph.errors import (InvalidOrdering, NotAdjusted, NotCocompOrdered, NotDufOrdered,
+                              NotReflexive)
 from intdigraph.generators import gen_reflexive_interval
 from intdigraph.kernels import adjusted_maxima
 
@@ -218,7 +220,7 @@ class TestMinIndependentDominatingCocomp:
     def test_fills_from_the_undirected_placement(self, placements):
         p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
         assert min_independent_dominating_cocomp(p4, Ordering((0, 1, 2, 3))).size == 2
-        assert set(placements) == {"UndirectedGraph"}
+        assert placements == ["UndirectedGraph"]
 
     def test_builds_no_symmetric_digraph(self, monkeypatch):
         """The certificate is checked on ``h`` itself."""
@@ -235,17 +237,27 @@ class TestMinIndependentDominatingCocomp:
 
     def test_rejects_bad_ordering(self):
         p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(NotCocompOrdered):
-            min_independent_dominating_cocomp(p4, Ordering((1, 3, 0, 2)))
+        bad = Ordering((1, 3, 0, 2))
+        with pytest.raises(NotCocompOrdered) as info:
+            min_independent_dominating_cocomp(p4, bad)
+        assert info.value.witness == verify_cocomparability_ordering(p4, bad) == (1, 3, 0)
 
-    def test_random_cocomp_from_interval_reps(self):
+    def test_rejects_an_ordering_of_another_size(self):
+        p4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(InvalidOrdering, match="^ordering covers 3 vertices, graph has 4$"):
+            min_independent_dominating_cocomp(p4, Ordering((0, 1, 2)))
+
+    def test_random_cocomp_from_interval_reps(self, placements):
+        """One placement serves the umbrella check and the table fill."""
         from intdigraph import underlying_undirected
         rng = random.Random(23)
         for trial in range(60):
             rep = normalize(gen_reflexive_interval(rng.randint(1, 10), seed=4000 + trial))
             h = underlying_undirected(realize_digraph(rep))
             ordering = extract_duf_ordering(rep)
+            del placements[:]
             cert = min_independent_dominating_cocomp(h, ordering)
+            assert placements == ["UndirectedGraph"]
             from intdigraph import symmetric_digraph
             ref = brute_kernel(symmetric_digraph(h), "min")
             assert ref is not None and cert.size == ref.size

@@ -52,7 +52,7 @@ def test_cli_start_up_loads_the_traced_modules_and_nothing_it_does_not_call():
     for module, _ in traced_pairs():
         assert f"intdigraph.{module}" in loaded
     for module in ("dataclasses", "inspect", "intdigraph.oracle",
-                   "intdigraph.generators"):
+                   "intdigraph.generators", "fractions", "decimal"):
         assert module not in loaded, f"import intdigraph.cli loads {module}"
 
 
