@@ -14,9 +14,13 @@ Emitters write records in canonical sorted order, so emit(parse(f)) == f
 up to whitespace for canonical files.
 
 Clean integer digraph and intervals files, with ``"\\n"`` or CRLF line
-ends, are read by one ``json.loads`` of the body, which makes no token a
-string; every other file takes the line walk, the only reader of ``p/q``
-and the only source of :class:`ParseError`, so errors keep their lines.
+ends, are read by one ``json.loads`` per chunk of about ``_CHUNK``
+characters of whole lines, which makes no token a string; a digraph is
+bucketed chunk by chunk, each head stored as the one int object of its
+id, so the file is never one list of all its integers.  Every other file,
+and every file with one unclean chunk, takes the line walk, the only
+reader of ``p/q`` and the only source of :class:`ParseError`, so errors
+keep their lines.
 """
 
 from __future__ import annotations
@@ -44,40 +48,79 @@ _BODY = bytes(c if c in b"0123456789-\n" else 44 if c in b" \t\x1f" else 59
               for c in range(256))
 
 
-def _int_fields(text: str, kind: str, width: int):
-    """``(n, fields)``: the header's n and the records' integers in file
-    order, when the first line is ``<kind> <n>`` and every later one but
-    trailing blank lines holds ``width`` plain integers; else None, and the
-    caller walks the lines.
+_CHUNK = 1 << 16  # body characters per json.loads, cut at the next line end
 
-    The body is read by one ``json.loads``, so no token becomes a string:
+
+def _int_chunks(text: str, kind: str, width: int):
+    """``(n, chunks)`` when the first line is ``<kind> <n>``, else None, and
+    the caller walks the lines.  ``chunks`` yields the records' integers in
+    file order, one list per chunk of whole lines of about ``_CHUNK``
+    characters, or None for the first chunk that is not clean, and then
+    stops: every line but trailing blank ones must hold ``width`` plain
+    integers.
+
+    A chunk is read by one ``json.loads``, so no token becomes a string:
     each run of blanks is made one ``,`` and each line end a ``null``, and
     the record width is one check that ``null`` stands after every
     ``width`` numbers and nowhere else.  Only ASCII text with no line break
     but ``"\\n"`` (each ``"\\r\\n"`` is read as one) and a body of digits,
     ``-`` and blanks is read so; a token JSON rejects (``007``, ``+5``, a
-    lone ``-``, more digits than ``int`` takes) declines the text too."""
-    if "\r" in text:  # a lone "\r" left by this declines below
+    lone ``-``, more digits than ``int`` takes) makes its chunk unclean."""
+    if "\r" in text:  # a lone "\r" left by this makes its chunk unclean
         text = text.replace("\r\n", "\n")
-    header, _, data = text.partition("\n")
-    if not text.isascii() or any(map(header.__contains__, "\r\x0b\x0c\x1c\x1d\x1e")):
-        return None
+    start = text.find("\n") + 1 or len(text)
+    header = text[:start]
     head = header.split()
-    data = data.encode().translate(_BODY).decode().rstrip(",\n")
-    if len(head) != 2 or head[0] != kind or ";" in data:
+    if (not text.isascii() or any(map(header.__contains__, "\r\x0b\x0c\x1c\x1d\x1e"))
+            or len(head) != 2 or head[0] != kind):
         return None
-    lines, step = data.count("\n") + 1 if data else 0, width + 1
-    data = data.replace("\n", ",null,")
-    while ",," in data:  # blank runs, indents and trailing blanks
-        data = data.replace(",,", ",")
     try:
         n = int(head[1])
-        fields = json.loads(f"[{data.strip(',')},null]") if lines else []
     except ValueError:
         return None
-    if len(fields) != lines * step or fields[width::step].count(None) != lines:
+    end = len(text)
+    while end > start and text[end - 1] in " \t\x1f\n":  # trailing blank lines
+        end -= 1
+    return n, _chunks(text, start, end, width + 1)
+
+
+def _chunks(text: str, pos: int, end: int, step: int):
+    """The chunks of :func:`_int_chunks` in ``text[pos:end]``, records of
+    ``step - 1`` integers."""
+    while pos < end:
+        cut = text.find("\n", pos + _CHUNK, end)
+        cut = end if cut < 0 else cut
+        chunk = text[pos:cut].encode().translate(_BODY).decode()
+        pos = cut + 1
+        lines = chunk.count("\n") + 1
+        chunk = chunk.replace("\n", ",null,")
+        while ",," in chunk:  # blank runs, indents and trailing blanks
+            chunk = chunk.replace(",,", ",")
+        try:
+            fields = None if ";" in chunk else json.loads(f"[{chunk.strip(',')},null]")
+        except ValueError:
+            fields = None
+        if (fields is None or len(fields) != lines * step
+                or fields[step - 1::step].count(None) != lines):
+            yield None
+            return
+        del fields[step - 1::step]
+        yield fields
+
+
+def _int_fields(text: str, kind: str, width: int):
+    """``(n, fields)``: the header's n and the records' integers in file
+    order, the chunks of :func:`_int_chunks` joined, when every chunk is
+    clean; else None, and the caller walks the lines."""
+    read = _int_chunks(text, kind, width)
+    if read is None:
         return None
-    del fields[width::step]
+    n, chunks = read
+    fields: list[int] = []
+    for chunk in chunks:
+        if chunk is None:
+            return None
+        fields += chunk
     return n, fields
 
 
@@ -123,33 +166,36 @@ def _rational(token: str, lineno: int):
         raise ParseError(lineno, f"expected an integer or p/q rational, got {token!r}") from None
 
 
-def _digraph(text: str, n: int, build, *args) -> Digraph:
-    """``build(*args)``; an n too large to allocate is an error of the
-    header line."""
-    try:
-        return build(*args)
-    except (MemoryError, OverflowError) as exc:
-        raise ParseError(next(_lines(text))[0], f"header declares {n} vertices, "
-                         f"too many to allocate ({type(exc).__name__})") from None
-
-
-def _bucketed(n: int, fields: list[int]) -> Digraph:
-    """The digraph of the flat arcs ``fields``, every end in ``[0, n)``."""
+def _bucketed(n: int, chunks, signed: bool) -> Digraph | None:
+    """The digraph of the flat arcs in ``chunks``, or None at the first
+    chunk that is None or has an end outside ``[0, n)``; only a ``signed``
+    text, one with a ``-``, is searched for a negative end.  Each head is
+    the one int object of its id, so the out-lists share at most n ints."""
     loops = [False] * n  # first, so an n too large to allocate fails at once
     heads: list[list[int]] = [[] for _ in range(n)]
-    ends = iter(fields)
-    for u, v in zip(ends, ends):
-        heads[u].append(v)
+    ids: list[int] = []  # ids[v] is v, kept up to the largest end read
+    for fields in chunks:
+        if fields is None:
+            return None
+        top = max(fields)
+        if top >= n or (signed and min(fields) < 0):
+            return None
+        ids.extend(range(len(ids), top + 1))
+        ends = iter(fields)
+        for u, v in zip(ends, ends):
+            heads[u].append(ids[v])
     return Digraph.from_heads(heads, loops)
 
 
 def parse_digraph(text: str) -> Digraph:
-    clean = _int_fields(text, "digraph", 2)
-    if clean is not None:
-        n, fields = clean
-        # one pass for the bound; only a text with a "-" can hold a negative end
-        if max(fields, default=-1) < n and ("-" not in text or min(fields, default=0) >= 0):
-            return _digraph(text, n, _bucketed, n, fields)
+    read = _int_chunks(text, "digraph", 2)
+    if read is not None and read[0] >= 0:
+        try:
+            g = _bucketed(*read, "-" in text)
+        except (MemoryError, OverflowError):
+            g = None  # the line walk names the header, after any bad record
+        if g is not None:
+            return g
     rows = list(_lines(text))
     lineno, header = _header(rows, "digraph", "digraph <n>")
     n = _int(header[1], lineno)
@@ -159,7 +205,10 @@ def parse_digraph(text: str) -> Digraph:
             raise ParseError(lineno, f"expected '<u> <v>', got {' '.join(tokens)!r}")
         edges.append((_int(tokens[0], lineno), _int(tokens[1], lineno)))
     try:
-        return _digraph(text, n, Digraph, n, edges)
+        return Digraph(n, edges)
+    except (MemoryError, OverflowError) as exc:
+        raise ParseError(rows[0][0], f"header declares {n} vertices, "
+                         f"too many to allocate ({type(exc).__name__})") from None
     except InvalidVertex as exc:
         # A negative n is the header's fault, else the first arc out of range.
         bad = (line for (line, _), (u, v) in zip(rows[1:], edges)

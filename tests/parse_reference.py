@@ -13,15 +13,23 @@ line and the library names the arc's own line.
 declined (returned None for) the texts it could not split so: non-ASCII
 text, text with a ``;`` or a line break other than ``"\\n"``, and text
 with a blank line before its last record.  On every other text both give
-the same result.  The library's reader scans the body as one JSON array
-and declines, beyond those texts, only texts with a token that ``int``
-reads and JSON does not (``test_int_fields.py``).
+the same result.  :func:`_json_int_fields` is the third, which scanned
+the whole body as one JSON array and declined, beyond those texts, only
+texts with a token that ``int`` reads and JSON does not
+(``test_int_fields.py``); :func:`_bucketed` filled a digraph from its flat
+list.  :func:`json_parse_digraph` and :func:`json_parse_interval_rep` give
+what the library's parsers returned from that whole-body scan, or None for
+a text they left to the line walk.  The library's reader scans the same
+body in bounded chunks of lines and must agree with the third reader on
+every text, whatever the chunk size.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import chain, islice
+from operator import le
 
 from intdigraph.errors import ParseError
 from intdigraph.graphs import Digraph
@@ -70,6 +78,83 @@ def _flat_int_fields(text: str, kind: str, width: int):
         return int(head[1]), list(map(int, tokens))
     except ValueError:
         return None
+
+
+# Body bytes: the alphabet of signed decimal records stays, each space, tab
+# and ``\x1f`` becomes ``,`` and every other byte ``;``, which declines.
+_BODY = bytes(c if c in b"0123456789-\n" else 44 if c in b" \t\x1f" else 59
+              for c in range(256))
+
+
+def _json_int_fields(text: str, kind: str, width: int):
+    """``(n, fields)``: the header's n and the records' integers in file
+    order, when the first line is ``<kind> <n>`` and every later one but
+    trailing blank lines holds ``width`` plain integers; else None, and the
+    caller walks the lines.
+
+    The body is read by one ``json.loads``, so no token becomes a string:
+    each run of blanks is made one ``,`` and each line end a ``null``, and
+    the record width is one check that ``null`` stands after every
+    ``width`` numbers and nowhere else.  Only ASCII text with no line break
+    but ``"\\n"`` (each ``"\\r\\n"`` is read as one) and a body of digits,
+    ``-`` and blanks is read so; a token JSON rejects (``007``, ``+5``, a
+    lone ``-``, more digits than ``int`` takes) declines the text too."""
+    if "\r" in text:  # a lone "\r" left by this declines below
+        text = text.replace("\r\n", "\n")
+    header, _, data = text.partition("\n")
+    if not text.isascii() or any(map(header.__contains__, "\r\x0b\x0c\x1c\x1d\x1e")):
+        return None
+    head = header.split()
+    data = data.encode().translate(_BODY).decode().rstrip(",\n")
+    if len(head) != 2 or head[0] != kind or ";" in data:
+        return None
+    lines, step = data.count("\n") + 1 if data else 0, width + 1
+    data = data.replace("\n", ",null,")
+    while ",," in data:  # blank runs, indents and trailing blanks
+        data = data.replace(",,", ",")
+    try:
+        n = int(head[1])
+        fields = json.loads(f"[{data.strip(',')},null]") if lines else []
+    except ValueError:
+        return None
+    if len(fields) != lines * step or fields[width::step].count(None) != lines:
+        return None
+    del fields[width::step]
+    return n, fields
+
+
+def _bucketed(n: int, fields: list[int]) -> Digraph:
+    """The digraph of the flat arcs ``fields``, every end in ``[0, n)``."""
+    loops = [False] * n  # first, so an n too large to allocate fails at once
+    heads: list[list[int]] = [[] for _ in range(n)]
+    ends = iter(fields)
+    for u, v in zip(ends, ends):
+        heads[u].append(v)
+    return Digraph.from_heads(heads, loops)
+
+
+def json_parse_digraph(text: str) -> Digraph | None:
+    """The digraph the whole-body scan read, or None for a text it left to
+    the line walk."""
+    clean = _json_int_fields(text, "digraph", 2)
+    if clean is not None:
+        n, fields = clean
+        if max(fields, default=-1) < n and min(fields, default=0) >= 0:
+            return _bucketed(n, fields)
+    return None
+
+
+def json_parse_interval_rep(text: str) -> IntervalRep | None:
+    """The representation the whole-body scan read, or None for a text it
+    left to the line walk."""
+    clean = _json_int_fields(text, "intervals", 5)
+    if clean is not None:
+        n, fields = clean
+        ids, ls, rs, lt, rt = (fields[i::5] for i in range(5))
+        if (len(ids) == n and ids == list(range(n))
+                and all(map(le, ls, rs)) and all(map(le, lt, rt))):
+            return IntervalRep.from_columns(ls, rs, lt, rt)
+    return None
 
 
 def _int(token: str, lineno: int) -> int:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import Digraph, k_subdivision
+from intdigraph import Digraph, fileio, k_subdivision
 from intdigraph.cli import _serialize_map, main
 
 HEADERS = ("digraph", "intervals", "bigraph", "", "graph")
@@ -156,9 +156,8 @@ def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("cli-fuzz")
 
 
-@settings(max_examples=250, deadline=None)
-@given(st.sampled_from(FORMS), st.data())
-def test_any_text_ends_in_a_json_answer(folder, form, data):
+def _draw_argv(folder, form, data):
+    """The command line of ``form``, its files written to ``folder``."""
     argv, n = [], None
     for i, arg in enumerate(form.split()):
         if "|" in arg:
@@ -172,9 +171,40 @@ def test_any_text_ends_in_a_json_answer(folder, form, data):
             path.write_text(text)
             arg = str(path)
         argv.append(arg)
+    return argv
+
+
+def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(FORMS), st.data())
+def test_any_text_ends_in_a_json_answer(folder, form, data):
+    argv = _draw_argv(folder, form, data)
+    code, out = _run(argv)
     assert code in (0, 1, 2), argv
-    payload = json.loads(out.getvalue())
+    payload = json.loads(out)
     assert isinstance(payload, dict) and "status" in payload, argv
+
+
+# The forms whose files go through the digraph or intervals reader.
+PARSE_FORMS = tuple(form for form in FORMS
+                    if any(f"@{kind}" in form for kind in ("digraph", "intervals", "instance")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PARSE_FORMS), st.sampled_from([1, 7]), st.data())
+def test_the_chunk_size_changes_no_answer(folder, form, chunk, data):
+    """With the digraph and intervals bodies read one line (1) or a few
+    characters (7) per chunk, every call answers byte for byte as with the
+    default chunk, a JSON answer with exit 0, 1 or 2."""
+    argv = _draw_argv(folder, form, data)
+    want = _run(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_CHUNK", chunk)
+        assert _run(argv) == want, argv
+    assert want[0] in (0, 1, 2) and "status" in json.loads(want[1]), argv
