@@ -8,8 +8,7 @@ CLI calls and the brute-force oracles load only when asked for.
 import importlib
 
 _EXPORTS = {
-    "graphs": ("Certificate", "Digraph", "UndirectedGraph", "induced_subgraph",
-               "reverse", "symmetric_digraph", "underlying_undirected",
+    "graphs": ("Certificate", "Digraph", "UndirectedGraph", "underlying_undirected",
                "verify_set"),
     "intervals": ("Interval", "IntervalRep", "NormalizedRep",
                   "extract_duf_ordering", "is_reflexive", "normalize",
@@ -17,7 +16,7 @@ _EXPORTS = {
                   "set_is_independent", "verify_representation"),
     "ordering": ("Ordering", "StructureWitness", "SuffixTable",
                  "build_representation", "check_reflexive_interval_ordering",
-                 "duf_witness", "find_forbidden_structure", "structure_present",
+                 "duf_witness", "find_forbidden_structure",
                  "verify_cocomparability_ordering", "verify_duf_ordering"),
     "kernels": ("ZSequence", "compute_kernel_table", "kernel_linear",
                 "min_independent_dominating_cocomp", "optimal_kernel_adjusted",

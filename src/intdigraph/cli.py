@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import operator
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 from .domination import red_blue_min_dominating, min_absorbing_reflexive, \
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NONEXISTENT = 2
 OUTPUT_PIECE = 512  # characters; every payload is ASCII
+_BATCH = 4096  # scalars per C-encoder call of the layout, bounding its temporaries
 
 
 def _read(path: str) -> str:
@@ -417,37 +419,83 @@ def _layout(x, pad: str) -> str:
 
     The indenting encoder is pure Python; the C encoder runs when there is
     no indent, and its item separator can carry the line break and indent.
-    So a container of scalars is one C call, and so is a container of
-    arrays of scalars, cut where one array ends and the next begins: no
-    encoded scalar ends in ``]`` and no encoded string holds a line break.
+    So a container of scalars is laid out by C calls of at most ``_BATCH``
+    items each, and so is a container of arrays of scalars (:func:`_arrays`).
     Any other container is laid out item by item.  Every other value, and
     a dict with a non-``str`` key, is indented whole: each newline of that
-    text is a line break.
+    text is a line break.  The pieces are joined once, so the layout peaks
+    at about twice its text.
     """
+    return "".join(_pieces(x, pad))
+
+
+def _pieces(x, pad: str):
+    """The text of ``_layout(x, pad)``, in pieces."""
     if isinstance(x, dict):
         items = x.values() if all(issubclass(t, str) for t in set(map(type, x))) else ()
     else:
         items = x if isinstance(x, (list, tuple)) else ()
     if not items:
-        return json.dumps(x, indent=2).replace("\n", pad)
+        yield json.dumps(x, indent=2).replace("\n", pad)
+        return
     inner = pad + "  "
+    brackets = "{}" if isinstance(x, dict) else "[]"
+    yield brackets[0] + inner
     if not _nests(items):
-        text = json.dumps(x, separators=("," + inner, ": "))
-        return text[0] + inner + text[1:-1] + pad + text[-1]
-    items = list(items)
-    if (all(isinstance(v, (list, tuple)) for v in items)
-            and not _nests(chain.from_iterable(items))):
-        sep = inner + "  "
-        text = json.dumps(items, separators=("," + sep, ": "))
-        laid = ["[" + sep + t + inner + "]" if t else "[]"
-                for t in text[2:-2].split("]," + sep + "[")]
+        yield from _runs(x, inner)
     else:
-        laid = [_layout(v, inner) for v in items]
-    if isinstance(x, dict):
-        keys = json.dumps(list(x), separators=("\n", ": "))[1:-1].split("\n")
-        laid = map(": ".join, zip(keys, laid))
-        return "{" + inner + ("," + inner).join(laid) + pad + "}"
-    return "[" + inner + ("," + inner).join(laid) + pad + "]"
+        items = list(items)
+        keys = ([key + ": " for key in json.dumps(list(x), separators=("\n", ": "))[1:-1]
+                 .split("\n")] if isinstance(x, dict) else [""] * len(items))
+        if (all(isinstance(v, (list, tuple)) for v in items)
+                and not _nests(chain.from_iterable(items))):
+            yield from _arrays(keys, items, inner)
+        else:
+            lead = ""
+            for key, v in zip(keys, items):
+                yield lead + key
+                yield from _pieces(v, inner)
+                lead = "," + inner
+    yield pad + brackets[1]
+
+
+def _runs(x, sep: str):
+    """The items of ``x``, scalars, encoded as ``json.dumps`` with item
+    separator ``"," + sep`` would, less the brackets: a C call per run of
+    at most ``_BATCH`` items, keys included for a dict."""
+    items, run_of = (iter(x.items()), dict) if isinstance(x, dict) else (iter(x), list)
+    lead = ""
+    while run := run_of(islice(items, _BATCH)):
+        yield lead
+        yield json.dumps(run, separators=("," + sep, ": "))[1:-1]
+        lead = "," + sep
+
+
+def _arrays(keys, arrays, inner: str):
+    """The items of a container of ``arrays`` of scalars, each after its
+    key, laid out at ``inner`` in pieces.  Consecutive arrays of at most
+    ``_BATCH`` scalars in all share one C call, cut where one array ends
+    and the next begins: no encoded scalar ends in ``]`` and no encoded
+    string holds a line break.  A longer array is laid out by :func:`_runs`."""
+    sep, comma = inner + "  ", "," + inner
+    cuts, size = [0], 0
+    for i, v in enumerate(arrays):
+        if size + len(v) > _BATCH and i > cuts[-1]:
+            cuts.append(i)
+            size = 0
+        size += len(v)
+    cuts.append(len(arrays))
+    for lo, hi in zip(cuts, cuts[1:]):
+        lead = comma if lo else ""
+        if len(arrays[lo]) > _BATCH:  # alone in its batch
+            yield lead + keys[lo] + "[" + sep
+            yield from _runs(arrays[lo], sep)
+            yield inner + "]"
+            continue
+        text = json.dumps(arrays[lo:hi], separators=("," + sep, ": "))
+        laid = ("[" + sep + t + inner + "]" if t else "[]"
+                for t in text[2:-2].split("]," + sep + "["))
+        yield lead + comma.join(map(operator.add, keys[lo:hi], laid))
 
 
 def _run(args) -> int:

@@ -211,36 +211,9 @@ class Certificate(NamedTuple):
         return out
 
 
-def reverse(g: Digraph) -> Digraph:
-    """The digraph with every edge (u, v) replaced by (v, u); loops kept."""
-    return Digraph(g.n, ((v, u) for (u, v) in g.edges()), g.loop_vertices())
-
-
-def induced_subgraph(g: Digraph, s: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
-    """Subgraph induced by ``s`` and the relabel map old->new.
-
-    New ids follow the sorted order of ``s``, so the map is a bijection
-    onto ``[0, |s|)``.
-    """
-    svs = sorted(set(s))
-    for v in svs:
-        if not (0 <= v < g.n):
-            raise InvalidVertex(f"vertex {v} out of range for n={g.n}")
-    relabel = {v: i for i, v in enumerate(svs)}
-    edges = [(relabel[u], relabel[v]) for u in svs for v in g.out_adj[u]
-             if v in relabel]
-    loops = [relabel[v] for v in svs if g.loops[v]]
-    return Digraph(len(svs), edges, loops), relabel
-
-
 def underlying_undirected(g: Digraph) -> UndirectedGraph:
     """Drop directions and loops."""
     return UndirectedGraph(g.n, g.edges())
-
-
-def symmetric_digraph(h: UndirectedGraph) -> Digraph:
-    """Replace every undirected edge by a pair of opposite arcs."""
-    return Digraph(h.n, ((u, v) for u, vs in enumerate(h.adj) for v in vs))
 
 
 def check_weights(weights, n: int) -> list[int]:

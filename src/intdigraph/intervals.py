@@ -21,14 +21,16 @@ coordinates instead of ranks; its :class:`Interval` pairs are views of them.
 :func:`stable_ranks` is the one ranking routine.  It also ranks the
 endpoints of an interval bigraph (:mod:`intdigraph.domination`); each
 caller fixes its tie rule by the order in which it lists the endpoints.
-Every later query reads a one-pass array over the rank line instead.
+Every later query reads a one-pass array over the rank line instead, or
+counts ranks below others on a byte line over it (:func:`below_counts`),
+which holds no int object per rank.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from typing import Iterable
 
 from .errors import DimensionMismatch, MalformedInterval, NotReflexive
@@ -38,6 +40,7 @@ from .graphs import Digraph, vertex_set
 # ends, the S right end; the T right end is code 3, the only other.
 _SL, _TL, _SR = 0, 1, 2
 _lo, _hi = operator.attrgetter("lo"), operator.attrgetter("hi")
+_QUERY_FLAG = bytes.maketrans(b"\1\2", b"\0\1")  # below_counts' flags, read by compress
 
 
 def _coerce(x):
@@ -186,10 +189,13 @@ def stable_ranks(coords: list) -> list[int]:
     """``rank[i]``, the place of id i in a stable sort of ``coords``.
 
     Equal coordinates keep the order of their ids, so a caller fixes its
-    tie rule by how it lays the endpoints out.
+    tie rule by how it lays the endpoints out.  The ranks are the sorted
+    ids' own int objects, so each rank is one object, not two.
     """
+    ids = list(range(len(coords)))
+    order = sorted(ids, key=coords.__getitem__)
     rank = [0] * len(coords)
-    for r, i in enumerate(sorted(range(len(coords)), key=coords.__getitem__)):
+    for i, r in zip(order, ids):
         rank[i] = r
     return rank
 
@@ -314,12 +320,21 @@ def reach_line(size: int, lo, hi) -> list[int]:
     return top
 
 
-def count_line(size: int, ranks) -> list[int]:
-    """``below[x]``: how many of the distinct ``ranks`` are at most x."""
-    marks = bytearray(size)
-    for r in ranks:
-        marks[r] = 1
-    return list(accumulate(marks))
+def below_counts(size: int, marked, queried):
+    """For each ``queried`` rank in rising order, how many ``marked`` ranks
+    lie below it; all of them distinct ranks below ``size``.
+
+    On a byte line flagging the marked ranks 1 and the queried ones 2, with
+    the empty ranks dropped, the k-th query flag sits at the number of
+    marked ranks below it plus k.  Every pass after the flagging runs in C.
+    """
+    line = bytearray(size)
+    for r in marked:
+        line[r] = 1
+    for r in queried:
+        line[r] = 2
+    flags = line.replace(b"\0", b"").translate(_QUERY_FLAG)
+    return map(operator.sub, compress(count(), flags), count())
 
 
 def frontier_walk(lo, hi, reach, size: int):
@@ -374,13 +389,11 @@ def meeting_pairs(rep: NormalizedRep, members) -> int:
     S_u meets T_v exactly when l(T_v) < r(S_u) but not r(T_v) < l(S_u),
     and the second implies the first, so the count is the sum over u of
     the members' T intervals starting below r(S_u) less those ending below
-    l(S_u), each one look-up in a :func:`count_line`.
+    l(S_u): two sums of :func:`below_counts`.
     """
-    ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
-    lts = count_line(4 * rep.n, map(lt.__getitem__, members))
-    rts = count_line(4 * rep.n, map(rt.__getitem__, members))
-    return (sum(map(lts.__getitem__, map(rs.__getitem__, members)))
-            - sum(map(rts.__getitem__, map(ls.__getitem__, members))))
+    size, at = 4 * rep.n, lambda ranks: map(ranks.__getitem__, members)
+    return (sum(below_counts(size, at(rep.lt), at(rep.rs)))
+            - sum(below_counts(size, at(rep.rt), at(rep.ls))))
 
 
 def set_is_independent(rep, s: Iterable[int]) -> bool:

@@ -8,9 +8,9 @@ Three routes, by input:
   it together with its surviving in-neighbours; a backward pass thins the
   picked sequence to an independent set.  Never fails: reflexive interval
   digraphs are kernel-perfect.  Runs in one sort plus O(n): the forward
-  pass is one monotone frontier over the l(S) ranks, and one prefix count
-  of them gives the per-step removals; the digraph itself is never
-  materialized.
+  pass is one monotone frontier over the l(S) ranks, and one count of
+  them below each picked r(T) rank gives the per-step removals; the
+  digraph itself is never materialized.
 
 * :func:`optimal_kernel_duf` finds a minimum/maximum (optionally weighted)
   kernel of any digraph with a directed umbrella-free ordering, or the
@@ -25,7 +25,7 @@ Three routes, by input:
 * :func:`optimal_kernel_adjusted` finds the same optimum in O(n^2) when the
   representation has matching left endpoints, exploiting that each
   vertex's higher neighbourhoods are then contiguous runs, whose ends are
-  counts of left ranks (:func:`adjusted_maxima`).
+  bisections of the left ranks (:func:`adjusted_maxima`).
 
 Both fill a :class:`~intdigraph.ordering.SuffixTable`, which certifies the kernel.
 """
@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotAdjusted
 from .graphs import Certificate, Digraph, UndirectedGraph, check_weights
-from .intervals import (IntervalRep, NormalizedRep, count_line, frontier_walk,
+from .intervals import (IntervalRep, NormalizedRep, below_counts, frontier_walk,
                         normalize, rank_order, realize_digraph,
                         require_reflexive, set_is_absorbing, set_is_independent)
 from .ordering import (Ordering, SuffixTable, argbest, cocomp_placement, covered,
@@ -78,15 +78,15 @@ def z_sequence(rep: IntervalRep) -> ZSequence:
     :func:`~intdigraph.intervals.frontier_walk` with bound r(T_v).  The
     frontier passes v too, as l(S_v) < r(T_v), so every vertex it passes was
     still a survivor.  The frontier had not passed v, so l(S_v) is at least
-    the old frontier and r(T_v) is the new one: after step k the removed
-    vertices are those with l(S) below r(T_{z_k}), one prefix count.
+    the old frontier and r(T_v) is the new one.  So the picked r(T) ranks
+    rise, and after step k the removed vertices are those with l(S) below
+    r(T_{z_k}): one :func:`~intdigraph.intervals.below_counts` in pick order.
     """
     rep = normalize(rep)
     require_reflexive(rep)
     rs, rt = rep.rs, rep.rt
     picked, _ = frontier_walk(rep.ls, rs, lambda v: (rt[v], v), 4 * rep.n)
-    below = count_line(4 * rep.n, rep.ls)
-    totals = [0, *map(below.__getitem__, map(rt.__getitem__, picked))]
+    totals = [0, *below_counts(4 * rep.n, rep.ls, map(rt.__getitem__, picked))]
     counts = tuple(map(operator.sub, totals[1:], totals))
     return ZSequence(picked, counts, tuple(map(rs.__getitem__, picked)))
 
@@ -193,9 +193,11 @@ def adjusted_maxima(rep: NormalizedRep, perm) -> tuple[list[int], list[int]]:
     Normalizing ranks l(T_v) right after l(S_v) (one coordinate, both left,
     one vertex, S first; swapped() right before), so for u above v both left
     ranks of u exceed both of v's: u is an out- (in-) neighbour of v iff
-    l(S_u) < r(S_v) (r(T_v)), which also holds for v and all below it."""
-    below = count_line(4 * rep.n, rep.ls)
-    return [below[rep.rs[v]] - 1 for v in perm], [below[rep.rt[v]] - 1 for v in perm]
+    l(S_u) < r(S_v) (r(T_v)), which also holds for v and all below it:
+    a bisection of the l(S) ranks in ``perm`` order, which rise."""
+    lefts = list(map(rep.ls.__getitem__, perm))
+    return ([bisect_left(lefts, rep.rs[v]) - 1 for v in perm],
+            [bisect_left(lefts, rep.rt[v]) - 1 for v in perm])
 
 
 def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optional[Certificate]:

@@ -199,12 +199,6 @@ def _pattern_holds(g: Digraph, kind: str, va: int, vb: int, vc: int, vd: int) ->
     raise ValueError(f"unknown witness kind {kind!r}")
 
 
-def structure_present(g: Digraph, witness: StructureWitness) -> bool:
-    """Re-check a witness's cited edges and non-edges against ``g``."""
-    va, vb, vc, vd = witness.vertices
-    return _pattern_holds(g, witness.kind, va, vb, vc, vd)
-
-
 def _require_matching(g, ordering) -> None:
     if ordering.n != g.n:
         noun = "graph" if isinstance(g, UndirectedGraph) else "digraph"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,18 @@ def brute_realize(rep: IntervalRep) -> Digraph:
             if rep.source[u].intersects(rep.target[v]):
                 edges.append((u, v))
     return Digraph(n, edges)
+
+
+def traced_peak(f) -> int:
+    """The bytes ``f()`` allocates at its peak, above what was held before,
+    as ``tracemalloc`` counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def all_digraphs(n: int, reflexive: bool | None = None):

@@ -3,19 +3,22 @@
 Each function builds a fresh object, so callers may not worry about
 sharing.  These are the standard counterexamples used across the test
 suite.  :func:`splitting_bigraph`, which the library no longer calls,
-builds the splitting bigraph of a digraph for the tests and references.
+builds the splitting bigraph of a digraph for the tests and references;
+:func:`reverse`, :func:`induced_subgraph`, :func:`symmetric_digraph` and
+:func:`structure_present`, likewise uncalled by the library, derive other
+instances from a graph or re-check a forbidden-structure witness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from intdigraph.domination import Bigraph, IntervalBigraphRep
-from intdigraph.errors import DimensionMismatch
-from intdigraph.graphs import Digraph
+from intdigraph.errors import DimensionMismatch, InvalidVertex
+from intdigraph.graphs import Digraph, UndirectedGraph
 from intdigraph.intervals import Interval, IntervalRep, normalize, verify_representation
-from intdigraph.ordering import Ordering
+from intdigraph.ordering import Ordering, StructureWitness, _pattern_holds
 
 
 def directed_triangle() -> Digraph:
@@ -101,3 +104,36 @@ def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
             raise DimensionMismatch("representation does not realize the digraph")
         brep = IntervalBigraphRep(zip(rep.ls, rep.rs), zip(rep.lt, rep.rt))
     return big, brep
+
+
+def reverse(g: Digraph) -> Digraph:
+    """The digraph with every edge (u, v) replaced by (v, u); loops kept."""
+    return Digraph(g.n, ((v, u) for (u, v) in g.edges()), g.loop_vertices())
+
+
+def induced_subgraph(g: Digraph, s: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
+    """Subgraph induced by ``s`` and the relabel map old->new.
+
+    New ids follow the sorted order of ``s``, so the map is a bijection
+    onto ``[0, |s|)``.
+    """
+    svs = sorted(set(s))
+    for v in svs:
+        if not (0 <= v < g.n):
+            raise InvalidVertex(f"vertex {v} out of range for n={g.n}")
+    relabel = {v: i for i, v in enumerate(svs)}
+    edges = [(relabel[u], relabel[v]) for u in svs for v in g.out_adj[u]
+             if v in relabel]
+    loops = [relabel[v] for v in svs if g.loops[v]]
+    return Digraph(len(svs), edges, loops), relabel
+
+
+def symmetric_digraph(h: UndirectedGraph) -> Digraph:
+    """Replace every undirected edge by a pair of opposite arcs."""
+    return Digraph(h.n, ((u, v) for u, vs in enumerate(h.adj) for v in vs))
+
+
+def structure_present(g: Digraph, witness: StructureWitness) -> bool:
+    """Re-check a witness's cited edges and non-edges against ``g``."""
+    va, vb, vc, vd = witness.vertices
+    return _pattern_holds(g, witness.kind, va, vb, vc, vd)

@@ -1,5 +1,5 @@
 """The forward sweep's former segment tree, the red-blue sweep's former jump
-table, the former stab index and pair count, the former independence sweep
+table, the former stab index and pair counts, the former independence sweep
 and the graph types' former arc sets, kept as differential references.
 
 :func:`z_sequence` here is the kernel sweep's forward pass as it was, with
@@ -9,7 +9,10 @@ stabs every A interval and stores, per slot of the right-end order, the
 first slot its cover does not reach; :func:`walk` follows those jumps.
 :class:`StabIndex` answers a stab by bisecting a sorted copy of the stored
 intervals, and :func:`meeting_pairs` counts by bisecting two sorted lists;
-the library reads both off prefix arrays over the rank line.
+the library reads the stab off a prefix maximum over the rank line.
+:func:`count_line_meeting_pairs` counts by look-ups in two prefix counts
+over the rank line, :func:`count_line`; the library counts on a byte
+line instead (``intervals.below_counts``).
 :func:`set_is_independent` sweeps the members' endpoints with two active
 sets.  :class:`Digraph`,
 :class:`UndirectedGraph` and :class:`Bigraph` here keep every arc a second
@@ -24,6 +27,7 @@ the same answers.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from intdigraph.errors import DimensionMismatch, InvalidVertex
@@ -71,6 +75,29 @@ def meeting_pairs(rep: NormalizedRep, members) -> int:
     lts = sorted(lt[v] for v in members)
     rts = sorted(rt[v] for v in members)
     return sum(bisect_left(lts, rs[u]) - bisect_left(rts, ls[u]) for u in members)
+
+
+def count_line(size: int, ranks) -> list[int]:
+    """``below[x]``: how many of the distinct ``ranks`` are at most x."""
+    marks = bytearray(size)
+    for r in ranks:
+        marks[r] = 1
+    return list(accumulate(marks))
+
+
+def count_line_meeting_pairs(rep: NormalizedRep, members) -> int:
+    """The pairs (u, v) of ``members``, u = v included, where S_u meets T_v.
+
+    S_u meets T_v exactly when l(T_v) < r(S_u) but not r(T_v) < l(S_u),
+    and the second implies the first, so the count is the sum over u of
+    the members' T intervals starting below r(S_u) less those ending below
+    l(S_u), each one look-up in a :func:`count_line`.
+    """
+    ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
+    lts = count_line(4 * rep.n, map(lt.__getitem__, members))
+    rts = count_line(4 * rep.n, map(rt.__getitem__, members))
+    return (sum(map(lts.__getitem__, map(rs.__getitem__, members)))
+            - sum(map(rts.__getitem__, map(ls.__getitem__, members))))
 
 
 class _SurvivorIndex:

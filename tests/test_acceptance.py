@@ -21,13 +21,13 @@ from intdigraph import (Digraph, IntervalRep, OracleBudget, Ordering,
                         min_dominating_reflexive, normalize,
                         optimal_kernel_duf, project_set, realize_digraph,
                         recognize_point_point, red_blue_min_dominating,
-                        reverse, underlying_undirected,
+                        underlying_undirected,
                         verify_duf_ordering, verify_representation, verify_set,
                         PointRep, build_representation)
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
 
 from fixtures import (directed_triangle, no_kernel_duf,
-                      oriented_k33_with_loops, splitting_bigraph,
+                      oriented_k33_with_loops, reverse, splitting_bigraph,
                       symmetric_triangle)
 
 

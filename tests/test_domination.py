@@ -8,13 +8,12 @@ from intdigraph import (Digraph, Interval, IntervalBigraphRep, IntervalRep,
                         brute_min_absorbing, brute_red_blue,
                         build_red_blue_state, kernel_linear, min_absorbing_reflexive,
                         min_dominating_reflexive, normalize, realize_digraph,
-                        red_blue_min_dominating, reverse,
-                        verify_set)
+                        red_blue_min_dominating, verify_set)
 from intdigraph.domination import bigraph_ranks
 from intdigraph.errors import DimensionMismatch, NotReflexive
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
 
-from fixtures import splitting_bigraph, symmetric_triangle, two_vertex_example_rep
+from fixtures import reverse, splitting_bigraph, symmetric_triangle, two_vertex_example_rep
 from conftest import interval_reps
 
 
@@ -181,13 +180,13 @@ def test_cover_missing_only_the_rank_zero_a_interval_is_caught(monkeypatch):
 
 
 def test_absorbing_solver_counts_nothing(monkeypatch):
-    """The sweep builds no prefix count, and the only re-check is the
+    """The sweep counts nothing below a rank, and the only re-check is the
     red-blue coverage check, a prefix maximum."""
     from intdigraph import intervals
     calls = []
-    count_line = intervals.count_line
-    monkeypatch.setattr(intervals, "count_line",
-                        lambda *args: calls.append(args) or count_line(*args))
+    below_counts = intervals.below_counts
+    monkeypatch.setattr(intervals, "below_counts",
+                        lambda *args: calls.append(args) or below_counts(*args))
     rep = normalize(gen_reflexive_interval(40, seed=9))
     assert min_absorbing_reflexive(rep).all_checks_pass()
     assert min_dominating_reflexive(rep).all_checks_pass()

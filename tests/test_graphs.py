@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 from intdigraph import (Bigraph, Digraph, IntervalRep, Ordering, PointRep,
                         UndirectedGraph, brute_kernel, brute_max_independent,
                         check_reflexive_interval_ordering, extract_duf_ordering,
-                        induced_subgraph, kernel_linear, max_independent_duf,
+                        kernel_linear, max_independent_duf,
                         normalize, optimal_kernel_duf, realize_digraph,
-                        recognize_point_point, reverse, symmetric_digraph,
-                        underlying_undirected, verify_set)
+                        recognize_point_point, underlying_undirected, verify_set)
 from intdigraph.errors import InvalidVertex
 from intdigraph.fileio import emit_digraph, parse_digraph
 from intdigraph.generators import gen_reflexive_interval, gen_subdivided
 
-from fixtures import no_kernel_duf
+from fixtures import no_kernel_duf, reverse, symmetric_digraph
 from conftest import (VERIFY_MODES, all_subsets, digraphs, interval_reps,
                       undirected_graphs, verify_outcome)
 
@@ -44,41 +43,6 @@ class TestDigraph:
             UndirectedGraph(2, [(1, 1)])
 
 
-class TestReverse:
-    def test_single_edge(self):
-        assert sorted(reverse(Digraph(2, [(0, 1)])).edges()) == [(1, 0)]
-
-    def test_empty_fixed_point(self):
-        g = Digraph(3)
-        assert reverse(g) == g
-
-    def test_involution_on_fixture(self):
-        g, _ = no_kernel_duf()
-        assert reverse(reverse(g)) == g
-
-
-class TestInducedSubgraph:
-    def test_path_ends(self):
-        g = Digraph(3, [(0, 1), (1, 2)])
-        sub, relabel = induced_subgraph(g, {0, 2})
-        assert sub.n == 2 and sub.m == 0
-        assert relabel == {0: 0, 2: 1}
-
-    def test_identity(self):
-        g = Digraph(3, [(0, 1), (1, 2)], loops=[0])
-        sub, relabel = induced_subgraph(g, range(3))
-        assert sub == g and relabel == {0: 0, 1: 1, 2: 2}
-
-    def test_fixture_symmetric_pair(self):
-        g, _ = no_kernel_duf()
-        sub, relabel = induced_subgraph(g, {0, 1})
-        assert sorted(sub.edges()) == [(0, 1), (1, 0)]
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidVertex):
-            induced_subgraph(Digraph(2), [3])
-
-
 class TestUnderlyingAndSymmetric:
     def test_symmetric_pair_is_one_edge(self):
         h = underlying_undirected(Digraph(2, [(0, 1), (1, 0)]))
@@ -90,14 +54,6 @@ class TestUnderlyingAndSymmetric:
 
     def test_loops_dropped(self):
         assert underlying_undirected(Digraph(2, [(0, 0), (1, 1)])).m == 0
-
-    def test_symmetric_digraph_single_edge(self):
-        d = symmetric_digraph(UndirectedGraph(2, [(0, 1)]))
-        assert sorted(d.edges()) == [(0, 1), (1, 0)]
-
-    def test_symmetric_k3(self):
-        d = symmetric_digraph(UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)]))
-        assert d.m == 6
 
     def test_c4_kernels_are_independent_dominating_sets(self):
         c4 = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -208,14 +164,6 @@ def test_undirected_graph_is_checked_as_its_symmetric_digraph(h, drawn):
 @given(undirected_graphs())
 def test_underlying_of_symmetric_is_identity(h):
     assert underlying_undirected(symmetric_digraph(h)) == h
-
-
-@settings(max_examples=100, deadline=None)
-@given(digraphs())
-def test_induced_on_full_vertex_set_is_identity(g):
-    sub, relabel = induced_subgraph(g, range(g.n))
-    assert sub == g
-    assert relabel == {v: v for v in range(g.n)}
 
 
 def test_brute_kernel_matches_verify_set_enumeration():

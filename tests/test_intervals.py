@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intdigraph import (Digraph, Interval, IntervalRep, extract_duf_ordering,
-                        is_reflexive, normalize, realize_digraph, reverse,
+                        is_reflexive, kernel_linear, normalize, realize_digraph,
                         set_is_absorbing, set_is_dominating, set_is_independent,
                         verify_representation, verify_set,
                         check_reflexive_interval_ordering, verify_duf_ordering)
@@ -14,9 +14,9 @@ from intdigraph.errors import DimensionMismatch, InvalidVertex, MalformedInterva
 from intdigraph.generators import gen_reflexive_interval
 from intdigraph.intervals import NormalizedRep
 
-from fixtures import two_vertex_example_rep
+from fixtures import reverse, two_vertex_example_rep
 from conftest import (VERIFY_MODES, all_subsets, brute_realize, interval_reps,
-                      verify_outcome)
+                      traced_peak, verify_outcome)
 
 
 class TestInterval:
@@ -286,9 +286,10 @@ def test_swapped_shares_the_tuples_and_round_trips():
 
 
 def test_normalize_and_swapped_stay_small():
-    """``normalize`` of 20k vertices peaks at most 450 bytes per vertex
-    above the raw representation (the rank set it built before took about
-    550), and ``swapped()`` allocates almost nothing."""
+    """``normalize`` of 20k vertices peaks at most 310 bytes per vertex
+    above the raw representation (about 335 when the sort's ids and the
+    ranks were two sets of int objects), and ``swapped()`` allocates
+    almost nothing."""
     n = 20_000
     rep = gen_reflexive_interval(n, 7, grid=4 * n, max_len=6)
     tracemalloc.start()
@@ -302,5 +303,15 @@ def test_normalize_and_swapped_stay_small():
         swap_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 450 * n, peak / n
+    assert peak <= 310 * n, peak / n
     assert swap_peak < 1024, swap_peak
+
+
+def test_independence_check_stays_small():
+    """``set_is_independent`` on the kernel of a 20k-vertex representation
+    peaks at most 80 bytes per vertex (two count lines of 4n ints took
+    about 350)."""
+    n = 20_000
+    nrep = normalize(gen_reflexive_interval(n, 7, grid=4 * n, max_len=6))
+    kernel = kernel_linear(nrep).vertices
+    assert traced_peak(lambda: set_is_independent(nrep, kernel)) <= 80 * n

@@ -9,7 +9,7 @@ from intdigraph import (Digraph, Interval, IntervalRep, Ordering,
                         kernel_linear,
                         min_independent_dominating_cocomp, normalize,
                         optimal_kernel_adjusted, optimal_kernel_duf,
-                        realize_digraph, reverse, underlying_undirected,
+                        realize_digraph, underlying_undirected,
                         verify_cocomparability_ordering,
                         verify_duf_ordering, verify_set, z_sequence)
 from intdigraph import graphs, kernels
@@ -19,9 +19,9 @@ from intdigraph.generators import gen_reflexive_interval
 from intdigraph.kernels import adjusted_maxima
 
 import dp_reference
-from fixtures import (in_star_adjusted, no_kernel_duf, reflexive_path,
-                      two_vertex_example_rep)
-from conftest import all_digraphs, min_solution_size, random_adjusted_rep
+from fixtures import (in_star_adjusted, no_kernel_duf, reflexive_path, reverse,
+                      symmetric_digraph, two_vertex_example_rep)
+from conftest import all_digraphs, min_solution_size, random_adjusted_rep, traced_peak
 
 
 class TestZSequence:
@@ -38,6 +38,13 @@ class TestZSequence:
         rep = normalize(IntervalRep([(Interval(0, 1), Interval(2, 3))]))
         with pytest.raises(NotReflexive):
             z_sequence(rep)
+
+    def test_stays_small(self):
+        """At most 90 bytes per vertex on a 20k-vertex representation (a
+        count line of 4n ints took the peak to about 200)."""
+        n = 20_000
+        rep = normalize(gen_reflexive_interval(n, 7, grid=4 * n, max_len=6))
+        assert traced_peak(lambda: z_sequence(rep)) <= 90 * n
 
 
 class TestKernelLinear:
@@ -230,7 +237,7 @@ class TestMinIndependentDominatingCocomp:
 
         def refuse(h):
             raise AssertionError("symmetric digraph built")
-        monkeypatch.setattr(graphs, "symmetric_digraph", refuse)
+        monkeypatch.setattr(graphs, "symmetric_digraph", refuse, raising=False)
         monkeypatch.setattr(kernels, "symmetric_digraph", refuse, raising=False)
         cert = min_independent_dominating_cocomp(h, ordering)
         assert cert == want and cert.checks == {"independent": True, "dominating": True}
@@ -258,7 +265,6 @@ class TestMinIndependentDominatingCocomp:
             del placements[:]
             cert = min_independent_dominating_cocomp(h, ordering)
             assert placements == ["UndirectedGraph"]
-            from intdigraph import symmetric_digraph
             ref = brute_kernel(symmetric_digraph(h), "min")
             assert ref is not None and cert.size == ref.size
 

@@ -2,12 +2,14 @@
 are exactly those of ``json.dumps(payload, indent=2)``."""
 
 import json
+import tracemalloc
 from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from intdigraph import cli
 from intdigraph.cli import _layout, build_parser, main
 from intdigraph.fileio import emit_digraph
 from intdigraph.generators import gen_subdivided
@@ -41,6 +43,36 @@ PAYLOADS = st.recursive(SCALARS, _nest, max_leaves=20)
 @example({"paths": [["],", "]\n["], (), Pair("]", 2.5), [[]]], "ends": [[], [None]]})
 def test_layout_is_the_indented_encoding(x):
     assert _layout(x, "\n") == json.dumps(x, indent=2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAYLOADS, st.integers(1, 3))
+@example({"s": [1, 2, 3, 4, 5], "t": [], "u": [6]}, 2)
+@example([[], [1], [2, 3, 4], [], [5, 6], (7,)], 2)
+@example({"a": 1, "b": "x", "c": None, "d": 2.5}, 1)
+def test_layout_is_the_indented_encoding_at_any_batch(x, batch):
+    """Runs of scalars and batches of arrays cut at every size."""
+    saved, cli._BATCH = cli._BATCH, batch
+    try:
+        assert _layout(x, "\n") == json.dumps(x, indent=2)
+    finally:
+        cli._BATCH = saved
+
+
+def test_long_arrays_lay_out_in_about_twice_their_text():
+    """A ``recognize-pp``-shaped payload, two lists of 25k ints, peaks at
+    most 2.2 times its text (one C call per list peaked at about 6.5)."""
+    payload = {"status": "ok", "points": {"s": list(range(0, 50_000, 2)),
+                                          "t": list(range(1, 50_000, 2))}}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = _layout(payload, "\n")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(payload, indent=2)
+    assert peak <= 2.2 * len(text), peak / len(text)
 
 
 def payload_and_stdout(capsys, argv):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from intdigraph import (Digraph, Ordering, UndirectedGraph, build_representation,
                         check_reflexive_interval_ordering, extract_duf_ordering,
                         find_forbidden_structure, is_reflexive, normalize,
-                        realize_digraph, structure_present,
-                        symmetric_digraph, underlying_undirected,
+                        realize_digraph, underlying_undirected,
                         verify_cocomparability_ordering, verify_duf_ordering,
                         verify_representation)
 from intdigraph.errors import (DimensionMismatch, ForbiddenStructure, InvalidOrdering,
@@ -19,7 +18,8 @@ from intdigraph.generators import gen_random_digraph, gen_reflexive_interval
 from intdigraph.ordering import umbrella_triple
 
 from fixtures import (directed_triangle, no_kernel_duf,
-                      oriented_k33_with_loops, reflexive_path, splitting_bigraph)
+                      oriented_k33_with_loops, reflexive_path, splitting_bigraph,
+                      structure_present, symmetric_digraph)
 from conftest import all_digraphs, interval_reps, undirected_graphs
 
 

@@ -1,23 +1,22 @@
 """The frontier-walk forward sweep, the counting independence check, its
-rank-line pair count and the adjacency-only graph types against the segment
-tree, the active-set sweep, the bisection count and the arc sets kept in
-``sweep_reference``."""
+byte-line pair count and the adjacency-only graph types against the segment
+tree, the active-set sweep, the bisection and count-line counts and the arc
+sets kept in ``sweep_reference``."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import (Bigraph, Digraph, UndirectedGraph, induced_subgraph,
-                        normalize, reverse, set_is_independent,
-                        symmetric_digraph, underlying_undirected, z_sequence)
+from intdigraph import (Bigraph, Digraph, UndirectedGraph, normalize,
+                        set_is_independent, underlying_undirected, z_sequence)
 from intdigraph.generators import gen_reflexive_interval
-from intdigraph.intervals import meeting_pairs
+from intdigraph.intervals import below_counts, meeting_pairs
 from intdigraph.pointpoint import k_subdivision
 
 import sweep_reference as ref
 from conftest import interval_reps, random_adjusted_rep
-from fixtures import splitting_bigraph
+from fixtures import induced_subgraph, reverse, splitting_bigraph, symmetric_digraph
 
 
 @st.composite
@@ -48,8 +47,22 @@ def test_set_is_independent_matches_the_active_set_sweep(rep, data):
     s = data.draw(st.lists(ids, max_size=min(rep.n, 5)))
     assert set_is_independent(rep, s) == ref.set_is_independent(rep, s)
     nrep = normalize(rep)
-    for members in (set(s), range(rep.n)):
-        assert meeting_pairs(nrep, members) == ref.meeting_pairs(nrep, members)
+    for r in (nrep, nrep.swapped()):
+        for members in (set(), set(s), range(rep.n)):
+            assert (meeting_pairs(r, members) == ref.meeting_pairs(r, members)
+                    == ref.count_line_meeting_pairs(r, members))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(lambda size: st.tuples(
+    st.just(size), st.permutations(range(size)), st.integers(0, size), st.integers(0, size))))
+def test_below_counts_matches_the_count_line(drawn):
+    """Disjoint marked and queried ranks, the queries in any order."""
+    size, ranks, cut, end = drawn
+    marked, queried = ranks[:cut], ranks[cut:max(cut, end)]
+    line = ref.count_line(size, marked)
+    assert (list(below_counts(size, iter(marked), queried))
+            == [line[q] for q in sorted(queried)])
 
 
 def _pairs(n, m):
