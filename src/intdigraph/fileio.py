@@ -28,11 +28,8 @@ from __future__ import annotations
 import json
 from operator import le
 
-from .domination import IntervalBigraphRep
 from .errors import InvalidVertex, ParseError
 from .graphs import Digraph
-from .intervals import Interval, IntervalRep
-from .ordering import Ordering
 
 
 def _lines(text: str):
@@ -224,6 +221,7 @@ def emit_digraph(g: Digraph) -> str:
 
 
 def parse_interval_rep(text: str) -> IntervalRep:
+    from .intervals import Interval, IntervalRep  # deferred: a digraph file needs none
     clean = _int_fields(text, "intervals", 5)
     if clean is not None:
         n, fields = clean
@@ -259,6 +257,8 @@ def emit_interval_rep(rep: IntervalRep) -> str:
 
 
 def parse_bigraph_rep(text: str) -> IntervalBigraphRep:
+    from .domination import IntervalBigraphRep  # deferred, as in parse_interval_rep
+    from .intervals import Interval
     rows = list(_lines(text))
     lineno, header = _header(rows, "bigraph", "bigraph <|A|> <|B|>")
     a_size, b_size = _counts(header[1:], lineno, len(rows) - 1)
@@ -290,6 +290,7 @@ def emit_bigraph_rep(rep: IntervalBigraphRep) -> str:
 
 
 def parse_ordering(text: str) -> Ordering:
+    from .ordering import Ordering  # deferred, as in parse_interval_rep
     rows = list(_lines(text))
     if len(rows) != 1:
         raise ParseError(rows[1][0] if len(rows) > 1 else 1,

@@ -19,7 +19,6 @@ from bisect import insort
 from typing import Iterable, Optional
 
 from .graphs import Certificate, Digraph, check_weights
-from .ordering import Ordering, SuffixTable, duf_placement
 
 
 def chain_dag(ordering: Ordering, placed,
@@ -38,6 +37,7 @@ def chain_dag(ordering: Ordering, placed,
     neighbours of p rank after it and each insert moves at most deg(p)
     entries.
     """
+    from .ordering import SuffixTable  # deferred: every CLI command loads this module
     n = ordering.n
     perm = ordering.perm
     w = check_weights(weights, n)
@@ -70,5 +70,6 @@ def max_independent_duf(g: Digraph, ordering: Ordering,
                         weights: Optional[Iterable[int]] = None) -> Certificate:
     """Maximum-weight independent set of a DUF-ordered digraph; the
     ordering is re-verified on the placement the fill reads."""
+    from .ordering import duf_placement  # deferred, as in chain_dag
     table = chain_dag(ordering, duf_placement(g, ordering), weights)
     return table.certify(g, "independent", "chain-dp")

@@ -389,8 +389,10 @@ def meeting_pairs(rep: NormalizedRep, members) -> int:
     S_u meets T_v exactly when l(T_v) < r(S_u) but not r(T_v) < l(S_u),
     and the second implies the first, so the count is the sum over u of
     the members' T intervals starting below r(S_u) less those ending below
-    l(S_u): two sums of :func:`below_counts`.
+    l(S_u): two sums of :func:`below_counts`.  They read ``members`` four
+    times, so an iterator is first read into a tuple.
     """
+    members = tuple(members) if iter(members) is members else members
     size, at = 4 * rep.n, lambda ranks: map(ranks.__getitem__, members)
     return (sum(below_counts(size, at(rep.lt), at(rep.rs)))
             - sum(below_counts(size, at(rep.rt), at(rep.ls))))

@@ -12,7 +12,7 @@ from intdigraph import (Digraph, Interval, IntervalRep, extract_duf_ordering,
                         check_reflexive_interval_ordering, verify_duf_ordering)
 from intdigraph.errors import DimensionMismatch, InvalidVertex, MalformedInterval, NotReflexive
 from intdigraph.generators import gen_reflexive_interval
-from intdigraph.intervals import NormalizedRep
+from intdigraph.intervals import NormalizedRep, meeting_pairs
 
 from fixtures import reverse, two_vertex_example_rep
 from conftest import (VERIFY_MODES, all_subsets, brute_realize, interval_reps,
@@ -315,3 +315,13 @@ def test_independence_check_stays_small():
     nrep = normalize(gen_reflexive_interval(n, 7, grid=4 * n, max_len=6))
     kernel = kernel_linear(nrep).vertices
     assert traced_peak(lambda: set_is_independent(nrep, kernel)) <= 80 * n
+
+
+def test_meeting_pairs_reads_an_iterator_once():
+    """An iterator of members counts the pairs its collection does, though
+    the count reads the members four times."""
+    nrep = normalize(gen_reflexive_interval(50, 3))
+    members = [v for v in range(50) if v % 3]
+    assert meeting_pairs(nrep, iter(range(50))) == meeting_pairs(nrep, range(50)) > 50
+    assert meeting_pairs(nrep, iter(members)) == meeting_pairs(nrep, members)
+    assert meeting_pairs(nrep, (v for v in members)) == meeting_pairs(nrep, set(members))

@@ -1,11 +1,14 @@
-"""The benchmark's traced names must exist in the package, and the CLI's
-start-up must load them and nothing it does not call.
+"""The benchmark's traced names must exist in the package, the benchmark
+process must hold their modules, and the CLI's start-up must load only
+what every command needs.
 
 ``perfbench/spans.py`` wraps every ``(module, attribute)`` pair of its
-``TRACED`` table by name, so renaming or removing one of them breaks
-``perfbench/run.py --trace 1``, and so does a traced module that
-``import intdigraph.cli`` no longer loads.  The table is read with
-``ast``, so this test does not import the benchmark.
+``TRACED`` table by name and looks each module up in ``sys.modules``, so
+renaming or removing one of them breaks ``perfbench/run.py --trace 1``,
+and so does a traced module that no import of ``run.py`` loads.  Each
+command imports the modules it runs, so ``import intdigraph.cli`` loads
+only the modules below.  The table is read with ``ast``, so this test
+process does not import the benchmark; a child interpreter does.
 """
 
 import ast
@@ -15,7 +18,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+# What ``import intdigraph.cli`` loads: ``independent`` only because no
+# import of the benchmark does (see the comment above it in ``cli.py``).
+CLI_START_UP = {"intdigraph", "intdigraph.cli", "intdigraph.errors", "intdigraph.graphs",
+                "intdigraph.independent"}
 
 
 def traced_pairs():
@@ -38,19 +46,30 @@ def test_every_traced_name_resolves():
         assert callable(obj), f"intdigraph.{module}.{attribute} is not callable"
 
 
-def loaded_after(statement: str) -> set[str]:
-    """The modules a fresh interpreter holds after running ``statement``."""
-    env = dict(os.environ, PYTHONPATH=str(SPANS.parents[1] / "src"))
+def loaded_after(program: str, *paths: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running ``program``,
+    with ``src/`` and ``paths`` on its module path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (ROOT / "src", *paths))))
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys; {statement}; print('\\n'.join(sys.modules))"],
+        [sys.executable, "-c", f"{program}\nimport sys\nprint('\\n'.join(sys.modules))"],
         capture_output=True, text=True, check=True, env=env).stdout
     return set(out.split())
 
 
-def test_cli_start_up_loads_the_traced_modules_and_nothing_it_does_not_call():
-    loaded = loaded_after("import intdigraph.cli")
+def test_the_benchmark_process_holds_every_traced_module():
+    """``perfbench/run.py`` imports ``gate``, ``spans`` and ``workloads``;
+    after them every traced module is loaded and the tracer installs and
+    uninstalls."""
+    loaded = loaded_after("import gate, spans, workloads\n"
+                          "with spans.Tracer().installed():\n"
+                          "    pass", ROOT / "perfbench")
     for module, _ in traced_pairs():
         assert f"intdigraph.{module}" in loaded
+
+
+def test_cli_start_up_loads_only_what_every_command_needs():
+    loaded = loaded_after("import intdigraph.cli")
+    assert {m for m in loaded if m.split(".")[0] == "intdigraph"} == CLI_START_UP
     for module in ("dataclasses", "inspect", "intdigraph.oracle",
                    "intdigraph.generators", "fractions", "decimal"):
         assert module not in loaded, f"import intdigraph.cli loads {module}"
