@@ -76,16 +76,14 @@ def _optimal_kernel(args, objective: str):
     texts = [_read(p) for p in args.inputs]
     kinds = [detect_kind(t) for t in texts]
     if kinds == ["intervals"]:
+        if args.adjusted and args.weights:
+            raise ValueError("the adjusted solver does not take weights")
+        rep = normalize(parse_interval_rep(texts[0]))
         if args.adjusted:
-            if args.weights:
-                raise ValueError("the adjusted solver does not take weights")
-            cert = optimal_kernel_adjusted(normalize(parse_interval_rep(texts[0])),
-                                           objective)
+            cert = optimal_kernel_adjusted(rep, objective)
         else:
-            rep = normalize(parse_interval_rep(texts[0]))
-            g = realize_digraph(rep)
-            ordering = extract_duf_ordering(rep)
-            cert = optimal_kernel_duf(g, ordering, objective, _load_weights(args))
+            cert = optimal_kernel_duf(realize_digraph(rep), extract_duf_ordering(rep),
+                                      objective, _load_weights(args))
     elif kinds == ["digraph", "ordering"]:
         g = parse_digraph(texts[0])
         ordering = parse_ordering(texts[1])
@@ -343,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("inputs", nargs="+",
                        help="an intervals file, or a digraph file plus an ordering file")
         p.add_argument("--adjusted", action="store_true",
-                       help="use the O(n^2) solver for adjusted representations")
+                       help="require matching left endpoints (adjusted representation); "
+                            "takes no weights")
         p.add_argument("--weights", help="file of per-vertex integer weights")
         p.set_defaults(func=lambda a, _obj=objective: _optimal_kernel(a, _obj))
 
@@ -552,12 +551,15 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # A command builds its data in bulk and keeps it to the end, so cyclic GC
     # passes would only re-walk the growing heap; the caller's state is restored.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        # The parser is cyclic garbage; with GC off since before it was built,
+        # all of it is in the youngest generation, which one cheap pass frees.
+        gc.collect(0)
         return _run(args)
     finally:
         if gc_was_enabled:

@@ -1,6 +1,6 @@
 """Kernel algorithms.
 
-Three routes, by input:
+Two routes, by input:
 
 * :func:`kernel_linear` finds *some* kernel of a reflexive interval digraph,
   straight from the normalized representation.  A forward pass repeatedly
@@ -20,27 +20,23 @@ Three routes, by input:
   the table costs O(m log n + n Delta (Delta + log n)).  Re-verifying the
   ordering counts the same way, in O(m (Delta + log n)), on the same
   :meth:`~intdigraph.ordering.Ordering.place` the table reads: one
-  placement per solve.
-
-* :func:`optimal_kernel_adjusted` finds the same optimum in O(n^2) when the
-  representation has matching left endpoints, exploiting that each
-  vertex's higher neighbourhoods are then contiguous runs, whose ends are
-  bisections of the left ranks (:func:`adjusted_maxima`).
-
-Both fill a :class:`~intdigraph.ordering.SuffixTable`, which certifies the kernel.
+  placement per solve.  The table is a
+  :class:`~intdigraph.ordering.SuffixTable`, which certifies the kernel.
+  On a representation with matching left endpoints,
+  :func:`optimal_kernel_adjusted` runs this DP on the realized digraph and
+  the extracted ordering.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import NotAdjusted
 from .graphs import Certificate, Digraph, UndirectedGraph, check_weights
-from .intervals import (IntervalRep, NormalizedRep, below_counts, frontier_walk,
-                        normalize, rank_order, realize_digraph,
+from .intervals import (IntervalRep, below_counts, extract_duf_ordering, frontier_walk,
+                        normalize, realize_digraph,
                         require_reflexive, set_is_absorbing, set_is_independent)
 from .ordering import (Ordering, SuffixTable, argbest, cocomp_placement, covered,
                        duf_placement, first_gap)
@@ -182,60 +178,23 @@ def optimal_kernel_duf(g: Digraph, ordering: Ordering, objective: str = "min",
     return table.certify(g, "kernel", "kernel-dp")
 
 
-# --------------------------------------------------------------------------
-# O(n^2) specialization for representations with shared left endpoints
+def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Certificate:
+    """Optimal kernel when every vertex's intervals share a left endpoint;
+    any other representation raises :class:`NotAdjusted`.
 
-
-def adjusted_maxima(rep: NormalizedRep, perm) -> tuple[list[int], list[int]]:
-    """Per position of ``perm``, the l(S) order of the adjusted ``rep``, the
-    highest position that is an out- (in-) neighbour or the position itself.
-
-    Normalizing ranks l(T_v) right after l(S_v) (one coordinate, both left,
-    one vertex, S first; swapped() right before), so for u above v both left
-    ranks of u exceed both of v's: u is an out- (in-) neighbour of v iff
-    l(S_u) < r(S_v) (r(T_v)), which also holds for v and all below it:
-    a bisection of the l(S) ranks in ``perm`` order, which rise."""
-    lefts = list(map(rep.ls.__getitem__, perm))
-    return ([bisect_left(lefts, rep.rs[v]) - 1 for v in perm],
-            [bisect_left(lefts, rep.rt[v]) - 1 for v in perm])
-
-
-def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optional[Certificate]:
-    """Optimal kernel when every vertex's intervals share a left endpoint.
-
-    Orders vertices by the common left endpoints; upper neighbourhoods are
-    then contiguous, so the continuation sets collapse to index ranges
-    computed from per-vertex maxima and one suffix-minimum array.
+    Adjusted interval digraphs are reflexive interval digraphs, so this is
+    :func:`optimal_kernel_duf` on the ordering of
+    :func:`~intdigraph.intervals.extract_duf_ordering`, labelled
+    ``kernel-dp-adjusted``.  Normalizing ranks l(T_v) next to an equal
+    l(S_v), so that ordering, by max(l(S), l(T)), is the l(S) order.  A
+    kernel always exists: reflexive interval digraphs are kernel-perfect.
     """
     _check_objective(objective)
     rep = normalize(rep)
     if not rep.adjusted:
         raise NotAdjusted("representation does not have matching left endpoints")
-    n = rep.n
-    g = realize_digraph(rep)
-    ordering = Ordering(rank_order(rep.ls, 4 * n))
-    max_out, max_in = adjusted_maxima(rep, ordering.perm)
-
-    # suffix minima of max_out, then a sentinel above any real position
-    suffix_min_out = list(accumulate(reversed(max_out), min))[::-1] + [n]
-
-    values: list[Optional[int]] = [None] * n
-    succ: list[Optional[int]] = [None] * n
-    for i in range(n - 1, -1, -1):
-        if max_in[i] == n - 1:
-            values[i] = 1
-            continue
-        lo = max(max_out[i], max_in[i]) + 1
-        x = suffix_min_out[max_in[i] + 1]
-        best_j = argbest(values, range(lo, min(x, n - 1) + 1), objective)
-        if best_j is not None:
-            values[i] = 1 + values[best_j]
-            succ[i] = best_j
-
-    # a kernel's first vertex must absorb every earlier one
-    candidates = tuple(range(min(max_out, default=-1) + 1))
-    table = SuffixTable(ordering, objective, tuple(values), tuple(succ), candidates)
-    return table.certify(g, "kernel", "kernel-dp-adjusted")
+    cert = optimal_kernel_duf(realize_digraph(rep), extract_duf_ordering(rep), objective)
+    return cert._replace(algorithm="kernel-dp-adjusted")
 
 
 # --------------------------------------------------------------------------

@@ -10,17 +10,24 @@ Both are Theta(n^2) on any input.  They return the same
 for its tie rule: it ranks by (-value, position) in rising order and
 probes from the front, so each insert may move every ranked entry.
 
-:func:`adjusted_maxima` is the adjusted solver's former fill of its
-per-position maxima, read off both full position lists of
+:func:`optimal_kernel_adjusted` is the former O(n^2) solver for adjusted
+representations.  It fills the table in the l(S) order from the
+per-position maxima of :func:`adjusted_maxima` and one suffix-minimum
+array; the library now runs the general DP there.  :func:`placed_maxima`
+is the older fill of those maxima, read off both full position lists of
 :meth:`~intdigraph.ordering.Ordering.place`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from itertools import accumulate
 from typing import Iterable, Optional
 
-from intdigraph.graphs import Digraph, check_weights
+from intdigraph.errors import NotAdjusted
+from intdigraph.graphs import Certificate, Digraph, check_weights
+from intdigraph.intervals import (IntervalRep, NormalizedRep, normalize, rank_order,
+                                  realize_digraph)
 from intdigraph.kernels import _check_objective
 from intdigraph.ordering import Ordering, SuffixTable, argbest
 
@@ -144,10 +151,62 @@ def chain_dag_insort(g: Digraph, ordering: Ordering,
     return SuffixTable(ordering, "max", tuple(values), tuple(succ), tuple(range(n)))
 
 
-def adjusted_maxima(g: Digraph, ordering: Ordering) -> tuple[list[int], list[int]]:
+def placed_maxima(g: Digraph, ordering: Ordering) -> tuple[list[int], list[int]]:
     """Per position, the highest out- (in-) neighbour position, or itself."""
     out_pos, in_pos = ordering.place(g)
     # self-loops count: reflexivity makes every vertex its own neighbour here
     max_out = [max(p, nbrs[-1]) if nbrs else p for p, nbrs in enumerate(out_pos)]
     max_in = [max(p, nbrs[-1]) if nbrs else p for p, nbrs in enumerate(in_pos)]
     return max_out, max_in
+
+
+def adjusted_maxima(rep: NormalizedRep, perm) -> tuple[list[int], list[int]]:
+    """Per position of ``perm``, the l(S) order of the adjusted ``rep``, the
+    highest position that is an out- (in-) neighbour or the position itself.
+
+    Normalizing ranks l(T_v) right after l(S_v) (one coordinate, both left,
+    one vertex, S first; swapped() right before), so for u above v both left
+    ranks of u exceed both of v's: u is an out- (in-) neighbour of v iff
+    l(S_u) < r(S_v) (r(T_v)), which also holds for v and all below it:
+    a bisection of the l(S) ranks in ``perm`` order, which rise."""
+    lefts = list(map(rep.ls.__getitem__, perm))
+    return ([bisect_left(lefts, rep.rs[v]) - 1 for v in perm],
+            [bisect_left(lefts, rep.rt[v]) - 1 for v in perm])
+
+
+def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Optional[Certificate]:
+    """Optimal kernel when every vertex's intervals share a left endpoint.
+
+    Orders vertices by the common left endpoints; upper neighbourhoods are
+    then contiguous, so the continuation sets collapse to index ranges
+    computed from per-vertex maxima and one suffix-minimum array.
+    """
+    _check_objective(objective)
+    rep = normalize(rep)
+    if not rep.adjusted:
+        raise NotAdjusted("representation does not have matching left endpoints")
+    n = rep.n
+    g = realize_digraph(rep)
+    ordering = Ordering(rank_order(rep.ls, 4 * n))
+    max_out, max_in = adjusted_maxima(rep, ordering.perm)
+
+    # suffix minima of max_out, then a sentinel above any real position
+    suffix_min_out = list(accumulate(reversed(max_out), min))[::-1] + [n]
+
+    values: list[Optional[int]] = [None] * n
+    succ: list[Optional[int]] = [None] * n
+    for i in range(n - 1, -1, -1):
+        if max_in[i] == n - 1:
+            values[i] = 1
+            continue
+        lo = max(max_out[i], max_in[i]) + 1
+        x = suffix_min_out[max_in[i] + 1]
+        best_j = argbest(values, range(lo, min(x, n - 1) + 1), objective)
+        if best_j is not None:
+            values[i] = 1 + values[best_j]
+            succ[i] = best_j
+
+    # a kernel's first vertex must absorb every earlier one
+    candidates = tuple(range(min(max_out, default=-1) + 1))
+    table = SuffixTable(ordering, objective, tuple(values), tuple(succ), candidates)
+    return table.certify(g, "kernel", "kernel-dp-adjusted")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import json
@@ -88,7 +89,7 @@ class TestSolverCommands:
 
     def test_clean_integer_files_build_no_intervals(self, capsys, tmp_path, monkeypatch):
         """A clean integer file reaches the solvers as columns: the sweeps and
-        the adjusted DP answer alike while building an ``Interval`` raises."""
+        ``min-kernel --adjusted`` answer alike while building an ``Interval`` raises."""
         sweep = tmp_path / "sweep.irep"
         sweep.write_text(emit_interval_rep(gen_reflexive_interval(30, 5, max_len=4)))
         star = tmp_path / "star.irep"
@@ -432,6 +433,28 @@ def test_main_restores_the_gc_state(files, capsys, argv, code, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_no_parser_is_alive_while_a_command_runs(files, capsys, monkeypatch, enabled):
+    """The argument parser is cyclic garbage once it has read the arguments;
+    ``main`` frees it before the command runs with cyclic GC off."""
+    counts = []
+
+    def counting_read(path):
+        counts.append(sum(isinstance(o, argparse.ArgumentParser)
+                          and o.prog.split()[0] == "intdigraph" for o in gc.get_objects()))
+        return read(path)
+    read = intdigraph.cli._read
+    monkeypatch.setattr(intdigraph.cli, "_read", counting_read)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert run(capsys, "kernel", files["two.irep"])[0] == 0
+        assert run(capsys, "min-kernel", files["star.irep"], "--adjusted")[0] == 0
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert counts == [0, 0]
 
 
 def test_package_has_no_assert_statements():

@@ -1,18 +1,20 @@
 """The library's suffix-table fills against the quadratic ones in
-``dp_reference``: equal values, successors and candidates; and the chain
-fill against the former insort fill kept there, for its tie rule."""
+``dp_reference``: equal values, successors and candidates; the chain
+fill against the former insort fill kept there, for its tie rule; and the
+adjusted solver against the former O(n^2) one kept there, answer for answer."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import (Digraph, Ordering, chain_dag, compute_kernel_table,
-                        extract_duf_ordering, normalize, realize_digraph)
+from intdigraph import (Digraph, Interval, IntervalRep, Ordering, chain_dag,
+                        compute_kernel_table, extract_duf_ordering, normalize,
+                        optimal_kernel_adjusted, realize_digraph)
 from intdigraph.generators import gen_reflexive_interval
 
 import dp_reference
-from conftest import random_adjusted_rep
+from conftest import random_adjusted_rep, rationals
 
 
 def _tables(table):
@@ -84,3 +86,29 @@ def test_chain_fill_keeps_the_insort_tie_rule(case):
     table = chain_dag(ordering, ordering.place(g), weights)
     former = dp_reference.chain_dag_insort(g, ordering, weights)
     assert (table.values, table.succ) == (former.values, former.succ)
+
+
+@st.composite
+def adjusted_reps(draw):
+    """An adjusted representation, n <= 60, on a grid of about n/2 integers
+    or of p/q with q <= 3, so tied endpoints are common."""
+    n = draw(st.integers(0, 60))
+    point = draw(st.sampled_from([st.integers(0, n // 2 + 1), rationals(0, 6, 3)]))
+    pairs = []
+    for _ in range(n):
+        lo = draw(point)
+        pairs.append((Interval(lo, lo + draw(point)), Interval(lo, lo + draw(point))))
+    return IntervalRep(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(adjusted_reps())
+def test_adjusted_solver_answers_as_the_former_quadratic_one(rep):
+    """Also on the reversal, with S and T exchanged in the raw columns (its
+    own adjusted representation) and in the ranks (:meth:`swapped`, where
+    l(T_v) ranks right before l(S_v))."""
+    reversal = IntervalRep.from_columns(rep.lt, rep.rt, rep.ls, rep.rs)
+    for r in (rep, reversal, normalize(rep).swapped()):
+        for objective in ("min", "max"):
+            assert (optimal_kernel_adjusted(r, objective).to_json()
+                    == dp_reference.optimal_kernel_adjusted(r, objective).to_json())

@@ -6,8 +6,9 @@ An argument ``@file`` names ``golden/inputs/file``.  The inputs include
 tied endpoints (``tied.irep`` is ``gen reflexive-interval --n 40 --seed 3
 --grid 20 --max-len 6``; ``tied.bg`` is a tied ``gen interval-bigraph``),
 so the tie rules of the normalizers are part of what is compared.
-``distinct.bg`` has distinct rational endpoints only, and ``frac.irep``
-has tied ``p/q`` endpoints.  ``unlocated.dg`` is the realized digraph of
+``distinct.bg`` has distinct rational endpoints only, ``frac.irep``
+has tied ``p/q`` endpoints, and so has ``adjusted-tied.irep``, whose S and T
+share their left endpoint at every vertex.  ``unlocated.dg`` is the realized digraph of
 ``gen reflexive-interval --n 50 --seed 1``, and ``unlocated.ord`` its
 extracted ordering with the first and last positions swapped: a failing
 ordering above the witness-search cap.  ``pp-loops.dg`` is point-point
@@ -43,6 +44,11 @@ CASES = [
     ("min-kernel-adjusted", 0, "min-kernel @adjusted.irep --adjusted"),
     ("max-kernel-adjusted", 0, "max-kernel @adjusted.irep --adjusted"),
     ("min-kernel-adjusted-star", 0, "min-kernel @star.irep --adjusted"),
+    ("min-kernel-adjusted-tied", 0, "min-kernel @adjusted-tied.irep --adjusted"),
+    ("max-kernel-adjusted-tied", 0, "max-kernel @adjusted-tied.irep --adjusted"),
+    ("min-kernel-adjusted-not-adjusted", 1, "min-kernel @tied.irep --adjusted"),
+    ("min-kernel-adjusted-weights", 1,
+     "min-kernel @adjusted.irep --adjusted --weights @tied.w"),
     ("min-kernel-none", 2, "min-kernel @nk.dg @nk.ord"),
     ("max-kernel-none", 2, "max-kernel @nk.dg @nk.ord"),
     ("mis", 0, "mis @tied.dg @tied.ord"),

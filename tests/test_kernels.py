@@ -16,9 +16,9 @@ from intdigraph import graphs, kernels
 from intdigraph.errors import (InvalidOrdering, NotAdjusted, NotCocompOrdered, NotDufOrdered,
                               NotReflexive)
 from intdigraph.generators import gen_reflexive_interval
-from intdigraph.kernels import adjusted_maxima
 
 import dp_reference
+from dp_reference import adjusted_maxima
 from fixtures import (in_star_adjusted, no_kernel_duf, reflexive_path, reverse,
                       symmetric_digraph, two_vertex_example_rep)
 from conftest import all_digraphs, min_solution_size, random_adjusted_rep, traced_peak
@@ -204,7 +204,7 @@ class TestOptimalKernelAdjusted:
             for r, h in ((rep, g), (rep.swapped(), reverse(g))):
                 ordering = Ordering(sorted(range(r.n), key=r.ls.__getitem__))
                 assert (adjusted_maxima(r, ordering.perm)
-                        == dp_reference.adjusted_maxima(h, ordering))
+                        == dp_reference.placed_maxima(h, ordering))
             for objective in ("min", "max"):
                 adj = optimal_kernel_adjusted(rep, objective)
                 gen = optimal_kernel_duf(g, extract_duf_ordering(rep), objective)

@@ -1,6 +1,6 @@
 """The benchmark's traced names must exist in the package, the benchmark
-process must hold their modules, and the CLI's start-up must load only
-what every command needs.
+process must hold their modules, one pass of its calls must call each of
+them, and the CLI's start-up must load only what every command needs.
 
 ``perfbench/spans.py`` wraps every ``(module, attribute)`` pair of its
 ``TRACED`` table by name and looks each module up in ``sys.modules``, so
@@ -26,17 +26,18 @@ CLI_START_UP = {"intdigraph", "intdigraph.cli", "intdigraph.errors", "intdigraph
                 "intdigraph.independent"}
 
 
-def traced_pairs():
+def traced_table() -> dict:
+    """``TRACED``: (module, attribute) -> span name."""
     tree = ast.parse(SPANS.read_text(), filename=str(SPANS))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets):
-            return list(ast.literal_eval(node.value))
+            return ast.literal_eval(node.value)
     raise LookupError(f"no TRACED table in {SPANS}")
 
 
 def test_every_traced_name_resolves():
-    pairs = traced_pairs()
+    pairs = traced_table()
     assert pairs
     for module, attribute in pairs:
         obj = importlib.import_module(f"intdigraph.{module}")
@@ -46,14 +47,18 @@ def test_every_traced_name_resolves():
         assert callable(obj), f"intdigraph.{module}.{attribute} is not callable"
 
 
-def loaded_after(program: str, *paths: Path) -> set[str]:
-    """The modules a fresh interpreter holds after running ``program``,
-    with ``src/`` and ``paths`` on its module path."""
+def run_child(program: str, *paths: Path) -> str:
+    """The stdout of a fresh interpreter running ``program``, with ``src/``
+    and ``paths`` on its module path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (ROOT / "src", *paths))))
-    out = subprocess.run(
-        [sys.executable, "-c", f"{program}\nimport sys\nprint('\\n'.join(sys.modules))"],
-        capture_output=True, text=True, check=True, env=env).stdout
-    return set(out.split())
+    return subprocess.run([sys.executable, "-c", program],
+                          capture_output=True, text=True, check=True, env=env).stdout
+
+
+def loaded_after(program: str, *paths: Path) -> set[str]:
+    """The modules a fresh interpreter holds after running ``program``."""
+    return set(run_child(f"{program}\nimport sys\nprint('\\n'.join(sys.modules))",
+                         *paths).split())
 
 
 def test_the_benchmark_process_holds_every_traced_module():
@@ -63,8 +68,25 @@ def test_the_benchmark_process_holds_every_traced_module():
     loaded = loaded_after("import gate, spans, workloads\n"
                           "with spans.Tracer().installed():\n"
                           "    pass", ROOT / "perfbench")
-    for module, _ in traced_pairs():
+    for module, _ in traced_table():
         assert f"intdigraph.{module}" in loaded
+
+
+def test_one_benchmark_pass_fires_every_traced_name(tmp_path):
+    """A child interpreter runs every call of ``workloads.CALLS`` on the
+    smoke sizes under the tracer; each ``TRACED`` name records a span, so
+    no traced layer has dropped off the path the benchmark times."""
+    program = (
+        "import pathlib, spans, workloads\n"
+        f"inst = workloads.build(pathlib.Path({str(tmp_path)!r}), workloads.SMOKE_SIZES, 1)\n"
+        "tracer = spans.Tracer()\n"
+        "for name, args in workloads.CALLS:\n"
+        "    code, out, _ = spans.run_main(inst.argv(args), tracer, name)\n"
+        "    assert code == 0, (name, code, out)\n"
+        "print('\\n'.join({span[0] for span in tracer.spans}))\n")
+    fired = set(run_child(program, ROOT / "perfbench").split())
+    names = set(traced_table().values())
+    assert names and names <= fired, f"never fired: {sorted(names - fired)}"
 
 
 def test_cli_start_up_loads_only_what_every_command_needs():
