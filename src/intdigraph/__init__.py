@@ -18,10 +18,10 @@ _EXPORTS = {
                  "build_representation", "check_reflexive_interval_ordering",
                  "duf_witness", "find_forbidden_structure",
                  "verify_cocomparability_ordering", "verify_duf_ordering"),
-    "kernels": ("ZSequence", "compute_kernel_table", "kernel_linear",
+    "kernels": ("compute_kernel_table", "kernel_linear",
                 "min_independent_dominating_cocomp", "optimal_kernel_adjusted",
                 "optimal_kernel_duf", "z_sequence"),
-    "domination": ("Bigraph", "IntervalBigraphRep", "RedBlueState",
+    "domination": ("Bigraph", "IntervalBigraphRep",
                    "build_red_blue_state", "min_absorbing_reflexive",
                    "min_dominating_reflexive", "red_blue_min_dominating"),
     "independent": ("chain_dag", "max_independent_duf"),

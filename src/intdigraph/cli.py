@@ -255,13 +255,15 @@ def _cmd_oracle(args):
     from . import oracle
     from .fileio import parse_bigraph_rep
     from .graphs import underlying_undirected
+    if args.weights and args.problem not in ("kernel", "independent"):
+        raise ValueError(f"the {args.problem} oracle does not take weights")
     b = args.budget_n
     budget = (oracle.DEFAULT_BUDGET if b is None
               else oracle.OracleBudget(subset_n=b, perm_n=b, k33_n=b))
     if args.problem == "kernel":
         g = _load_digraph(_read(args.inputs[0]))
         objective = args.objective or "exists"
-        cert = oracle.brute_kernel(g, objective, budget=budget)
+        cert = oracle.brute_kernel(g, objective, _load_weights(args), budget=budget)
         if cert is None:
             return {"status": "no-kernel"}, EXIT_NONEXISTENT
         return _cert_payload(cert), EXIT_OK

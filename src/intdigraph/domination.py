@@ -10,9 +10,11 @@ uncovered A-vertex whose interval ends first with its furthest-reaching
 B-neighbour.  Every uncovered A interval ends later, so that neighbour
 covers exactly those starting before it ends, a prefix of the left-end
 order: the sweep is :func:`~intdigraph.intervals.frontier_walk`, the
-forward pass of the kernel sweep too.  Its one re-check, a prefix
-maximum over the chosen B intervals, is on a reflexive representation
-the absorbing (swapped, dominating) check, so those solvers run no other.
+forward pass of the kernel sweep too, and its steps are the walk's
+``(a_first, cover)`` pair as it is.  Its one re-check, a prefix maximum
+over the chosen B intervals, is on a reflexive representation the
+absorbing (swapped, dominating) check, so those solvers relabel its
+certificate and run no other.
 
 The sweep reads only the order of the endpoints, as four rank sequences
 in the form of a :class:`~intdigraph.intervals.NormalizedRep`.  The
@@ -25,7 +27,7 @@ with the same :func:`~intdigraph.intervals.stable_ranks` as
 from __future__ import annotations
 
 import operator
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .errors import DimensionMismatch
 from .graphs import Certificate, _in_sorted, transpose
@@ -97,15 +99,6 @@ class IntervalBigraphRep:
         return f"IntervalBigraphRep(|A|={self.a_size}, |B|={self.b_size})"
 
 
-class RedBlueState(NamedTuple):
-    """The sweep's steps: ``a_first[k]`` is the uncovered A index ending
-    first at step k, ``cover[k]`` its B-neighbour reaching furthest right.
-    The covers' right ends strictly increase."""
-
-    a_first: tuple[int, ...]
-    cover: tuple[int, ...]
-
-
 def bigraph_ranks(rep) -> tuple:
     """``(a_lo, a_hi, b_lo, b_hi)``: the distinct ranks of ``rep``'s endpoints.
 
@@ -139,13 +132,15 @@ def furthest_cover(a_lo, a_hi, b_lo, b_hi):
     return cover
 
 
-def build_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[RedBlueState]:
+def build_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[tuple]:
     """The sweep over the A intervals ``[a_lo[i], a_hi[i]]`` and the B
     intervals ``[b_lo[j], b_hi[j]]``, their endpoints the ranks 0..2(|A| +
-    |B|)-1; None when it reaches an A-vertex with no B-neighbour."""
-    steps = frontier_walk(a_lo, a_hi, furthest_cover(a_lo, a_hi, b_lo, b_hi),
-                          2 * (len(a_lo) + len(b_lo)))
-    return None if steps is None else RedBlueState(*steps)
+    |B|)-1: ``(a_first, cover)``, where ``a_first[k]`` is the uncovered A
+    index ending first at step k and ``cover[k]`` its B-neighbour reaching
+    furthest right, so the covers' right ends strictly increase.  None when
+    it reaches an A-vertex with no B-neighbour."""
+    return frontier_walk(a_lo, a_hi, furthest_cover(a_lo, a_hi, b_lo, b_hi),
+                         2 * (len(a_lo) + len(b_lo)))
 
 
 def red_blue_min_dominating(rep) -> Optional[Certificate]:
@@ -156,10 +151,10 @@ def red_blue_min_dominating(rep) -> Optional[Certificate]:
     Returns None exactly when some A-vertex is isolated.  O(n) after ranking.
     """
     a_lo, a_hi, b_lo, b_hi = bigraph_ranks(rep)
-    state = build_red_blue_state(a_lo, a_hi, b_lo, b_hi)
-    if state is None:
+    steps = build_red_blue_state(a_lo, a_hi, b_lo, b_hi)
+    if steps is None:
         return None
-    vertices = tuple(sorted(state.cover))
+    vertices = tuple(sorted(steps[1]))
     top = reach_line(2 * (len(a_lo) + len(b_lo)), map(b_lo.__getitem__, vertices),
                      map(b_hi.__getitem__, vertices))
     if not all(map(operator.gt, map(top.__getitem__, a_hi), a_lo)):
@@ -184,10 +179,7 @@ def min_absorbing_reflexive(rep: IntervalRep) -> Certificate:
     inner = red_blue_min_dominating(nrep)
     if inner is None:
         raise RuntimeError("reflexive representation produced an isolated copy")
-    vertices = inner.vertices
-    return Certificate(vertices=vertices, checks={"absorbing": True},
-                       algorithm="red-blue-sweep", optimal=True,
-                       objective="min", value=len(vertices))
+    return inner._replace(checks={"absorbing": True})
 
 
 def min_dominating_reflexive(rep: IntervalRep) -> Certificate:
@@ -197,7 +189,5 @@ def min_dominating_reflexive(rep: IntervalRep) -> Certificate:
     reversed digraph, where dominating and absorbing trade places; the
     coverage check on the swapped ranks is exactly the dominating condition.
     """
-    vertices = min_absorbing_reflexive(normalize(rep).swapped()).vertices
-    return Certificate(vertices=vertices, checks={"dominating": True},
-                       algorithm="red-blue-sweep-reversed", optimal=True,
-                       objective="min", value=len(vertices))
+    cert = min_absorbing_reflexive(normalize(rep).swapped())
+    return cert._replace(checks={"dominating": True}, algorithm="red-blue-sweep-reversed")

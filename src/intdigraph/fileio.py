@@ -290,12 +290,12 @@ def emit_bigraph_rep(rep: IntervalBigraphRep) -> str:
 
 
 def parse_ordering(text: str) -> Ordering:
+    """The one line of vertex ids; a file with none is the empty ordering."""
     from .ordering import Ordering  # deferred, as in parse_interval_rep
     rows = list(_lines(text))
-    if len(rows) != 1:
-        raise ParseError(rows[1][0] if len(rows) > 1 else 1,
-                         "ordering files hold a single line of vertex ids")
-    lineno, tokens = rows[0]
+    if len(rows) > 1:
+        raise ParseError(rows[1][0], "ordering files hold a single line of vertex ids")
+    lineno, tokens = rows[0] if rows else (1, [])
     try:
         return Ordering(tuple(_int(t, lineno) for t in tokens))
     except ValueError as exc:

@@ -52,6 +52,8 @@ def gen_interval_bigraph(a_size: int, b_size: int, seed: int,
                          grid: Optional[int] = None,
                          max_len: Optional[int] = None) -> IntervalBigraphRep:
     """Random interval per vertex of each part; isolated vertices possible."""
+    if a_size < 0 or b_size < 0:
+        raise ValueError("part sizes must be non-negative")
     rng = random.Random(seed)
     grid = 4 * (a_size + b_size) if grid is None else grid
 

@@ -1,5 +1,6 @@
 """Directed and undirected graph types plus the one definitional set checker,
-:func:`verify_set`, which also checks an interval representation, on its ranks.
+:func:`verify_set`, which also checks an interval representation, on its ranks,
+and :func:`certify`, the step in which every solver checks its answer.
 
 Vertices are dense 0-based integers.  Self-loops are stored as per-vertex
 flags, never inside the adjacency lists, and are not counted in ``m``.
@@ -286,3 +287,15 @@ def verify_set(g, s: Iterable[int], mode: str) -> Certificate:
     checks = {name: run[name](g, sset) for name in VERIFY_CHECKS[mode]}
     return Certificate(vertices=tuple(sorted(sset)), checks=checks,
                        algorithm="definition-check")
+
+
+def certify(g, s: Iterable[int], mode: str, algorithm: str, optimal: bool = False,
+            objective: str | None = None, value: int | None = None) -> Certificate:
+    """A solver's answer ``s``, checked by :func:`verify_set` in ``mode`` and
+    labelled with the ``algorithm`` and its claims; a failed check raises
+    RuntimeError."""
+    cert = verify_set(g, s, mode)
+    if not cert.all_checks_pass():
+        raise RuntimeError(f"{algorithm} produced an invalid set: {cert.checks}")
+    return cert._replace(algorithm=algorithm, optimal=optimal, objective=objective,
+                         value=value)

@@ -8,9 +8,8 @@ Two routes, by input:
   it together with its surviving in-neighbours; a backward pass thins the
   picked sequence to an independent set.  Never fails: reflexive interval
   digraphs are kernel-perfect.  Runs in one sort plus O(n): the forward
-  pass is one monotone frontier over the l(S) ranks, and one count of
-  them below each picked r(T) rank gives the per-step removals; the
-  digraph itself is never materialized.
+  pass is one monotone frontier over the l(S) ranks, and the answer is
+  checked on the ranks; the digraph itself is never materialized.
 
 * :func:`optimal_kernel_duf` finds a minimum/maximum (optionally weighted)
   kernel of any digraph with a directed umbrella-free ordering, or the
@@ -29,17 +28,15 @@ Two routes, by input:
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left, bisect_right
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
-from .errors import NotAdjusted
-from .graphs import Certificate, Digraph, UndirectedGraph, check_weights
-from .intervals import (IntervalRep, below_counts, extract_duf_ordering, frontier_walk,
-                        normalize, realize_digraph,
-                        require_reflexive, set_is_absorbing, set_is_independent)
-from .ordering import (Ordering, SuffixTable, argbest, cocomp_placement, covered,
-                       duf_placement, first_gap)
+from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
+from .graphs import Certificate, Digraph, UndirectedGraph, certify, check_weights
+from .intervals import (IntervalRep, extract_duf_ordering, frontier_walk, normalize,
+                        realize_digraph, require_reflexive)
+from .ordering import (Ordering, SuffixTable, argbest, covered, duf_placement,
+                       first_gap, umbrella_triple)
 
 OBJECTIVES = ("min", "max")
 
@@ -53,19 +50,9 @@ def _check_objective(objective: str) -> None:
 # linear-time kernel on reflexive interval digraphs
 
 
-class ZSequence(NamedTuple):
-    """The forward pass: picked vertices, per-step removal counts, and the
-    (strictly increasing) right ends of their source intervals.  The picked
-    vertex together with its just-removed in-neighbours partition V, so the
-    removal counts sum to n."""
-
-    vertices: tuple[int, ...]
-    removed_counts: tuple[int, ...]
-    right_ends: tuple[int, ...]
-
-
-def z_sequence(rep: IntervalRep) -> ZSequence:
-    """Run the forward pass of the kernel sweep on a reflexive representation.
+def z_sequence(rep: IntervalRep) -> tuple[int, ...]:
+    """The forward pass of the kernel sweep on a reflexive representation:
+    the picked vertices, in pick order.
 
     The picked vertex v has the least r(S) among the survivors, and l(T_v) <
     r(S_v) because v is reflexive, so a survivor u is an in-neighbour of v
@@ -73,18 +60,12 @@ def z_sequence(rep: IntervalRep) -> ZSequence:
     order, and a popped prefix stays empty, so this is the
     :func:`~intdigraph.intervals.frontier_walk` with bound r(T_v).  The
     frontier passes v too, as l(S_v) < r(T_v), so every vertex it passes was
-    still a survivor.  The frontier had not passed v, so l(S_v) is at least
-    the old frontier and r(T_v) is the new one.  So the picked r(T) ranks
-    rise, and after step k the removed vertices are those with l(S) below
-    r(T_{z_k}): one :func:`~intdigraph.intervals.below_counts` in pick order.
+    still a survivor.
     """
     rep = normalize(rep)
     require_reflexive(rep)
-    rs, rt = rep.rs, rep.rt
-    picked, _ = frontier_walk(rep.ls, rs, lambda v: (rt[v], v), 4 * rep.n)
-    totals = [0, *below_counts(4 * rep.n, rep.ls, map(rt.__getitem__, picked))]
-    counts = tuple(map(operator.sub, totals[1:], totals))
-    return ZSequence(picked, counts, tuple(map(rs.__getitem__, picked)))
+    rt = rep.rt
+    return frontier_walk(rep.ls, rep.rs, lambda v: (rt[v], None), 4 * rep.n)[0]
 
 
 def kernel_linear(rep: IntervalRep) -> Certificate:
@@ -94,18 +75,12 @@ def kernel_linear(rep: IntervalRep) -> Certificate:
     picked vertex unless it points at the last vertex kept.
     """
     rep = normalize(rep)
-    seq = z_sequence(rep)
     ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
     keep: list[int] = []
-    for z in reversed(seq.vertices):
+    for z in reversed(z_sequence(rep)):
         if not keep or not (ls[z] < rt[keep[-1]] and lt[keep[-1]] < rs[z]):
             keep.append(z)  # (z, last kept) is not an edge
-    vertices = tuple(sorted(keep))
-    checks = {"independent": set_is_independent(rep, vertices),
-              "absorbing": set_is_absorbing(rep, vertices)}
-    if not all(checks.values()):
-        raise RuntimeError(f"kernel sweep produced an invalid set: {checks}")
-    return Certificate(vertices=vertices, checks=checks, algorithm="kernel-linear")
+    return certify(rep, keep, "kernel", "kernel-linear")
 
 
 # --------------------------------------------------------------------------
@@ -209,11 +184,17 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
     both senses, so after one umbrella check on ``h`` this fills the
     kernel table of that digraph.  Both read ``h``'s adjacency as the out-
     and in-lists: the check and the table from one ``ordering.place(h)``
-    (:func:`~intdigraph.ordering.cocomp_placement`), the certificate from
-    ``verify_set`` on ``h``, so that digraph is never built.  Always
-    succeeds: every maximal independent set dominates.
+    (:func:`~intdigraph.ordering.duf_placement`, whose witness becomes the
+    :func:`~intdigraph.ordering.umbrella_triple` of a
+    :class:`NotCocompOrdered`), the certificate from ``verify_set`` on
+    ``h``, so that digraph is never built.  Always succeeds: every maximal
+    independent set dominates.
     """
-    table = compute_kernel_table(ordering, cocomp_placement(h, ordering), "min")
+    try:
+        placed = duf_placement(h, ordering)
+    except NotDufOrdered as exc:
+        raise NotCocompOrdered(umbrella_triple(exc.witness)) from None
+    table = compute_kernel_table(ordering, placed, "min")
     cert = table.certify(h, "solution", "cocomp-min-ind-dom")
     if cert is None:
         raise RuntimeError("graph without an independent dominating set")

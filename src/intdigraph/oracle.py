@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetExceeded
-from .graphs import Certificate, Digraph, UndirectedGraph, check_weights, verify_set
+from .graphs import Certificate, Digraph, UndirectedGraph, certify, check_weights
 from .domination import Bigraph, IntervalBigraphRep
 from .ordering import (Ordering, check_reflexive_interval_ordering,
                        verify_duf_ordering)
@@ -125,14 +125,9 @@ def brute_kernel(g: Digraph, objective: str = "exists",
     dfs(0, 0, 0, 0)
     if best_val is None:
         return None
-    cert = verify_set(g, best_set, "kernel")
-    if not cert.all_checks_pass():
-        raise RuntimeError(f"kernel oracle produced an invalid set: {cert.checks}")
-    return Certificate(vertices=best_set, checks=cert.checks,
-                       algorithm="brute-kernel",
-                       optimal=objective != "exists",
-                       objective=None if objective == "exists" else objective,
-                       value=best_val)
+    exists = objective == "exists"
+    return certify(g, best_set, "kernel", "brute-kernel", optimal=not exists,
+                   objective=None if exists else objective, value=best_val)
 
 
 def brute_min_absorbing(g: Digraph, budget: OracleBudget = DEFAULT_BUDGET) -> Certificate:
@@ -140,12 +135,8 @@ def brute_min_absorbing(g: Digraph, budget: OracleBudget = DEFAULT_BUDGET) -> Ce
     _refuse("absorbing", g.n, budget.subset_n)
     closed_in = [mask | 1 << v for v, mask in enumerate(_masks(g.in_adj))]
     comb = _first_cover(closed_in, (1 << g.n) - 1, budget)
-    cert = verify_set(g, comb, "absorbing")
-    if not cert.all_checks_pass():
-        raise RuntimeError(f"absorbing oracle produced an invalid set: {cert.checks}")
-    return Certificate(vertices=comb, checks=cert.checks,
-                       algorithm="brute-absorbing", optimal=True,
-                       objective="min", value=len(comb))
+    return certify(g, comb, "absorbing", "brute-absorbing", optimal=True,
+                   objective="min", value=len(comb))
 
 
 def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
@@ -179,12 +170,8 @@ def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
         dfs(idx + 1, blocked, val)
 
     dfs(0, 0, 0)
-    cert = verify_set(g, best_set, "independent")
-    if not cert.all_checks_pass():
-        raise RuntimeError(f"independent-set oracle produced an invalid set: {cert.checks}")
-    return Certificate(vertices=best_set, checks=cert.checks,
-                       algorithm="brute-independent", optimal=True,
-                       objective="max", value=best_val)
+    return certify(g, best_set, "independent", "brute-independent", optimal=True,
+                   objective="max", value=best_val)
 
 
 def brute_red_blue(instance, budget: OracleBudget = DEFAULT_BUDGET) -> Optional[Certificate]:

@@ -18,9 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import (ForbiddenStructure, InvalidOrdering, NotCocompOrdered,
-                     NotDufOrdered, NotReflexive)
-from .graphs import Certificate, Digraph, UndirectedGraph, transpose_lists, verify_set
+from .errors import ForbiddenStructure, InvalidOrdering, NotDufOrdered, NotReflexive
+from .graphs import Certificate, Digraph, UndirectedGraph, certify, transpose_lists
 from .intervals import IntervalRep, verify_representation
 
 # Largest n for which a failing check still locates a concrete quadruple;
@@ -145,9 +144,9 @@ class SuffixTable(NamedTuple):
 
     def certify(self, g: Digraph | UndirectedGraph, mode: str,
                 algorithm: str) -> Optional[Certificate]:
-        """The best candidate's solution, re-checked by ``verify_set`` on ``g``
-        in ``mode``; None when no candidate has a value.  An empty ordering
-        gives the empty set, of value 0."""
+        """The best candidate's solution, re-checked on ``g`` in ``mode`` by
+        :func:`~intdigraph.graphs.certify`; None when no candidate has a
+        value.  An empty ordering gives the empty set, of value 0."""
         if not self.ordering.n:
             chain, value = [], 0
         else:
@@ -155,12 +154,8 @@ class SuffixTable(NamedTuple):
             if best is None:
                 return None
             chain, value = self.chain_positions(best), self.values[best]
-        vertices = tuple(sorted(self.ordering.perm[q] for q in chain))
-        cert = verify_set(g, vertices, mode)
-        if not cert.all_checks_pass():
-            raise RuntimeError(f"{algorithm} produced an invalid set: {cert.checks}")
-        return Certificate(vertices=vertices, checks=cert.checks, algorithm=algorithm,
-                           optimal=True, objective=self.objective, value=value)
+        return certify(g, [self.ordering.perm[q] for q in chain], mode, algorithm,
+                       optimal=True, objective=self.objective, value=value)
 
 
 class StructureWitness(NamedTuple):
@@ -229,11 +224,15 @@ def duf_witness(ordering: Ordering, placed) -> Optional[StructureWitness]:
     Tests, for every arc spanning at least one middle position, that the
     positions in between are covered, by one count per arc:
     O(m (Delta + log n)) for largest degree Delta.  At each position the
-    out-arcs are scanned before the in-arcs.
+    out-arcs are scanned before the in-arcs.  When both lists are one
+    object, as an undirected graph's placement is, the in-arc scan would
+    repeat the out-arc scan, and only the out-arcs are scanned.
     """
     perm = ordering.perm
     outs, ins = placed
-    scans = (("duf-out", outs, ins), ("duf-in", ins, outs))
+    scans = [("duf-out", outs, ins)]
+    if ins is not outs:
+        scans.append(("duf-in", ins, outs))
     for p in range(ordering.n):
         for kind, near, far in scans:
             hit = _umbrella_at(near, far, p)
@@ -244,14 +243,15 @@ def duf_witness(ordering: Ordering, placed) -> Optional[StructureWitness]:
     return None
 
 
-def verify_duf_ordering(g: Digraph, ordering: Ordering) -> Optional[StructureWitness]:
+def verify_duf_ordering(g: Digraph | UndirectedGraph,
+                        ordering: Ordering) -> Optional[StructureWitness]:
     """None if the ordering is directed umbrella-free for ``g``, else the
     :func:`duf_witness` of its placement."""
     _require_matching(g, ordering)
     return duf_witness(ordering, ordering.place(g))
 
 
-def duf_placement(g: Digraph, ordering: Ordering):
+def duf_placement(g: Digraph | UndirectedGraph, ordering: Ordering):
     """``ordering.place(g)`` once :func:`duf_witness` has passed it: the one
     placement an ordered solver reads.  A violation raises
     :class:`NotDufOrdered` with the witness of :func:`verify_duf_ordering`."""
@@ -389,39 +389,12 @@ def umbrella_triple(witness: StructureWitness) -> tuple[int, int, int]:
     return (i, j, k)
 
 
-def cocomp_triple(ordering: Ordering, adj) -> Optional[tuple[int, int, int]]:
-    """None if the graph with position lists ``adj`` (either half of its
-    :meth:`Ordering.place` under ``ordering``) is umbrella-free, else the
-    triple of :func:`verify_cocomparability_ordering`."""
-    perm = ordering.perm
-    for p in range(ordering.n):
-        hit = _umbrella_at(adj, adj, p)
-        if hit is not None:
-            r, q = hit
-            return (perm[p], perm[r], perm[q])
-    return None
-
-
 def verify_cocomparability_ordering(
         h: UndirectedGraph, ordering: Ordering) -> Optional[tuple[int, int, int]]:
     """None if the ordering is umbrella-free for ``h``, else a violating
     triple (i, j, k) of vertices with i < j < k in the ordering, ik an edge
-    and neither ij nor jk present.  This is the out-arc scan of the DUF
-    check, run on ``h`` itself: on the symmetric digraph of ``h`` the
-    in-arc scan at a position fails only where the out-arc scan already
-    has, so the triple is the :func:`umbrella_triple` of that check."""
-    _require_matching(h, ordering)
-    return cocomp_triple(ordering, ordering.place(h)[0])
-
-
-def cocomp_placement(h: UndirectedGraph, ordering: Ordering):
-    """``ordering.place(h)`` once :func:`cocomp_triple` has passed it: the
-    one placement the cocomparability solver reads.  A violation raises
-    :class:`NotCocompOrdered` with the triple of
-    :func:`verify_cocomparability_ordering`."""
-    _require_matching(h, ordering)
-    placed = ordering.place(h)
-    triple = cocomp_triple(ordering, placed[0])
-    if triple is not None:
-        raise NotCocompOrdered(triple)
-    return placed
+    and neither ij nor jk present: the :func:`umbrella_triple` of
+    :func:`verify_duf_ordering` on ``h`` itself, which scans its one
+    adjacency list once, as the out-arcs of the symmetric digraph of ``h``."""
+    witness = verify_duf_ordering(h, ordering)
+    return None if witness is None else umbrella_triple(witness)

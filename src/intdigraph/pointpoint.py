@@ -24,7 +24,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InvalidCertificate, NotIrreflexive, OddSubdivision
-from .graphs import Digraph, verify_set
+from .graphs import Digraph, certify, verify_set
 
 
 class PointRep(NamedTuple):
@@ -267,10 +267,7 @@ def lift_set(sub: SubdivisionMap, s: Iterable[int], mode: str = "kernel") -> tup
     if len(result) != len(sset) + half * sub.origin.m:
         raise RuntimeError(f"lifted set has {len(result)} vertices, expected "
                            f"{len(sset) + half * sub.origin.m}")
-    cert = verify_set(sub.host, result, mode)
-    if not cert.all_checks_pass():
-        raise RuntimeError(f"lifted set fails {mode} check: {cert.checks}")
-    return result
+    return certify(sub.host, result, mode, "lift").vertices
 
 
 def project_set(sub: SubdivisionMap, s_host: Iterable[int], mode: str = "kernel") -> tuple[int, ...]:
@@ -302,7 +299,4 @@ def project_set(sub: SubdivisionMap, s_host: Iterable[int], mode: str = "kernel"
         if len(result) > len(sset) - half * sub.origin.m:
             raise RuntimeError(f"projected absorbing set has {len(result)} vertices, "
                                f"more than {len(sset) - half * sub.origin.m}")
-    cert = verify_set(sub.origin, result, mode)
-    if not cert.all_checks_pass():
-        raise RuntimeError(f"projected set fails {mode} check: {cert.checks}")
-    return result
+    return certify(sub.origin, result, mode, "project").vertices

@@ -10,6 +10,10 @@ library now reads one :meth:`~intdigraph.ordering.Ordering.place` per
 call; ``test_ordering_reference.py`` checks on random inputs that both
 give the same witnesses, triples and endpoints.
 
+:func:`cocomp_triple` is the library's former umbrella scan of an
+undirected graph's placement, a second copy of the DUF check's out-arc
+scan; the library now runs that check itself on the undirected graph.
+
 :class:`BucketOrdering` keeps the former ``place``, one bucket pass per
 direction over ``in_adj`` and ``out_adj``.  The library's buckets only
 ``out_adj`` and transposes the in-positions it gives.
@@ -157,6 +161,20 @@ def verify_cocomparability_ordering(
     adj = list(map(set, h.adj))
     for p in range(h.n):
         hit = _umbrella_at(adj, adj, perm, pos, p)
+        if hit is not None:
+            r, q = hit
+            return (perm[p], perm[r], perm[q])
+    return None
+
+
+def cocomp_triple(ordering: Ordering, adj) -> Optional[tuple[int, int, int]]:
+    """None if the graph with position lists ``adj`` (either half of its
+    :meth:`Ordering.place` under ``ordering``) is umbrella-free, else the
+    triple of :func:`verify_cocomparability_ordering`."""
+    from intdigraph.ordering import _umbrella_at  # the library's, not this module's
+    perm = ordering.perm
+    for p in range(ordering.n):
+        hit = _umbrella_at(adj, adj, p)
         if hit is not None:
             r, q = hit
             return (perm[p], perm[r], perm[q])

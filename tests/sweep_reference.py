@@ -1,10 +1,15 @@
-"""The forward sweep's former segment tree, the red-blue sweep's former jump
-table, the former stab index and pair counts, the former independence sweep
-and the graph types' former arc sets, kept as differential references.
+"""The forward sweep's former segment tree and removal counts, the red-blue
+sweep's former jump table, the former stab index and pair counts, the former
+independence sweep and the graph types' former arc sets, kept as
+differential references.
 
 :func:`z_sequence` here is the kernel sweep's forward pass as it was, with
 :class:`_SurvivorIndex`, a max segment tree over the vertices sorted by
-l(S), answering every in-neighbour query.  :func:`build_red_blue_state`
+l(S), answering every in-neighbour query.  :func:`below_counts_z_sequence`
+is the frontier-walk forward pass as it was before it returned the picks
+alone: it also counted each step's removals by one ``below_counts`` and
+kept the picks' right ends, both in a :class:`ZSequence`.
+:func:`build_red_blue_state`
 stabs every A interval and stores, per slot of the right-end order, the
 first slot its cover does not reach; :func:`walk` follows those jumps.
 :class:`StabIndex` answers a stab by bisecting a sorted copy of the stored
@@ -26,14 +31,25 @@ the same answers.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from intdigraph.errors import DimensionMismatch, InvalidVertex
-from intdigraph.intervals import (IntervalRep, NormalizedRep, normalize,
-                                  require_reflexive)
-from intdigraph.kernels import ZSequence
+from intdigraph.intervals import (IntervalRep, NormalizedRep, below_counts,
+                                  frontier_walk, normalize, require_reflexive)
+
+
+class ZSequence(NamedTuple):
+    """The forward pass: picked vertices, per-step removal counts, and the
+    (strictly increasing) right ends of their source intervals.  The picked
+    vertex together with its just-removed in-neighbours partition V, so the
+    removal counts sum to n."""
+
+    vertices: tuple[int, ...]
+    removed_counts: tuple[int, ...]
+    right_ends: tuple[int, ...]
 
 
 class StabIndex:
@@ -194,6 +210,29 @@ def z_sequence(rep: IntervalRep) -> ZSequence:
         counts.append(1 + len(ins))
         rights.append(rs[v])
     return ZSequence(tuple(picked), tuple(counts), tuple(rights))
+
+
+def below_counts_z_sequence(rep: IntervalRep) -> ZSequence:
+    """Run the forward pass of the kernel sweep on a reflexive representation.
+
+    The picked vertex v has the least r(S) among the survivors, and l(T_v) <
+    r(S_v) because v is reflexive, so a survivor u is an in-neighbour of v
+    exactly when l(S_u) < r(T_v).  Those survivors are a prefix of the l(S)
+    order, and a popped prefix stays empty, so this is the
+    :func:`~intdigraph.intervals.frontier_walk` with bound r(T_v).  The
+    frontier passes v too, as l(S_v) < r(T_v), so every vertex it passes was
+    still a survivor.  The frontier had not passed v, so l(S_v) is at least
+    the old frontier and r(T_v) is the new one.  So the picked r(T) ranks
+    rise, and after step k the removed vertices are those with l(S) below
+    r(T_{z_k}): one :func:`~intdigraph.intervals.below_counts` in pick order.
+    """
+    rep = normalize(rep)
+    require_reflexive(rep)
+    rs, rt = rep.rs, rep.rt
+    picked, _ = frontier_walk(rep.ls, rs, lambda v: (rt[v], v), 4 * rep.n)
+    totals = [0, *below_counts(4 * rep.n, rep.ls, map(rt.__getitem__, picked))]
+    counts = tuple(map(operator.sub, totals[1:], totals))
+    return ZSequence(picked, counts, tuple(map(rs.__getitem__, picked)))
 
 
 class RedBlueState(NamedTuple):

@@ -270,6 +270,34 @@ class TestOracleCommands:
                                  "--objective", "min")
         assert code == 0 and payload["set"] == [1]
 
+    def test_oracle_kernel_reads_the_weights(self, capsys, tmp_path):
+        """Weighted min and max kernels: the oracle agrees with the DP on the
+        realized digraph and the extracted ordering."""
+        from intdigraph import extract_duf_ordering, normalize, realize_digraph
+        rep = normalize(gen_reflexive_interval(12, 5))
+        paths = {"g.dg": emit_digraph(realize_digraph(rep)),
+                 "g.ord": emit_ordering(extract_duf_ordering(rep)),
+                 "w.txt": " ".join("19"[v % 2] for v in range(12)) + "\n"}
+        for name, text in paths.items():
+            (tmp_path / name).write_text(text)
+        dg, ordf, wf = (str(tmp_path / name) for name in paths)
+        for objective in ("min", "max"):
+            code, dp = run_json(capsys, f"{objective}-kernel", dg, ordf, "--weights", wf)
+            assert code == 0
+            code, brute = run_json(capsys, "oracle", "kernel", dg, "--objective", objective,
+                                   "--weights", wf)
+            assert code == 0 and brute["value"] == dp["value"]
+            assert sum(9 if v % 2 else 1 for v in brute["set"]) == brute["value"]
+
+    def test_oracle_without_weights_rejects_them(self, files, capsys):
+        for problem, instance in (("absorbing", files["two.irep"]),
+                                  ("anti-walk", files["aw.dg"])):
+            code, payload = run_json(capsys, "oracle", problem, instance,
+                                     "--weights", files["set1.txt"])
+            assert code == 1 and payload == {
+                "status": "error",
+                "error": f"ValueError: the {problem} oracle does not take weights"}
+
     def test_oracle_ordering_search(self, files, capsys):
         code, payload = run_json(capsys, "oracle", "ordering-search",
                                  files["tri.dg"], "--kind", "duf")
@@ -338,6 +366,13 @@ class TestGen:
                     assert all(0 <= iv.lo and iv.hi <= grid
                                for iv in rep.source + rep.target)
 
+    def test_negative_bigraph_part_is_rejected(self, capsys):
+        for sizes in (("-2", "1"), ("1", "-1")):
+            code, payload = run_json(capsys, "gen", "interval-bigraph",
+                                     "--a", sizes[0], "--b", sizes[1])
+            assert code == 1 and payload["error"] == (
+                "ValueError: part sizes must be non-negative")
+
     def test_subdivided(self, capsys):
         _, out = run(capsys, "gen", "subdivided", "--n", "4", "--p", "0.5",
                      "--k", "2", "--seed", "5")
@@ -353,6 +388,24 @@ class TestErrors:
     def test_parse_error(self, files, capsys):
         code, payload = run_json(capsys, "kernel", files["bad.irep"])
         assert code == 1 and "line 2" in payload["error"]
+
+    def test_empty_ordering_round_trips(self, capsys, tmp_path):
+        """``digraph 0`` and its emitted ordering run like any other pair,
+        while the two-file ``min-kernel`` route cannot tell a blank file's
+        kind."""
+        from intdigraph import Ordering
+        dg, ordf = tmp_path / "empty.dg", tmp_path / "empty.ord"
+        dg.write_text(emit_digraph(Digraph(0)))
+        ordf.write_text(emit_ordering(Ordering(())))
+        code, payload = run_json(capsys, "mis", str(dg), str(ordf))
+        assert code == 0 and payload["set"] == [] and payload["value"] == 0
+        code, payload = run_json(capsys, "check-ordering", str(dg), str(ordf),
+                                 "--kind", "duf")
+        assert code == 0 and payload["status"] == "valid"
+        code, out = run(capsys, "build-rep", str(dg), str(ordf))
+        assert code == 0 and parse_interval_rep(out).n == 0
+        code, payload = run_json(capsys, "min-kernel", str(dg), str(ordf))
+        assert code == 1 and payload["error"] == "line 1: empty instance file"
 
     def test_wrong_input_combination(self, files, capsys):
         code, payload = run_json(capsys, "min-kernel", files["nk.dg"])

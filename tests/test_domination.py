@@ -71,22 +71,22 @@ FIXTURE_B = [Interval(Fraction(1, 2), Fraction(5, 2)),
 
 class TestRedBlueState:
     def test_fixture_trace(self):
-        state = build_red_blue_state(*bigraph_ranks(IntervalBigraphRep(FIXTURE_A, FIXTURE_B)))
-        assert state.a_first == (0, 2)
-        assert state.cover == (0, 2)
+        steps = build_red_blue_state(*bigraph_ranks(IntervalBigraphRep(FIXTURE_A, FIXTURE_B)))
+        assert steps == ((0, 2), (0, 2))  # (a_first, cover)
 
     def test_cover_right_ends_strictly_increase(self):
         rng = random.Random(2)
         for trial in range(120):
             rep = gen_interval_bigraph(rng.randint(1, 10), rng.randint(1, 10),
                                        seed=trial)
-            state = build_red_blue_state(*bigraph_ranks(rep))
-            if state is None:
+            steps = build_red_blue_state(*bigraph_ranks(rep))
+            if steps is None:
                 continue
-            for a, b in zip(state.a_first, state.cover):
+            a_first, cover = steps
+            for a, b in zip(a_first, cover):
                 assert rep.b_intervals[b].intersects(rep.a_intervals[a])
             _, b_hi = bigraph_ranks(rep)[2:]
-            ends = [b_hi[b] for b in state.cover]
+            ends = [b_hi[b] for b in cover]
             assert all(x < y for x, y in zip(ends, ends[1:]))
 
     def test_covers_dominate_every_a_vertex(self):
@@ -94,10 +94,10 @@ class TestRedBlueState:
         for trial in range(120):
             rep = gen_interval_bigraph(rng.randint(1, 10), rng.randint(1, 10),
                                        seed=1000 + trial)
-            state = build_red_blue_state(*bigraph_ranks(rep))
-            if state is None:
+            steps = build_red_blue_state(*bigraph_ranks(rep))
+            if steps is None:
                 continue
-            covers = [rep.b_intervals[b] for b in state.cover]
+            covers = [rep.b_intervals[b] for b in steps[1]]
             for a_iv in rep.a_intervals:
                 assert any(b_iv.intersects(a_iv) for b_iv in covers)
 
@@ -142,14 +142,14 @@ class TestRedBlueMinDominating:
 
 
 def test_wrong_cover_is_caught_by_each_solver(monkeypatch):
-    """A wrong sweep state is caught by the red-blue coverage check, which
+    """A wrong sweep answer is caught by the red-blue coverage check, which
     is the only check the absorbing and dominating solvers run."""
     from intdigraph import domination
     build = domination.build_red_blue_state
 
     def one_cover(*ranks):
-        state = build(*ranks)
-        return domination.RedBlueState(state.a_first, (state.cover[0],) * len(state.cover))
+        a_first, cover = build(*ranks)
+        return a_first, (cover[0],) * len(cover)
 
     monkeypatch.setattr(domination, "build_red_blue_state", one_cover)
     disjoint = IntervalRep([(Interval(2 * v, 2 * v + 1),) * 2 for v in range(3)])
@@ -167,8 +167,8 @@ def test_cover_missing_only_the_rank_zero_a_interval_is_caught(monkeypatch):
     build = domination.build_red_blue_state
 
     def last_cover(*ranks):
-        state = build(*ranks)
-        return domination.RedBlueState(state.a_first, (state.cover[-1],) * len(state.cover))
+        a_first, cover = build(*ranks)
+        return a_first, (cover[-1],) * len(cover)
 
     monkeypatch.setattr(domination, "build_red_blue_state", last_cover)
     pairs = [(Interval(2 * v, 2 * v + 1),) * 2 for v in range(2)]

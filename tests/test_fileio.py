@@ -213,6 +213,11 @@ class TestOrderingFormat:
         assert parse_ordering(text).perm == (2, 0, 1)
         assert normalize_ws(emit_ordering(parse_ordering(text))) == normalize_ws(text)
 
+    def test_empty_ordering_round_trips(self):
+        for text in (emit_ordering(Ordering(())), "", "  \n\n"):
+            assert parse_ordering(text) == Ordering(())
+        assert emit_ordering(parse_ordering("\n")) == "\n"
+
     def test_not_a_permutation(self):
         with pytest.raises(ParseError):
             parse_ordering("0 0 1\n")

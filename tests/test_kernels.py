@@ -26,13 +26,25 @@ from conftest import all_digraphs, min_solution_size, random_adjusted_rep, trace
 
 class TestZSequence:
     def test_monotone_right_ends_and_partition(self):
+        """By the definition, on the realized digraph: each pick is the
+        survivor whose S interval ends first, the picks' r(S) rise strictly,
+        and the picks with their surviving in-neighbours partition V."""
         rng = random.Random(3)
         for trial in range(80):
             rep = normalize(gen_reflexive_interval(rng.randint(1, 25), seed=trial))
-            seq = z_sequence(rep)
-            assert list(seq.right_ends) == sorted(seq.right_ends)
-            assert len(set(seq.right_ends)) == len(seq.right_ends)
-            assert sum(seq.removed_counts) == rep.n
+            g = realize_digraph(rep)
+            picks = z_sequence(rep)
+            survivors = set(range(rep.n))
+            blocks = []
+            for z in picks:
+                assert z == min(survivors, key=rep.rs.__getitem__)
+                block = {z} | {u for u in survivors if g.has_edge(u, z)}
+                survivors -= block
+                blocks.append(block)
+            assert not survivors
+            assert sum(map(len, blocks)) == rep.n == len(set().union(*blocks))
+            ends = [rep.rs[z] for z in picks]
+            assert all(x < y for x, y in zip(ends, ends[1:]))
 
     def test_requires_reflexive(self):
         rep = normalize(IntervalRep([(Interval(0, 1), Interval(2, 3))]))

@@ -77,9 +77,28 @@ def test_duf_witness_matches_the_reference(case):
 @settings(max_examples=400, deadline=None)
 @given(ordered_graphs())
 def test_cocomparability_triple_matches_the_reference(case):
+    """The vertex-space scan's triple, and the former undirected scan's."""
     h, ordering = case
-    assert (verify_cocomparability_ordering(h, ordering)
-            == ref.verify_cocomparability_ordering(h, ordering))
+    triple = verify_cocomparability_ordering(h, ordering)
+    assert triple == ref.verify_cocomparability_ordering(h, ordering)
+    assert triple == ref.cocomp_triple(ordering, ordering.place(h)[0])
+
+
+def test_cocomparability_triple_matches_the_former_scan_on_seeded_graphs():
+    """Seeded random graphs under random orderings, violating ones included:
+    the DUF check's triple is the former undirected scan's."""
+    rng = random.Random(5)
+    verdicts = set()
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        density = rng.choice([0.2, 0.5, 0.8])
+        h = UndirectedGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < density])
+        ordering = Ordering(rng.sample(range(n), n))
+        triple = verify_cocomparability_ordering(h, ordering)
+        assert triple == ref.cocomp_triple(ordering, ordering.place(h)[0])
+        verdicts.add(triple is None)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=300, deadline=None)

@@ -12,16 +12,14 @@ from pathlib import Path
 import pytest
 
 from intdigraph import (AntiWalkWitness, Certificate, Digraph, OracleBudget,
-                        Ordering, PointRep, RedBlueState, StructureWitness,
-                        SubdivisionMap, SuffixTable, ZSequence)
+                        Ordering, PointRep, StructureWitness, SubdivisionMap,
+                        SuffixTable)
 
 GOLDEN = Path(__file__).parent / "golden" / "expected"
 
 RECORDS = [
     (Certificate, dict(vertices=(0, 2), checks={"kernel": True}, algorithm="x",
                        optimal=True, objective="min", value=2)),
-    (ZSequence, dict(vertices=(1,), removed_counts=(2,), right_ends=(3,))),
-    (RedBlueState, dict(a_first=(0, 2), cover=(1, 0))),
     (OracleBudget, dict(subset_n=4, perm_n=3, k33_n=5, time_cap_s=1.5)),
     (SuffixTable, dict(ordering=Ordering((1, 0)), objective="max",
                        values=(1, None), succ=(None, None), candidates=(0,))),

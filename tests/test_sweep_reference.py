@@ -1,7 +1,7 @@
 """The frontier-walk forward sweep, the counting independence check, its
 byte-line pair count and the adjacency-only graph types against the segment
-tree, the active-set sweep, the bisection and count-line counts and the arc
-sets kept in ``sweep_reference``."""
+tree and the counting forward pass, the active-set sweep, the bisection and
+count-line counts and the arc sets kept in ``sweep_reference``."""
 
 import random
 
@@ -37,7 +37,11 @@ def reflexive_reps(draw):
 @settings(max_examples=400, deadline=None)
 @given(reflexive_reps())
 def test_z_sequence_matches_the_segment_tree(rep):
-    assert z_sequence(rep) == ref.z_sequence(rep)
+    """The picks are the former counting pass's vertices, and that pass's
+    picks, removal counts and right ends are the segment tree's."""
+    former = ref.below_counts_z_sequence(rep)
+    assert z_sequence(rep) == former.vertices
+    assert former == ref.z_sequence(rep)
 
 
 @settings(max_examples=200, deadline=None)
