@@ -15,6 +15,12 @@ from .intervals import Interval, IntervalRep
 from .pointpoint import SubdivisionMap, k_subdivision
 
 
+def _check_grid(grid: Optional[int], max_len: Optional[int]) -> None:
+    for name, value in (("grid", grid), ("max_len", max_len)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be non-negative")
+
+
 def gen_reflexive_interval(n: int, seed: int, grid: Optional[int] = None,
                            max_len: Optional[int] = None) -> IntervalRep:
     """n random (S, T) pairs on an integer grid, T anchored to a point of S
@@ -26,6 +32,7 @@ def gen_reflexive_interval(n: int, seed: int, grid: Optional[int] = None,
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    _check_grid(grid, max_len)
     rng = random.Random(seed)
     grid = 4 * n if grid is None else grid
     pairs = []
@@ -54,6 +61,7 @@ def gen_interval_bigraph(a_size: int, b_size: int, seed: int,
     """Random interval per vertex of each part; isolated vertices possible."""
     if a_size < 0 or b_size < 0:
         raise ValueError("part sizes must be non-negative")
+    _check_grid(grid, max_len)
     rng = random.Random(seed)
     grid = 4 * (a_size + b_size) if grid is None else grid
 

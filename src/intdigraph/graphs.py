@@ -49,10 +49,10 @@ class Digraph:
     than ``u`` itself; ``loops[u]`` records a self-loop.  Every digraph is
     one fill from per-tail head lists (:meth:`from_heads`): it collapses
     duplicate arcs, moves self-arcs to ``loops`` and sorts each out-list
-    once.  The in-lists are built the first time ``in_adj`` is read, by
-    one bucket pass over the out-lists (:func:`transpose`), and kept in
-    their slot; routines that read only ``out_adj`` never build them.
-    Edge membership bisects ``out_adj[u]``.
+    of two or more heads once.  The in-lists are built the first time
+    ``in_adj`` is read, by one bucket pass over the out-lists
+    (:func:`transpose`), and kept in their slot; routines that read only
+    ``out_adj`` never build them.  Edge membership bisects ``out_adj[u]``.
     """
 
     __slots__ = ("n", "m", "out_adj", "in_adj", "loops")
@@ -83,9 +83,10 @@ class Digraph:
 
     def _fill(self, heads: list[list[int]], loops: list[bool]) -> None:
         for u, vs in enumerate(heads):
-            vs.sort()
-            if any(map(eq, vs, vs[1:])):  # a repeated head
-                vs = sorted(set(vs))
+            if len(vs) > 1:
+                vs.sort()
+                if any(map(eq, vs, vs[1:])):  # a repeated head
+                    vs = sorted(set(vs))
             if u in vs:
                 vs.remove(u)
                 loops[u] = True

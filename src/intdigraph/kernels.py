@@ -35,8 +35,6 @@ from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
 from .graphs import Certificate, Digraph, UndirectedGraph, certify, check_weights
 from .intervals import (IntervalRep, extract_duf_ordering, frontier_walk, normalize,
                         realize_digraph, require_reflexive)
-from .ordering import (Ordering, SuffixTable, argbest, covered, duf_placement,
-                       first_gap, umbrella_triple)
 
 OBJECTIVES = ("min", "max")
 
@@ -107,6 +105,8 @@ def compute_kernel_table(ordering: Ordering, placed, objective: str = "min",
     set intersection over the in-neighbours of j, so the fill is
     O(m log n + n Delta (Delta + log n)) for largest degree Delta.
     """
+    # deferred, as in the two below: the linear sweep reads no ordering
+    from .ordering import SuffixTable, argbest, covered, first_gap
     _check_objective(objective)
     n = ordering.n
     w = check_weights(weights, n)
@@ -148,6 +148,7 @@ def optimal_kernel_duf(g: Digraph, ordering: Ordering, objective: str = "min",
     default).  The ordering is re-verified on the one placement the table
     reads; a violation raises :class:`NotDufOrdered` with a witness.
     """
+    from .ordering import duf_placement
     _check_objective(objective)
     table = compute_kernel_table(ordering, duf_placement(g, ordering), objective, weights)
     return table.certify(g, "kernel", "kernel-dp")
@@ -190,6 +191,7 @@ def min_independent_dominating_cocomp(h: UndirectedGraph, ordering: Ordering) ->
     ``h``, so that digraph is never built.  Always succeeds: every maximal
     independent set dominates.
     """
+    from .ordering import duf_placement, umbrella_triple
     try:
         placed = duf_placement(h, ordering)
     except NotDufOrdered as exc:

@@ -222,11 +222,15 @@ def duf_witness(ordering: Ordering, placed) -> Optional[StructureWitness]:
     under ``ordering``) is directed umbrella-free, else a witness.
 
     Tests, for every arc spanning at least one middle position, that the
-    positions in between are covered, by one count per arc:
-    O(m (Delta + log n)) for largest degree Delta.  At each position the
-    out-arcs are scanned before the in-arcs.  When both lists are one
-    object, as an undirected graph's placement is, the in-arc scan would
-    repeat the out-arc scan, and only the out-arcs are scanned.
+    positions in between are covered, by one count per arc.  A position p
+    whose k neighbours above it (in one direction) are exactly p+1..p+k,
+    which holds when the last of them is k above p, has no such arc and is
+    not scanned; so the check costs O(n log Delta) for largest degree
+    Delta, plus O(d (Delta + log n)) at each position of degree d whose
+    upper neighbours leave a hole.  At each position the out-arcs are
+    scanned before the in-arcs.  When both lists are one object, as an
+    undirected graph's placement is, the in-arc scan would repeat the
+    out-arc scan, and only the out-arcs are scanned.
     """
     perm = ordering.perm
     outs, ins = placed
@@ -235,6 +239,9 @@ def duf_witness(ordering: Ordering, placed) -> Optional[StructureWitness]:
         scans.append(("duf-in", ins, outs))
     for p in range(ordering.n):
         for kind, near, far in scans:
+            near_p = near[p]
+            if not near_p or near_p[-1] - p <= len(near_p) - bisect_right(near_p, p):
+                continue  # the neighbours above p are one run: no umbrella
             hit = _umbrella_at(near, far, p)
             if hit is not None:
                 r, q = hit

@@ -14,12 +14,17 @@ sweep, which listed every realized arc as a pair before building its
 digraph (here an :class:`ArcDigraph`).  The library now fills every digraph from per-tail head
 lists (``Digraph.from_heads``), and its sweep extends those lists itself.
 
+:func:`fill` is the library's former fill of those head lists, which
+sorted and scanned every list for repeats; the library now sorts and
+scans only a list of two or more heads.
+
 ``test_graph_reference.py`` checks on random inputs that each pair gives
 the same answers.
 """
 
 from __future__ import annotations
 
+from operator import eq
 from typing import Iterable
 
 from intdigraph import intervals
@@ -117,6 +122,21 @@ class ArcDigraph:
         self.in_adj = transpose(self.out_adj, n)
         self.loops = tuple(loop_flags)
         self.m = sum(map(len, self.out_adj))  # self-loops excluded
+
+
+def fill(heads: list[list[int]], loops: list[bool]):
+    """``(out_adj, loops, m)`` of the digraph of arcs from each u to
+    ``heads[u]``, taking over ``heads`` and the flags ``loops``."""
+    for u, vs in enumerate(heads):
+        vs.sort()
+        if any(map(eq, vs, vs[1:])):  # a repeated head
+            vs = sorted(set(vs))
+        if u in vs:
+            vs.remove(u)
+            loops[u] = True
+        heads[u] = tuple(vs)
+    out_adj = tuple(heads)
+    return out_adj, tuple(loops), sum(map(len, out_adj))  # self-loops excluded
 
 
 def realize_digraph(rep) -> ArcDigraph:

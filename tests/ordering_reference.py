@@ -14,6 +14,11 @@ give the same witnesses, triples and endpoints.
 undirected graph's placement, a second copy of the DUF check's out-arc
 scan; the library now runs that check itself on the undirected graph.
 
+:func:`duf_witness` is the library's former scan of a placement, which
+called the library's ``_umbrella_at`` at every position in both
+directions.  The library now skips a position whose upper neighbours are
+one run of consecutive positions, where no arc spans a hole.
+
 :class:`BucketOrdering` keeps the former ``place``, one bucket pass per
 direction over ``in_adj`` and ``out_adj``.  The library's buckets only
 ``out_adj`` and transposes the in-positions it gives.
@@ -178,4 +183,31 @@ def cocomp_triple(ordering: Ordering, adj) -> Optional[tuple[int, int, int]]:
         if hit is not None:
             r, q = hit
             return (perm[p], perm[r], perm[q])
+    return None
+
+
+def duf_witness(ordering: Ordering, placed) -> Optional[StructureWitness]:
+    """None if the digraph placed as ``placed`` (its :meth:`Ordering.place`
+    under ``ordering``) is directed umbrella-free, else a witness.
+
+    Tests, for every arc spanning at least one middle position, that the
+    positions in between are covered, by one count per arc:
+    O(m (Delta + log n)) for largest degree Delta.  At each position the
+    out-arcs are scanned before the in-arcs.  When both lists are one
+    object, as an undirected graph's placement is, the in-arc scan would
+    repeat the out-arc scan, and only the out-arcs are scanned.
+    """
+    from intdigraph.ordering import _umbrella_at  # as in cocomp_triple
+    perm = ordering.perm
+    outs, ins = placed
+    scans = [("duf-out", outs, ins)]
+    if ins is not outs:
+        scans.append(("duf-in", ins, outs))
+    for p in range(ordering.n):
+        for kind, near, far in scans:
+            hit = _umbrella_at(near, far, p)
+            if hit is not None:
+                r, q = hit
+                return StructureWitness(kind, (perm[p], perm[r], perm[r], perm[q]),
+                                        (p, r, r, q))
     return None

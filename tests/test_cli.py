@@ -373,6 +373,16 @@ class TestGen:
             assert code == 1 and payload["error"] == (
                 "ValueError: part sizes must be non-negative")
 
+    @pytest.mark.parametrize("args, name", [
+        ("reflexive-interval --n 3 --grid -1", "grid"),
+        ("reflexive-interval --n 3 --max-len -2", "max_len"),
+        ("interval-bigraph --a 2 --b 2 --grid -5", "grid"),
+        ("interval-bigraph --a 2 --b 2 --max-len -1", "max_len"),
+    ])
+    def test_negative_grid_or_length_is_rejected(self, capsys, args, name):
+        code, payload = run_json(capsys, "gen", *args.split())
+        assert code == 1 and payload["error"] == f"ValueError: {name} must be non-negative"
+
     def test_subdivided(self, capsys):
         _, out = run(capsys, "gen", "subdivided", "--n", "4", "--p", "0.5",
                      "--k", "2", "--seed", "5")

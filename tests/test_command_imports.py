@@ -25,7 +25,7 @@ ORDERED = {"intervals", "ordering"}
 DP = ORDERED | {"kernels"}
 # golden case -> the modules its command loads besides EVERY
 LOADS = {
-    "kernel-tied": DP,
+    "kernel-tied": {"intervals", "kernels"},
     "min-kernel-irep": DP,
     "max-kernel-dg-weights": DP,
     "absorbing-tied": SWEEP,

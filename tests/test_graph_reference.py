@@ -1,12 +1,12 @@
 """The counting representation check, the bucket-pass graph constructors,
 the head-list fill and the realizing sweep against the realize-and-compare
-check, the set-based and pair-based constructors and the former sweep kept
-in ``graph_reference``."""
+check, the set-based and pair-based constructors, the former fill and the
+former sweep kept in ``graph_reference``."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intdigraph import (Bigraph, Digraph, Interval, IntervalRep, normalize,
@@ -115,6 +115,29 @@ def test_head_lists_match_the_constructor(case, with_flags):
     g = Digraph.from_heads(heads, flags)
     _same_digraph(g, Digraph(n, edges, loops))
     _same_digraph(g, ref.ArcDigraph(n, edges, loops))
+
+
+@st.composite
+def head_lists(draw):
+    """Head lists on at most 9 vertices, most of them empty or of one head,
+    with repeats and self-arcs, and loop flags or none."""
+    n = draw(st.integers(0, 9))
+    heads = [draw(st.lists(st.integers(0, n - 1), max_size=4)) for _ in range(n)]
+    return heads, draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(head_lists())
+@example(([[2, 1], [1], [2, 2], [3, 0, 3]], None))
+def test_fill_matches_the_former_fill(case):
+    """The fill that sorts only lists of two or more heads equals the
+    former fill, which sorted and scanned every list."""
+    heads, flags = case
+    n = len(heads)
+    g = Digraph.from_heads([list(vs) for vs in heads], None if flags is None else list(flags))
+    expected = ref.fill([list(vs) for vs in heads],
+                        [False] * n if flags is None else list(flags))
+    assert (g.n, g.out_adj, g.loops, g.m) == (n, *expected)
 
 
 @settings(max_examples=250, deadline=None)

@@ -14,13 +14,14 @@ from intdigraph import (Digraph, Ordering, UndirectedGraph, build_representation
                         verify_representation)
 from intdigraph.errors import (DimensionMismatch, ForbiddenStructure, InvalidOrdering,
                                NotReflexive)
+import intdigraph.ordering as ordering_mod
 from intdigraph.generators import gen_random_digraph, gen_reflexive_interval
 from intdigraph.ordering import umbrella_triple
 
 from fixtures import (directed_triangle, no_kernel_duf,
                       oriented_k33_with_loops, reflexive_path, splitting_bigraph,
                       structure_present, symmetric_digraph)
-from conftest import all_digraphs, interval_reps, undirected_graphs
+from conftest import all_digraphs, interval_reps, random_adjusted_rep, undirected_graphs
 
 
 class TestOrdering:
@@ -59,6 +60,45 @@ class TestVerifyDuf:
         gr = Digraph(3, [(2, 0)])
         w2 = verify_duf_ordering(gr, Ordering((0, 1, 2)))
         assert w2.kind == "duf-in" and structure_present(gr, w2)
+
+
+@pytest.fixture
+def umbrella_scans(monkeypatch):
+    """The position of every umbrella scan the DUF check runs, in order."""
+    seen = []
+    scan = ordering_mod._umbrella_at
+
+    def counted(near, far, p):
+        seen.append(p)
+        return scan(near, far, p)
+    monkeypatch.setattr(ordering_mod, "_umbrella_at", counted)
+    return seen
+
+
+class TestUmbrellaScans:
+    """The DUF check scans only the positions whose upper neighbours, in
+    one direction, leave a hole; counted, so no timing is involved."""
+
+    def test_no_scan_on_an_adjusted_instance(self, umbrella_scans):
+        rng = random.Random(4)
+        for _ in range(40):
+            rep = normalize(random_adjusted_rep(rng.randint(0, 30), rng,
+                                                rng.choice([0, 2, None])))
+            assert verify_duf_ordering(realize_digraph(rep), extract_duf_ordering(rep)) is None
+        assert umbrella_scans == []
+
+    def test_one_scan_per_hole(self, umbrella_scans):
+        # out-arcs 0 -> 1, 3 leave 2 out, covered by 2 -> 3; in-arcs
+        # 1, 3 -> 0 leave 2 out, covered by 3 -> 2; every other list is a run
+        g = Digraph(4, [(0, 1), (0, 3), (2, 3), (1, 0), (3, 0), (3, 2)])
+        assert verify_duf_ordering(g, Ordering(range(4))) is None
+        assert umbrella_scans == [0, 0]  # the out-arcs, then the in-arcs
+        umbrella_scans.clear()
+        # without 3 -> 2 the in-arc scan at 0 finds the umbrella (0, 2, 3)
+        g = Digraph(4, [(0, 1), (0, 3), (2, 3), (1, 0), (3, 0)])
+        w = verify_duf_ordering(g, Ordering(range(4)))
+        assert (w.kind, w.positions) == ("duf-in", (0, 2, 2, 3))
+        assert umbrella_scans == [0, 0]
 
 
 class TestBuildRepresentation:
@@ -133,7 +173,6 @@ class TestCheckReflexiveIntervalOrdering:
         w = check_reflexive_interval_ordering(g, Ordering((0, 1, 2, 3)),
                                               find_witness=False)
         assert w is not None and w.kind == "unlocated"
-        import intdigraph.ordering as ordering_mod
         monkeypatch.setattr(ordering_mod, "WITNESS_SEARCH_CAP", 3)
         w2 = check_reflexive_interval_ordering(g, Ordering((0, 1, 2, 3)))
         assert w2 is not None and w2.kind == "unlocated"

@@ -1,5 +1,6 @@
 """The position-space ordered routines against the vertex-space ones kept
-in ``ordering_reference``, and :meth:`Ordering.place` against a per-vertex
+in ``ordering_reference``, the DUF scan against its former form that
+scanned every position, and :meth:`Ordering.place` against a per-vertex
 sort and against the former two bucket passes."""
 
 import json
@@ -18,6 +19,7 @@ from intdigraph.generators import gen_reflexive_interval
 from intdigraph.ordering import _construct_scaled
 
 import ordering_reference as ref
+from conftest import random_adjusted_rep
 
 
 def _random_arcs(draw, n, pairs):
@@ -72,6 +74,58 @@ def test_duf_witness_matches_the_reference(case):
     expected = _witness(ref.verify_duf_ordering(g, ordering))
     assert _witness(verify_duf_ordering(g, ordering)) == expected
     assert _witness(duf_witness(ordering, ordering.place(g))) == expected
+
+
+@st.composite
+def adjusted_ordered_digraphs(draw):
+    """An adjusted interval digraph on at most 12 vertices under its
+    extracted ordering, with two positions swapped at times."""
+    n = draw(st.integers(0, 12))
+    rep = normalize(random_adjusted_rep(n, random.Random(draw(st.integers(0, 2**32))),
+                                        draw(st.sampled_from([0, 2, None]))))
+    perm = list(extract_duf_ordering(rep).perm)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        perm[i], perm[j] = perm[j], perm[i]
+    return realize_digraph(rep), Ordering(perm)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ordered_digraphs() | duf_ordered_digraphs() | adjusted_ordered_digraphs()
+       | ordered_graphs())
+def test_duf_witness_matches_the_former_scan(case):
+    """The scan that skips run-shaped positions returns the witness of the
+    former scan, which scanned every position."""
+    g, ordering = case
+    placed = ordering.place(g)
+    assert _witness(duf_witness(ordering, placed)) == _witness(ref.duf_witness(ordering, placed))
+
+
+def test_duf_witness_matches_the_former_scan_on_seeded_instances():
+    """Seeded sparse, dense and adjusted reflexive interval digraphs up to
+    n = 40 under their DUF orderings, two positions swapped in half of them:
+    both verdicts occur, and every witness is the former scan's."""
+    rng = random.Random(26)
+    verdicts = set()
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        kind = rng.choice(["sparse", "dense", "adjusted"])
+        if kind == "adjusted":
+            rep = random_adjusted_rep(n, rng, rng.choice([2, None]))
+        else:
+            rep = gen_reflexive_interval(n, rng.randrange(2**32),
+                                         max_len=3 if kind == "sparse" else None)
+        rep = normalize(rep)
+        perm = list(extract_duf_ordering(rep).perm)
+        if rng.random() < 0.5:
+            i, j = rng.randrange(n), rng.randrange(n)
+            perm[i], perm[j] = perm[j], perm[i]
+        ordering = Ordering(perm)
+        placed = ordering.place(realize_digraph(rep))
+        witness = _witness(duf_witness(ordering, placed))
+        assert witness == _witness(ref.duf_witness(ordering, placed))
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
 
 
 @settings(max_examples=400, deadline=None)
