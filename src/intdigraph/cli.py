@@ -19,7 +19,7 @@ from pathlib import Path
 
 # Each command imports the modules it runs.  ``perfbench/spans.py`` looks
 # up each ``TRACED`` module in ``sys.modules`` and no other benchmark import
-# loads ``independent``; the in-package trace (ROADMAP 1A) drops this one.
+# loads ``independent``; the in-package trace (ROADMAP item 2) drops this one.
 from . import independent
 from .errors import ParseError
 
@@ -71,8 +71,12 @@ def _cmd_kernel(args):
 
 def _optimal_kernel(args, objective: str):
     from .fileio import detect_kind, parse_digraph, parse_interval_rep, parse_ordering
-    from .intervals import extract_duf_ordering, normalize, realize_digraph
     from .kernels import optimal_kernel_adjusted, optimal_kernel_duf
+    if len(args.inputs) == 1:
+        # Only an intervals file comes alone.  Its module is imported before
+        # the read, as in _load_rep: imported after it, it raised the max RSS
+        # of min-kernel --adjusted on 3k vertices from 16.91 to 16.96 MB.
+        from .intervals import extract_duf_ordering, normalize, realize_digraph
     texts = [_read(p) for p in args.inputs]
     kinds = [detect_kind(t) for t in texts]
     if kinds == ["intervals"]:
@@ -258,6 +262,8 @@ def _cmd_oracle(args):
     if args.weights and args.problem not in ("kernel", "independent"):
         raise ValueError(f"the {args.problem} oracle does not take weights")
     b = args.budget_n
+    if b is not None and b < 0:
+        raise ValueError(f"--budget-n must be non-negative, got {b}")
     budget = (oracle.DEFAULT_BUDGET if b is None
               else oracle.OracleBudget(subset_n=b, perm_n=b, k33_n=b))
     if args.problem == "kernel":

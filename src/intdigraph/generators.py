@@ -80,6 +80,8 @@ def gen_interval_bigraph(a_size: int, b_size: int, seed: int,
 def gen_random_digraph(n: int, p: float, loop_p: float = 0.0, seed: int = 0) -> Digraph:
     """Each ordered pair becomes an arc with probability p, each vertex a
     self-loop with probability loop_p."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if not (0.0 <= p <= 1.0 and 0.0 <= loop_p <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     rng = random.Random(seed)

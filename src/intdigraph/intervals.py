@@ -290,7 +290,7 @@ def extract_duf_ordering(rep):
     digraph and also passes the stronger forbidden-structure check; ranks
     are distinct, so no tie rule is needed and the bucket order needs no sort.
     """
-    from .ordering import Ordering  # deferred: ordering depends on this module
+    from .ordering import Ordering  # deferred: the sweeps read no ordering
 
     rep = normalize(rep)
     require_reflexive(rep)

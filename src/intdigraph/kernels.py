@@ -24,6 +24,13 @@ Two routes, by input:
   On a representation with matching left endpoints,
   :func:`optimal_kernel_adjusted` runs this DP on the realized digraph and
   the extracted ordering.
+
+Each route imports only the module it reads, inside its functions: the
+representation functions (:func:`z_sequence`, :func:`kernel_linear`,
+:func:`optimal_kernel_adjusted`) import :mod:`intdigraph.intervals`, and
+the DP functions import :mod:`intdigraph.ordering`.  So ``kernel`` loads no
+``ordering``, and ``min-kernel`` / ``max-kernel`` on a digraph file load no
+``intervals``.
 """
 
 from __future__ import annotations
@@ -33,8 +40,6 @@ from typing import Iterable, Optional
 
 from .errors import NotAdjusted, NotCocompOrdered, NotDufOrdered
 from .graphs import Certificate, Digraph, UndirectedGraph, certify, check_weights
-from .intervals import (IntervalRep, extract_duf_ordering, frontier_walk, normalize,
-                        realize_digraph, require_reflexive)
 
 OBJECTIVES = ("min", "max")
 
@@ -60,6 +65,7 @@ def z_sequence(rep: IntervalRep) -> tuple[int, ...]:
     frontier passes v too, as l(S_v) < r(T_v), so every vertex it passes was
     still a survivor.
     """
+    from .intervals import frontier_walk, normalize, require_reflexive
     rep = normalize(rep)
     require_reflexive(rep)
     rt = rep.rt
@@ -72,6 +78,7 @@ def kernel_linear(rep: IntervalRep) -> Certificate:
     Forward pass by increasing r(S), then a right-to-left pass keeping each
     picked vertex unless it points at the last vertex kept.
     """
+    from .intervals import normalize
     rep = normalize(rep)
     ls, rs, lt, rt = rep.ls, rep.rs, rep.lt, rep.rt
     keep: list[int] = []
@@ -105,7 +112,6 @@ def compute_kernel_table(ordering: Ordering, placed, objective: str = "min",
     set intersection over the in-neighbours of j, so the fill is
     O(m log n + n Delta (Delta + log n)) for largest degree Delta.
     """
-    # deferred, as in the two below: the linear sweep reads no ordering
     from .ordering import SuffixTable, argbest, covered, first_gap
     _check_objective(objective)
     n = ordering.n
@@ -165,6 +171,7 @@ def optimal_kernel_adjusted(rep: IntervalRep, objective: str = "min") -> Certifi
     l(S_v), so that ordering, by max(l(S), l(T)), is the l(S) order.  A
     kernel always exists: reflexive interval digraphs are kernel-perfect.
     """
+    from .intervals import extract_duf_ordering, normalize, realize_digraph
     _check_objective(objective)
     rep = normalize(rep)
     if not rep.adjusted:

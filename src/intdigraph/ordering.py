@@ -11,6 +11,13 @@ Two nested conditions appear throughout:
   constructive interval formulas below realize the digraph, which is what
   :func:`check_reflexive_interval_ordering` exploits: build, verify, and
   only hunt for an explicit witness when verification fails.
+
+The DUF checks and the suffix table read only a digraph and an ordering,
+so this module imports :mod:`intdigraph.intervals` only inside the three
+functions that build or verify a representation: ``_scaled_rep``,
+``_scaled_check`` and :func:`build_representation`.  ``mis``, ``min-kernel``
+/ ``max-kernel`` on a digraph file and ``check-ordering --kind duf|cocomp``
+never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import ForbiddenStructure, InvalidOrdering, NotDufOrdered, NotReflexive
 from .graphs import Certificate, Digraph, UndirectedGraph, certify, transpose_lists
-from .intervals import IntervalRep, verify_representation
 
 # Largest n for which a failing check still locates a concrete quadruple;
 # the O(n^4) search takes well under a second at this size.
@@ -326,6 +332,7 @@ def _construct_scaled(g: Digraph, ordering: Ordering):
 
 
 def _scaled_rep(g: Digraph, ordering: Ordering) -> IntervalRep:
+    from .intervals import IntervalRep  # deferred: see the module docstring
     cols = [[0] * g.n for _ in range(4)]
     for col, values in zip(cols, _construct_scaled(g, ordering)):
         for v, x in zip(ordering.perm, values):
@@ -341,6 +348,7 @@ def _require_reflexive_digraph(g: Digraph) -> None:
 
 def _scaled_check(g: Digraph, ordering: Ordering, find_witness: bool):
     """``(rep, witness)``: the scaled representation and the check's verdict."""
+    from .intervals import verify_representation  # deferred, as in _scaled_rep
     _require_matching(g, ordering)
     _require_reflexive_digraph(g)
     rep = _scaled_rep(g, ordering)
@@ -381,6 +389,7 @@ def build_representation(g: Digraph, ordering: Ordering) -> IntervalRep:
     left ends the matching minima).
     """
     from fractions import Fraction  # loaded only here, not at start-up
+    from .intervals import IntervalRep  # deferred, as in _scaled_rep
 
     rep, witness = _scaled_check(g, ordering, True)
     if witness is not None:

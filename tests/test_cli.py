@@ -331,6 +331,14 @@ class TestOracleCommands:
         assert code == 1 and payload["error"] == (
             "BudgetExceeded: anti-walk oracle limited to n <= 3, got 4")
 
+    @pytest.mark.parametrize("problem, instance", [
+        ("kernel", "ab.dg"), ("absorbing", "two.irep"), ("anti-walk", "aw.dg")])
+    def test_negative_budget_is_rejected(self, files, capsys, problem, instance):
+        code, payload = run_json(capsys, "oracle", problem, files[instance],
+                                 "--budget-n", "-1")
+        assert code == 1 and payload == {
+            "status": "error", "error": "ValueError: --budget-n must be non-negative, got -1"}
+
 
 class TestGen:
     def test_deterministic(self, capsys):
@@ -382,6 +390,13 @@ class TestGen:
     def test_negative_grid_or_length_is_rejected(self, capsys, args, name):
         code, payload = run_json(capsys, "gen", *args.split())
         assert code == 1 and payload["error"] == f"ValueError: {name} must be non-negative"
+
+    @pytest.mark.parametrize("args", [
+        "random-digraph --n -2", "subdivided --n -2", "reflexive-interval --n -1",
+        "random-digraph --n -1 --p 2"])
+    def test_negative_vertex_count_is_rejected(self, capsys, args):
+        code, payload = run_json(capsys, "gen", *args.split())
+        assert code == 1 and payload["error"] == "ValueError: n must be non-negative"
 
     def test_subdivided(self, capsys):
         _, out = run(capsys, "gen", "subdivided", "--n", "4", "--p", "0.5",

@@ -21,17 +21,23 @@ from test_traced_names import CLI_START_UP, ROOT
 # Loaded by every command: the start-up modules and the file reader.
 EVERY = {m.removeprefix("intdigraph.") for m in CLI_START_UP} | {"fileio"}
 SWEEP = {"intervals", "domination"}
-ORDERED = {"intervals", "ordering"}
-DP = ORDERED | {"kernels"}
+# a digraph plus an ordering: no interval code unless a representation is built
+DUF = {"ordering"}
+DUF_DP = DUF | {"kernels"}
+ORDERED = DUF | {"intervals"}
 # golden case -> the modules its command loads besides EVERY
 LOADS = {
     "kernel-tied": {"intervals", "kernels"},
-    "min-kernel-irep": DP,
-    "max-kernel-dg-weights": DP,
+    "min-kernel-irep": ORDERED | {"kernels"},
+    "min-kernel-dg-weights": DUF_DP,
+    "max-kernel-dg-weights": DUF_DP,
     "absorbing-tied": SWEEP,
     "dominating-tied": SWEEP,
     "red-blue-tied": SWEEP,
-    "mis": ORDERED,
+    "mis": DUF,
+    "mis-weights": DUF,
+    "check-duf-valid": DUF,
+    "check-cocomp-valid": DUF,
     "check-reflexive-violation": ORDERED,
     "build-rep": ORDERED,
     "recognize-pp-no": {"pointpoint"},
