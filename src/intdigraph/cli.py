@@ -34,10 +34,14 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _cert_payload(cert) -> dict:
+def _outcome(cert, negative: str = "none"):
+    """The payload and exit code of a certificate, or of None, a proven
+    negative answer reported with status ``negative``."""
+    if cert is None:
+        return {"status": negative}, EXIT_NONEXISTENT
     payload = {"status": "ok"}
     payload.update(cert.to_json())
-    return payload
+    return payload, EXIT_OK
 
 
 def _load_weights(args):
@@ -57,75 +61,66 @@ def _load_rep(path: str):
     return normalize(parse_interval_rep(_read(path)))
 
 
-def _load_ordered(args):
-    """The digraph and the ordering of ``args.digraph`` and ``args.ordering``."""
+def _load_ordered(paths):
+    """The digraph and the ordering of ``paths``, told apart by their count,
+    not by their headers: a digraph file plus an ordering file, or one
+    intervals file, realized and given its extracted ordering.  For the
+    latter ``intervals`` is imported before the read, as in
+    :func:`_load_rep`: imported after it, it raised the max RSS of
+    ``min-kernel --adjusted`` on 3k vertices from 16.91 to 16.96 MB."""
+    if len(paths) == 1:
+        from .intervals import extract_duf_ordering, realize_digraph
+        rep = _load_rep(paths[0])
+        return realize_digraph(rep), extract_duf_ordering(rep)
+    if len(paths) != 2:
+        raise ValueError("expected an intervals file, or a digraph file plus an "
+                         f"ordering file; got {len(paths)} files")
     from .fileio import parse_digraph, parse_ordering
-    return parse_digraph(_read(args.digraph)), parse_ordering(_read(args.ordering))
+    return parse_digraph(_read(paths[0])), parse_ordering(_read(paths[1]))
 
 
 def _cmd_kernel(args):
     rep = _load_rep(args.rep)
     from .kernels import kernel_linear  # after the parse: see _load_rep
-    return _cert_payload(kernel_linear(rep)), EXIT_OK
+    return _outcome(kernel_linear(rep))
 
 
 def _optimal_kernel(args, objective: str):
-    from .fileio import detect_kind, parse_digraph, parse_interval_rep, parse_ordering
     from .kernels import optimal_kernel_adjusted, optimal_kernel_duf
-    if len(args.inputs) == 1:
-        # Only an intervals file comes alone.  Its module is imported before
-        # the read, as in _load_rep: imported after it, it raised the max RSS
-        # of min-kernel --adjusted on 3k vertices from 16.91 to 16.96 MB.
-        from .intervals import extract_duf_ordering, normalize, realize_digraph
-    texts = [_read(p) for p in args.inputs]
-    kinds = [detect_kind(t) for t in texts]
-    if kinds == ["intervals"]:
-        if args.adjusted and args.weights:
-            raise ValueError("the adjusted solver does not take weights")
-        rep = normalize(parse_interval_rep(texts[0]))
-        if args.adjusted:
-            cert = optimal_kernel_adjusted(rep, objective)
-        else:
-            cert = optimal_kernel_duf(realize_digraph(rep), extract_duf_ordering(rep),
-                                      objective, _load_weights(args))
-    elif kinds == ["digraph", "ordering"]:
-        g = parse_digraph(texts[0])
-        ordering = parse_ordering(texts[1])
-        cert = optimal_kernel_duf(g, ordering, objective, _load_weights(args))
+    if not args.adjusted:
+        cert = optimal_kernel_duf(*_load_ordered(args.inputs), objective,
+                                  _load_weights(args))
+    elif args.weights:
+        raise ValueError("the adjusted solver does not take weights")
+    elif len(args.inputs) != 1:
+        raise ValueError("--adjusted takes exactly one intervals file")
     else:
-        raise ValueError("expected an interval file, or a digraph plus an ordering; "
-                         f"got {kinds}")
-    if cert is None:
-        return {"status": "no-kernel"}, EXIT_NONEXISTENT
-    return _cert_payload(cert), EXIT_OK
+        cert = optimal_kernel_adjusted(_load_rep(args.inputs[0]), objective)
+    return _outcome(cert, "no-kernel")
 
 
 def _cmd_absorbing(args):
     rep = _load_rep(args.rep)
     from .domination import min_absorbing_reflexive  # after the parse: see _load_rep
-    return _cert_payload(min_absorbing_reflexive(rep)), EXIT_OK
+    return _outcome(min_absorbing_reflexive(rep))
 
 
 def _cmd_dominating(args):
     rep = _load_rep(args.rep)
     from .domination import min_dominating_reflexive  # after the parse: see _load_rep
-    return _cert_payload(min_dominating_reflexive(rep)), EXIT_OK
+    return _outcome(min_dominating_reflexive(rep))
 
 
 def _cmd_mis(args):
-    g, ordering = _load_ordered(args)
-    cert = independent.max_independent_duf(g, ordering, _load_weights(args))
-    return _cert_payload(cert), EXIT_OK
+    g, ordering = _load_ordered(args.inputs)
+    return _outcome(independent.max_independent_duf(g, ordering, _load_weights(args)))
 
 
 def _cmd_red_blue(args):
     from .domination import red_blue_min_dominating
     from .fileio import parse_bigraph_rep
     rep = parse_bigraph_rep(_read(args.bigraph))
-    cert = red_blue_min_dominating(rep)
-    if cert is None:
-        return {"status": "no-dominating-set"}, EXIT_NONEXISTENT
-    return _cert_payload(cert), EXIT_OK
+    return _outcome(red_blue_min_dominating(rep), "no-dominating-set")
 
 
 def _cmd_recognize_pp(args):
@@ -144,7 +139,7 @@ def _cmd_check_ordering(args):
     from .graphs import underlying_undirected
     from .ordering import (StructureWitness, check_reflexive_interval_ordering,
                            verify_cocomparability_ordering, verify_duf_ordering)
-    g, ordering = _load_ordered(args)
+    g, ordering = _load_ordered((args.digraph, args.ordering))
     if args.kind == "duf":
         witness = verify_duf_ordering(g, ordering)
     elif args.kind == "reflexive":
@@ -167,7 +162,7 @@ def _cmd_check_ordering(args):
 def _cmd_build_rep(args):
     from .fileio import emit_interval_rep
     from .ordering import build_representation
-    text = emit_interval_rep(build_representation(*_load_ordered(args)))
+    text = emit_interval_rep(build_representation(*_load_ordered((args.digraph, args.ordering))))
     if args.json:
         return {"status": "ok", "instance": text}, EXIT_OK
     return text, EXIT_OK
@@ -266,34 +261,24 @@ def _cmd_oracle(args):
         raise ValueError(f"--budget-n must be non-negative, got {b}")
     budget = (oracle.DEFAULT_BUDGET if b is None
               else oracle.OracleBudget(subset_n=b, perm_n=b, k33_n=b))
-    if args.problem == "kernel":
-        g = _load_digraph(_read(args.inputs[0]))
-        objective = args.objective or "exists"
-        cert = oracle.brute_kernel(g, objective, _load_weights(args), budget=budget)
-        if cert is None:
-            return {"status": "no-kernel"}, EXIT_NONEXISTENT
-        return _cert_payload(cert), EXIT_OK
-    if args.problem == "absorbing":
-        g = _load_digraph(_read(args.inputs[0]))
-        return _cert_payload(oracle.brute_min_absorbing(g, budget=budget)), EXIT_OK
-    if args.problem == "independent":
-        g = _load_digraph(_read(args.inputs[0]))
-        w = _load_weights(args)
-        return _cert_payload(oracle.brute_max_independent(g, w, budget=budget)), EXIT_OK
     if args.problem == "red-blue":
         rep = parse_bigraph_rep(_read(args.inputs[0]))
-        cert = oracle.brute_red_blue(rep, budget=budget)
-        if cert is None:
-            return {"status": "no-dominating-set"}, EXIT_NONEXISTENT
-        return _cert_payload(cert), EXIT_OK
+        return _outcome(oracle.brute_red_blue(rep, budget=budget), "no-dominating-set")
+    g = _load_digraph(_read(args.inputs[0]))
+    if args.problem == "kernel":
+        objective = args.objective or "exists"
+        cert = oracle.brute_kernel(g, objective, _load_weights(args), budget=budget)
+        return _outcome(cert, "no-kernel")
+    if args.problem == "absorbing":
+        return _outcome(oracle.brute_min_absorbing(g, budget=budget))
+    if args.problem == "independent":
+        return _outcome(oracle.brute_max_independent(g, _load_weights(args), budget=budget))
     if args.problem == "k33":
-        g = _load_digraph(_read(args.inputs[0]))
         witness = oracle.find_induced_k33(underlying_undirected(g), budget=budget)
         if witness is None:
             return {"status": "none"}, EXIT_NONEXISTENT
         return {"status": "ok", "parts": [list(witness[0]), list(witness[1])]}, EXIT_OK
     if args.problem == "ordering-search":
-        g = _load_digraph(_read(args.inputs[0]))
         kind = args.kind or "duf"
         if kind == "reflexive":
             kind = "reflexive-interval"
@@ -302,7 +287,6 @@ def _cmd_oracle(args):
             return {"status": "no-ordering", "kind": kind}, EXIT_NONEXISTENT
         return {"status": "ok", "kind": kind, "ordering": list(found.perm)}, EXIT_OK
     if args.problem == "anti-walk":
-        g = _load_digraph(_read(args.inputs[0]))
         witness = oracle.brute_anti_directed_walk(g, budget=budget)
         if witness is None:
             return {"status": "none"}, EXIT_NONEXISTENT
@@ -350,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="an intervals file, or a digraph file plus an ordering file")
         p.add_argument("--adjusted", action="store_true",
                        help="require matching left endpoints (adjusted representation); "
-                            "takes no weights")
+                            "takes one intervals file and no weights")
         p.add_argument("--weights", help="file of per-vertex integer weights")
         p.set_defaults(func=lambda a, _obj=objective: _optimal_kernel(a, _obj))
 
@@ -362,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep")
     p.set_defaults(func=_cmd_dominating)
 
-    p = sub.add_parser("mis", help="maximum independent set (digraph + DUF ordering)")
-    p.add_argument("digraph")
-    p.add_argument("ordering")
-    p.add_argument("--weights")
+    p = sub.add_parser("mis", help="maximum independent set (DUF DP)")
+    p.add_argument("inputs", nargs="+",
+                   help="an intervals file, or a digraph file plus an ordering file")
+    p.add_argument("--weights", help="file of per-vertex integer weights")
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("red-blue", help="minimum A-dominating subset of B")

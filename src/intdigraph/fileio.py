@@ -26,6 +26,7 @@ keep their lines.
 from __future__ import annotations
 
 import json
+import re
 from operator import le
 
 from .errors import InvalidVertex, ParseError
@@ -319,10 +320,12 @@ def parse_vertex_set(text: str) -> list[int]:
 
 
 def detect_kind(text: str) -> str:
-    """One of 'digraph', 'intervals', 'bigraph', 'ordering' by header."""
-    for _, tokens in _lines(text):
-        if tokens[0] in ("digraph", "intervals", "bigraph"):
-            return tokens[0]
-        return "ordering"
-    raise ParseError(1, "empty instance file")
-
+    """One of 'digraph', 'intervals', 'bigraph', 'ordering' by the first
+    token, read without splitting the rest of the text.  The pattern is
+    compiled on the first call, so a command that never calls this pays
+    nothing for it."""
+    first = re.match(r"\s*(\S+)", text)
+    if first is None:
+        raise ParseError(1, "empty instance file")
+    kind = first.group(1)
+    return kind if kind in ("digraph", "intervals", "bigraph") else "ordering"

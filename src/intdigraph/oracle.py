@@ -40,10 +40,17 @@ DEFAULT_BUDGET = OracleBudget()
 
 
 class _Deadline:
-    __slots__ = ("at",)
+    """The budget's time cap, checked once every ``period`` calls of :meth:`tick`."""
+    __slots__ = ("at", "period", "ticks")
 
-    def __init__(self, budget: OracleBudget):
+    def __init__(self, budget: OracleBudget, period: int = 4096):
         self.at = None if budget.time_cap_s is None else time.monotonic() + budget.time_cap_s
+        self.period, self.ticks = period, 0
+
+    def tick(self) -> None:
+        self.ticks += 1
+        if self.ticks % self.period == 0:
+            self.check()
 
     def check(self) -> None:
         if self.at is not None and time.monotonic() > self.at:
@@ -65,12 +72,9 @@ def _first_cover(masks: list[int], full: int, budget: OracleBudget
     """The smallest index subset whose masks OR to ``full``, first in
     :func:`itertools.combinations` order, or None when no subset does."""
     deadline = _Deadline(budget)
-    ticks = 0
     for r in range(len(masks) + 1):
         for comb in combinations(range(len(masks)), r):
-            ticks += 1
-            if ticks % 4096 == 0:
-                deadline.check()
+            deadline.tick()
             covered = 0
             for i in comb:
                 covered |= masks[i]
@@ -102,13 +106,10 @@ def brute_kernel(g: Digraph, objective: str = "exists",
     full = (1 << n) - 1
     chosen: list[int] = []
     best_val, best_set = None, ()
-    ticks = 0
 
     def dfs(idx: int, absorbed: int, blocked: int, val: int) -> bool:
-        nonlocal best_val, best_set, ticks
-        ticks += 1
-        if ticks % 4096 == 0:
-            deadline.check()
+        nonlocal best_val, best_set
+        deadline.tick()
         if absorbed == full and (objective != "max" or idx == n):
             if best_val is None or (val > best_val if objective == "max" else val < best_val):
                 best_val, best_set = val, tuple(chosen)
@@ -152,13 +153,10 @@ def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
         suffix[v] = suffix[v + 1] + w[v]
     chosen: list[int] = []
     best_val, best_set = -1, ()
-    ticks = 0
 
     def dfs(idx: int, blocked: int, val: int) -> None:
-        nonlocal best_val, best_set, ticks
-        ticks += 1
-        if ticks % 4096 == 0:
-            deadline.check()
+        nonlocal best_val, best_set
+        deadline.tick()
         if val > best_val:
             best_val, best_set = val, tuple(chosen)
         if idx == n or val + suffix[idx] <= best_val:
@@ -205,18 +203,15 @@ def find_induced_k33(h: UndirectedGraph, budget: OracleBudget = DEFAULT_BUDGET
     pattern iff it induces a complete bipartite 3x3 graph.
     """
     _refuse("k33", h.n, budget.k33_n)
-    deadline = _Deadline(budget)
+    deadline = _Deadline(budget, 1024)
     n = h.n
     mask = _masks(h.adj)
-    ticks = 0
     for a in range(n):
         for b in range(a + 1, n):
             if mask[a] >> b & 1:
                 continue
             for c in range(b + 1, n):
-                ticks += 1
-                if ticks % 1024 == 0:
-                    deadline.check()
+                deadline.tick()
                 if (mask[a] >> c & 1) or (mask[b] >> c & 1):
                     continue
                 common = mask[a] & mask[b] & mask[c]
@@ -236,12 +231,9 @@ def brute_ordering_search(g: Digraph, kind: str = "duf",
     if kind not in ("duf", "reflexive-interval"):
         raise ValueError(f"kind must be 'duf' or 'reflexive-interval', got {kind!r}")
     _refuse("ordering-search", g.n, budget.perm_n)
-    deadline = _Deadline(budget)
-    ticks = 0
+    deadline = _Deadline(budget, 256)
     for perm in permutations(range(g.n)):
-        ticks += 1
-        if ticks % 256 == 0:
-            deadline.check()
+        deadline.tick()
         ordering = Ordering(perm)
         if kind == "duf":
             if verify_duf_ordering(g, ordering) is None:
@@ -259,18 +251,15 @@ def brute_anti_directed_walk(g: Digraph, budget: OracleBudget = DEFAULT_BUDGET
     :func:`~intdigraph.pointpoint.find_anti_directed_walk`.  An O(n^4)
     scan, capped by the other polynomial scan's ``k33_n``."""
     _refuse("anti-walk", g.n, budget.k33_n)
-    deadline = _Deadline(budget)
+    deadline = _Deadline(budget, 1024)
     n = g.n
     outs = [mask | g.loops[v] << v for v, mask in enumerate(_masks(g.out_adj))]
-    ticks = 0
     for a in range(n):
         for b in range(n):
             if not outs[a] >> b & 1:
                 continue
             for c in range(n):
-                ticks += 1
-                if ticks % 1024 == 0:
-                    deadline.check()
+                deadline.tick()
                 if c == a or not outs[c] >> b & 1:
                     continue
                 ds = outs[c] & ~outs[a] & ~(1 << b)

@@ -415,9 +415,8 @@ class TestErrors:
         assert code == 1 and "line 2" in payload["error"]
 
     def test_empty_ordering_round_trips(self, capsys, tmp_path):
-        """``digraph 0`` and its emitted ordering run like any other pair,
-        while the two-file ``min-kernel`` route cannot tell a blank file's
-        kind."""
+        """``digraph 0`` and its emitted ordering run like any other pair, on
+        every command that reads one."""
         from intdigraph import Ordering
         dg, ordf = tmp_path / "empty.dg", tmp_path / "empty.ord"
         dg.write_text(emit_digraph(Digraph(0)))
@@ -430,11 +429,24 @@ class TestErrors:
         code, out = run(capsys, "build-rep", str(dg), str(ordf))
         assert code == 0 and parse_interval_rep(out).n == 0
         code, payload = run_json(capsys, "min-kernel", str(dg), str(ordf))
-        assert code == 1 and payload["error"] == "line 1: empty instance file"
+        assert code == 0 and payload["set"] == [] and payload["value"] == 0
 
     def test_wrong_input_combination(self, files, capsys):
         code, payload = run_json(capsys, "min-kernel", files["nk.dg"])
         assert code == 1 and payload["status"] == "error"
+        code, payload = run_json(capsys, "mis", files["nk.dg"], files["nk.ord"],
+                                 files["nk.ord"])
+        assert code == 1 and "got 3 files" in payload["error"]
+
+    @pytest.mark.parametrize("command", ["min-kernel", "max-kernel"])
+    def test_adjusted_takes_only_an_intervals_file(self, files, capsys, command):
+        """``--adjusted`` on a digraph plus an ordering is an error, not a
+        plain DUF answer with the flag dropped."""
+        code, payload = run_json(capsys, command, files["nk.dg"], files["nk.ord"],
+                                 "--adjusted")
+        assert code == 1 and payload == {
+            "status": "error",
+            "error": "ValueError: --adjusted takes exactly one intervals file"}
 
     @pytest.mark.parametrize("command,text", [
         ("kernel", "intervals -5\n"),

@@ -36,6 +36,8 @@ LOADS = {
     "red-blue-tied": SWEEP,
     "mis": DUF,
     "mis-weights": DUF,
+    "mis-irep": ORDERED,
+    "mis-irep-weights": ORDERED,
     "check-duf-valid": DUF,
     "check-cocomp-valid": DUF,
     "check-reflexive-violation": ORDERED,

@@ -237,6 +237,15 @@ def test_detect_and_dispatch():
         detect_kind("   \n\n")
 
 
+def test_detect_kind_reads_only_the_first_token():
+    """The kind of a large file costs what its first token costs: splitting
+    all 100,000 lines of this one to read that token peaked at 6.0 MB."""
+    text = "\n \n digraph 1000\n" + "0 1\n" * 100_000
+    detect_kind("digraph 0\n")  # compiles the pattern outside the trace
+    kind, peak, _ = _traced(lambda: detect_kind(text))
+    assert kind == "digraph" and peak < 4096
+
+
 def test_weights_and_vertex_sets():
     assert parse_weights("1 2 3\n") == [1, 2, 3]
     assert parse_vertex_set("4\n7 1\n") == [4, 7, 1]

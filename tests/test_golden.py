@@ -53,6 +53,8 @@ CASES = [
     ("max-kernel-none", 2, "max-kernel @nk.dg @nk.ord"),
     ("mis", 0, "mis @tied.dg @tied.ord"),
     ("mis-weights", 0, "mis @tied.dg @tied.ord --weights @tied.w"),
+    ("mis-irep", 0, "mis @tied.irep"),
+    ("mis-irep-weights", 0, "mis @tied.irep --weights @tied.w"),
     ("red-blue-tied", 0, "red-blue @tied.bg"),
     ("red-blue-isolated", 2, "red-blue @isolated.bg"),
     ("red-blue-distinct", 0, "red-blue @distinct.bg"),
