@@ -79,10 +79,17 @@ def _load_ordered(paths):
     return parse_digraph(_read(paths[0])), parse_ordering(_read(paths[1]))
 
 
-def _cmd_kernel(args):
+def _cmd_sweep(args):
+    """``kernel``, ``absorbing`` or ``dominating`` on an intervals file."""
     rep = _load_rep(args.rep)
-    from .kernels import kernel_linear  # after the parse: see _load_rep
-    return _outcome(kernel_linear(rep))
+    # the solver is imported after the parse: see _load_rep
+    if args.command == "kernel":
+        from .kernels import kernel_linear as solve
+    elif args.command == "absorbing":
+        from .domination import min_absorbing_reflexive as solve
+    else:
+        from .domination import min_dominating_reflexive as solve
+    return _outcome(solve(rep))
 
 
 def _optimal_kernel(args, objective: str):
@@ -97,18 +104,6 @@ def _optimal_kernel(args, objective: str):
     else:
         cert = optimal_kernel_adjusted(_load_rep(args.inputs[0]), objective)
     return _outcome(cert, "no-kernel")
-
-
-def _cmd_absorbing(args):
-    rep = _load_rep(args.rep)
-    from .domination import min_absorbing_reflexive  # after the parse: see _load_rep
-    return _outcome(min_absorbing_reflexive(rep))
-
-
-def _cmd_dominating(args):
-    rep = _load_rep(args.rep)
-    from .domination import min_dominating_reflexive  # after the parse: see _load_rep
-    return _outcome(min_dominating_reflexive(rep))
 
 
 def _cmd_mis(args):
@@ -137,24 +132,18 @@ def _cmd_recognize_pp(args):
 
 def _cmd_check_ordering(args):
     from .graphs import underlying_undirected
-    from .ordering import (StructureWitness, check_reflexive_interval_ordering,
+    from .ordering import (check_reflexive_interval_ordering,
                            verify_cocomparability_ordering, verify_duf_ordering)
     g, ordering = _load_ordered((args.digraph, args.ordering))
     if args.kind == "duf":
         witness = verify_duf_ordering(g, ordering)
     elif args.kind == "reflexive":
         witness = check_reflexive_interval_ordering(g, ordering)
-    elif args.kind == "cocomp":
-        witness = verify_cocomparability_ordering(underlying_undirected(g), ordering)
     else:
-        raise ValueError(f"unknown ordering kind {args.kind!r}")
+        witness = verify_cocomparability_ordering(underlying_undirected(g), ordering)
     if witness is None:
         return {"status": "valid", "kind": args.kind}, EXIT_OK
-    if isinstance(witness, StructureWitness):
-        witness = {"kind": witness.kind, "vertices": list(witness.vertices),
-                   "positions": list(witness.positions)}
-    else:
-        witness = {"triple": list(witness)}
+    witness = {"triple": witness} if args.kind == "cocomp" else witness._asdict()
     return {"status": "violation", "kind": args.kind,
             "witness": witness}, EXIT_NONEXISTENT
 
@@ -174,7 +163,7 @@ def _serialize_map(sub: SubdivisionMap) -> dict:
         "k": sub.k,
         "origin": emit_digraph(sub.origin),
         "host": emit_digraph(sub.host),
-        "paths": {f"{u} {v}": list(path) for (u, v), path in sorted(sub.paths.items())},
+        "paths": {f"{u} {v}": path for (u, v), path in sorted(sub.paths.items())},
     }
 
 
@@ -218,11 +207,13 @@ def _cmd_lift_project(args):
     move = pointpoint.lift_set if args.command == "lift" else pointpoint.project_set
     sub = _parse_map(_read(args.map))
     moved = move(sub, parse_vertex_set(_read(args.set)), args.kind)
-    return {"status": "ok", "set": list(moved), "size": len(moved)}, EXIT_OK
+    return {"status": "ok", "set": moved, "size": len(moved)}, EXIT_OK
 
 
-def _load_instance(text: str):
+def _load_instance(path: str):
+    """The digraph, or the interval representation, in the file at ``path``."""
     from .fileio import detect_kind, parse_digraph, parse_interval_rep
+    text = _read(path)
     kind = detect_kind(text)
     if kind == "digraph":
         return parse_digraph(text)
@@ -231,21 +222,14 @@ def _load_instance(text: str):
     raise ValueError(f"expected a digraph or intervals file, got {kind}")
 
 
-def _load_digraph(text: str) -> Digraph:
-    from .graphs import Digraph
-    from .intervals import realize_digraph
-    g = _load_instance(text)
-    return g if isinstance(g, Digraph) else realize_digraph(g)
-
-
 def _cmd_verify(args):
     from .fileio import parse_vertex_set
     from .graphs import verify_set
     # an intervals file's representation is checked on its ranks, not realized
-    g = _load_instance(_read(args.instance))
+    g = _load_instance(args.instance)
     s = parse_vertex_set(_read(args.set))
     cert = verify_set(g, s, args.kind)
-    payload = {"status": "ok", "mode": args.kind, "set": list(cert.vertices),
+    payload = {"status": "ok", "mode": args.kind, "set": cert.vertices,
                "checks": dict(cert.checks), "pass": cert.all_checks_pass()}
     return payload, EXIT_OK if cert.all_checks_pass() else EXIT_NONEXISTENT
 
@@ -253,7 +237,7 @@ def _cmd_verify(args):
 def _cmd_oracle(args):
     from . import oracle
     from .fileio import parse_bigraph_rep
-    from .graphs import underlying_undirected
+    from .graphs import Digraph, underlying_undirected
     if args.weights and args.problem not in ("kernel", "independent"):
         raise ValueError(f"the {args.problem} oracle does not take weights")
     b = args.budget_n
@@ -262,9 +246,12 @@ def _cmd_oracle(args):
     budget = (oracle.DEFAULT_BUDGET if b is None
               else oracle.OracleBudget(subset_n=b, perm_n=b, k33_n=b))
     if args.problem == "red-blue":
-        rep = parse_bigraph_rep(_read(args.inputs[0]))
+        rep = parse_bigraph_rep(_read(args.instance))
         return _outcome(oracle.brute_red_blue(rep, budget=budget), "no-dominating-set")
-    g = _load_digraph(_read(args.inputs[0]))
+    g = _load_instance(args.instance)
+    if not isinstance(g, Digraph):
+        from .intervals import realize_digraph
+        g = realize_digraph(g)
     if args.problem == "kernel":
         objective = args.objective or "exists"
         cert = oracle.brute_kernel(g, objective, _load_weights(args), budget=budget)
@@ -277,7 +264,7 @@ def _cmd_oracle(args):
         witness = oracle.find_induced_k33(underlying_undirected(g), budget=budget)
         if witness is None:
             return {"status": "none"}, EXIT_NONEXISTENT
-        return {"status": "ok", "parts": [list(witness[0]), list(witness[1])]}, EXIT_OK
+        return {"status": "ok", "parts": witness}, EXIT_OK
     if args.problem == "ordering-search":
         kind = args.kind or "duf"
         if kind == "reflexive":
@@ -285,13 +272,11 @@ def _cmd_oracle(args):
         found = oracle.brute_ordering_search(g, kind, budget=budget)
         if found is None:
             return {"status": "no-ordering", "kind": kind}, EXIT_NONEXISTENT
-        return {"status": "ok", "kind": kind, "ordering": list(found.perm)}, EXIT_OK
-    if args.problem == "anti-walk":
-        witness = oracle.brute_anti_directed_walk(g, budget=budget)
-        if witness is None:
-            return {"status": "none"}, EXIT_NONEXISTENT
-        return {"status": "ok", "witness": witness._asdict()}, EXIT_OK
-    raise ValueError(f"unknown oracle problem {args.problem!r}")
+        return {"status": "ok", "kind": kind, "ordering": found.perm}, EXIT_OK
+    witness = oracle.brute_anti_directed_walk(g, budget=budget)
+    if witness is None:
+        return {"status": "none"}, EXIT_NONEXISTENT
+    return {"status": "ok", "witness": witness._asdict()}, EXIT_OK
 
 
 def _cmd_gen(args):
@@ -307,11 +292,9 @@ def _cmd_gen(args):
     elif args.gen_kind == "random-digraph":
         instance = emit_digraph(generators.gen_random_digraph(
             args.n, args.p, args.loop_p, seed))
-    elif args.gen_kind == "subdivided":
+    else:
         sub = generators.gen_subdivided(args.n, args.p, args.k, seed)
         instance = emit_digraph(sub.host)
-    else:
-        raise ValueError(f"unknown generator kind {args.gen_kind!r}")
     if args.json:
         return {"status": "ok", "instance": instance}, EXIT_OK
     return instance, EXIT_OK
@@ -324,9 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "interval digraphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("kernel", help="kernel of a reflexive interval representation")
-    p.add_argument("rep")
-    p.set_defaults(func=_cmd_kernel)
+    for name, help_text in (("kernel", "kernel of a reflexive interval representation"),
+                            ("absorbing", "minimum absorbing set (reflexive rep)"),
+                            ("dominating", "minimum dominating set (reflexive rep)")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("rep")
+        p.set_defaults(func=_cmd_sweep)
 
     for name, objective in (("min-kernel", "min"), ("max-kernel", "max")):
         p = sub.add_parser(name, help=f"{objective}imum kernel (DUF DP)")
@@ -337,14 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "takes one intervals file and no weights")
         p.add_argument("--weights", help="file of per-vertex integer weights")
         p.set_defaults(func=lambda a, _obj=objective: _optimal_kernel(a, _obj))
-
-    p = sub.add_parser("absorbing", help="minimum absorbing set (reflexive rep)")
-    p.add_argument("rep")
-    p.set_defaults(func=_cmd_absorbing)
-
-    p = sub.add_parser("dominating", help="minimum dominating set (reflexive rep)")
-    p.add_argument("rep")
-    p.set_defaults(func=_cmd_dominating)
 
     p = sub.add_parser("mis", help="maximum independent set (DUF DP)")
     p.add_argument("inputs", nargs="+",
@@ -388,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=("kernel", "absorbing", "independent",
                                        "red-blue", "k33", "ordering-search",
                                        "anti-walk"))
-    p.add_argument("inputs", nargs="+")
+    p.add_argument("instance", help="digraph or intervals file; a bigraph file for red-blue")
     p.add_argument("--objective", choices=("exists", "min", "max"))
     p.add_argument("--kind", choices=("duf", "reflexive"))
     p.add_argument("--weights")

@@ -21,7 +21,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import BudgetExceeded
 from .graphs import Certificate, Digraph, UndirectedGraph, certify, check_weights
-from .domination import Bigraph, IntervalBigraphRep
 from .ordering import (Ordering, check_reflexive_interval_ordering,
                        verify_duf_ordering)
 from .pointpoint import AntiWalkWitness
@@ -178,6 +177,7 @@ def brute_red_blue(instance, budget: OracleBudget = DEFAULT_BUDGET) -> Optional[
     Accepts either a :class:`Bigraph` or an :class:`IntervalBigraphRep`.
     Returns None exactly when some A-vertex is isolated.
     """
+    from .domination import Bigraph, IntervalBigraphRep
     if not isinstance(instance, (Bigraph, IntervalBigraphRep)):
         raise TypeError(f"expected Bigraph or IntervalBigraphRep, got {type(instance)}")
     _refuse("red-blue", instance.b_size, budget.subset_n)

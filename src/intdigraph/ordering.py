@@ -333,11 +333,8 @@ def _construct_scaled(g: Digraph, ordering: Ordering):
 
 def _scaled_rep(g: Digraph, ordering: Ordering) -> IntervalRep:
     from .intervals import IntervalRep  # deferred: see the module docstring
-    cols = [[0] * g.n for _ in range(4)]
-    for col, values in zip(cols, _construct_scaled(g, ordering)):
-        for v, x in zip(ordering.perm, values):
-            col[v] = x
-    return IntervalRep.from_columns(*cols)
+    return IntervalRep.from_columns(*(map(col.__getitem__, ordering.positions)
+                                      for col in _construct_scaled(g, ordering)))
 
 
 def _require_reflexive_digraph(g: Digraph) -> None:

@@ -307,6 +307,14 @@ class TestOracleCommands:
         code, payload = run_json(capsys, "oracle", "k33", files["tri.dg"])
         assert code == 2 and payload["status"] == "none"
 
+    def test_oracle_reads_one_instance(self, files):
+        """A second file is a usage error, not ignored after the first answers."""
+        env = dict(os.environ, PYTHONPATH=str(Path(intdigraph.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "intdigraph.cli", "oracle", "kernel", files["nk.dg"],
+             files["two.irep"]], capture_output=True, env=env, timeout=60)
+        assert proc.returncode != 0 and proc.stdout == b""
+
     def test_oracle_anti_walk(self, files, capsys):
         code, payload = run_json(capsys, "oracle", "anti-walk", files["aw.dg"])
         assert code == 0 and payload["status"] == "ok"
@@ -398,6 +406,11 @@ class TestGen:
         code, payload = run_json(capsys, "gen", *args.split())
         assert code == 1 and payload["error"] == "ValueError: n must be non-negative"
 
+    def test_probability_out_of_range_is_rejected(self, capsys):
+        code, payload = run_json(capsys, "gen", "random-digraph", "--p", "1.5")
+        assert code == 1 and payload["error"] == (
+            "ValueError: probabilities must lie in [0, 1]")
+
     def test_subdivided(self, capsys):
         _, out = run(capsys, "gen", "subdivided", "--n", "4", "--p", "0.5",
                      "--k", "2", "--seed", "5")
@@ -464,6 +477,17 @@ class TestErrors:
         code, payload = run_json(capsys, command, str(path))
         assert code == 1 and payload["status"] == "error"
         assert "line 1" in payload["error"]
+
+    @pytest.mark.parametrize("text,error", [
+        ("bigraph 2 1\nA 5 0 1\nA 1 0 1\nB 0 0 2\n", "line 2: index 5 out of range for part A"),
+        ("bigraph 2 1\nA 0 0 1\nA 0 0 2\nB 0 0 2\n", "line 3: duplicate interval for A 0"),
+        ("bigraph 1 1\nA 0 3 1\nB 0 0 2\n", "line 2: interval [3, 1] has lo > hi"),
+    ], ids=["index", "duplicate", "lo-above-hi"])
+    def test_bad_bigraph_records(self, capsys, tmp_path, text, error):
+        path = tmp_path / "bad.bg"
+        path.write_text(text)
+        code, payload = run_json(capsys, "red-blue", str(path))
+        assert code == 1 and payload == {"status": "error", "error": error}
 
     @pytest.mark.parametrize("change", [
         lambda m: [], lambda m: "s", lambda m: {**m, "paths": []},

@@ -48,7 +48,7 @@ LOADS = {
     "project-absorbing": {"pointpoint"},
     "verify-irep-pass": {"intervals"},
     "verify-dg-fail": set(),
-    "oracle-anti-walk": {"oracle", "intervals", "domination", "ordering", "pointpoint"},
+    "oracle-anti-walk": {"oracle", "ordering", "pointpoint"},
     "gen-bigraph-tied": {"generators", "intervals", "domination", "pointpoint"},
 }
 RUN_MAIN = ("import sys\n"

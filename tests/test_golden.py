@@ -15,7 +15,8 @@ ordering above the witness-search cap.  ``pp-loops.dg`` is point-point
 with loops, an isolated vertex and right copies without in-neighbours,
 whose ids come last; ``late-witness.dg`` has its first incomplete
 splitting-bigraph component start at vertex 0 but reach its witness
-through vertex 5.
+through vertex 5.  ``k33.dg`` has arcs from each of 0, 1, 2 to each of
+3, 4, 5: its underlying graph is K_{3,3}.
 """
 
 from pathlib import Path
@@ -91,6 +92,7 @@ CASES = [
     ("oracle-independent-two", 0, "oracle independent @two.irep"),
     ("oracle-anti-walk", 0, "oracle anti-walk @aw.dg"),
     ("oracle-anti-walk-none", 2, "oracle anti-walk @tri.dg"),
+    ("oracle-k33", 0, "oracle k33 @k33.dg"),
     ("gen-reflexive-tied", 0, "gen reflexive-interval --n 40 --seed 3 --grid 20 --max-len 6"),
     ("gen-bigraph-tied", 0, "gen interval-bigraph --a 12 --b 12 --seed 5 --grid 20 --max-len 5"),
 ]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from intdigraph import (Bigraph, Digraph, IntervalRep, Ordering, PointRep,
                         UndirectedGraph, brute_kernel, brute_max_independent,
                         check_reflexive_interval_ordering, extract_duf_ordering,
-                        kernel_linear, max_independent_duf,
+                        k_subdivision, kernel_linear, lift_set, max_independent_duf,
                         normalize, optimal_kernel_duf, realize_digraph,
                         recognize_point_point, underlying_undirected, verify_set)
 from intdigraph.errors import InvalidVertex
@@ -41,6 +41,25 @@ class TestDigraph:
     def test_undirected_rejects_loops(self):
         with pytest.raises(InvalidVertex):
             UndirectedGraph(2, [(1, 1)])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: k_subdivision(Digraph(2, [(0, 1)]), 0), ValueError,
+     "subdivision needs k >= 1, got 0"),
+    (lambda: lift_set(k_subdivision(Digraph(2, [(0, 1)]), 2), [1], mode="solution"),
+     ValueError, "mode must be 'kernel' or 'absorbing', got 'solution'"),
+    (lambda: optimal_kernel_duf(Digraph(1, loops=[0]), Ordering([0]), "median"),
+     ValueError, "objective must be one of ('min', 'max'), got 'median'"),
+    (lambda: brute_kernel(Digraph(1), "median"), ValueError,
+     "objective must be exists/min/max, got 'median'"),
+    (lambda: UndirectedGraph(-1), InvalidVertex, "vertex count -1 is negative"),
+    (lambda: UndirectedGraph(2, [(0, 2)]), InvalidVertex,
+     "edge (0, 2) out of range for n=2"),
+], ids=["subdivide-k0", "lift-mode", "dp-objective", "oracle-objective",
+        "undirected-n", "undirected-edge"])
+def test_library_argument_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestUnderlyingAndSymmetric:
