@@ -79,6 +79,11 @@ def _load_ordered(paths):
     return parse_digraph(_read(paths[0])), parse_ordering(_read(paths[1]))
 
 
+def _sweep_args(p):
+    p.add_argument("rep")
+    p.set_defaults(func=_cmd_sweep)
+
+
 def _cmd_sweep(args):
     """``kernel``, ``absorbing`` or ``dominating`` on an intervals file."""
     rep = _load_rep(args.rep)
@@ -92,8 +97,20 @@ def _cmd_sweep(args):
     return _outcome(solve(rep))
 
 
-def _optimal_kernel(args, objective: str):
+def _optimal_kernel_args(p):
+    p.add_argument("inputs", nargs="+",
+                   help="an intervals file, or a digraph file plus an ordering file")
+    p.add_argument("--adjusted", action="store_true",
+                   help="require matching left endpoints (adjusted representation); "
+                        "takes one intervals file and no weights")
+    p.add_argument("--weights", help="file of per-vertex integer weights")
+    p.set_defaults(func=_cmd_optimal_kernel)
+
+
+def _cmd_optimal_kernel(args):
+    """``min-kernel`` or ``max-kernel``, the objective read off the command."""
     from .kernels import optimal_kernel_adjusted, optimal_kernel_duf
+    objective = args.command.removesuffix("-kernel")
     if not args.adjusted:
         cert = optimal_kernel_duf(*_load_ordered(args.inputs), objective,
                                   _load_weights(args))
@@ -106,9 +123,21 @@ def _optimal_kernel(args, objective: str):
     return _outcome(cert, "no-kernel")
 
 
+def _mis_args(p):
+    p.add_argument("inputs", nargs="+",
+                   help="an intervals file, or a digraph file plus an ordering file")
+    p.add_argument("--weights", help="file of per-vertex integer weights")
+    p.set_defaults(func=_cmd_mis)
+
+
 def _cmd_mis(args):
     g, ordering = _load_ordered(args.inputs)
     return _outcome(independent.max_independent_duf(g, ordering, _load_weights(args)))
+
+
+def _red_blue_args(p):
+    p.add_argument("bigraph")
+    p.set_defaults(func=_cmd_red_blue)
 
 
 def _cmd_red_blue(args):
@@ -116,6 +145,11 @@ def _cmd_red_blue(args):
     from .fileio import parse_bigraph_rep
     rep = parse_bigraph_rep(_read(args.bigraph))
     return _outcome(red_blue_min_dominating(rep), "no-dominating-set")
+
+
+def _recognize_pp_args(p):
+    p.add_argument("digraph")
+    p.set_defaults(func=_cmd_recognize_pp)
 
 
 def _cmd_recognize_pp(args):
@@ -128,6 +162,13 @@ def _cmd_recognize_pp(args):
                            "t": list(result.t_points)}}, EXIT_OK
     return {"status": "not-point-point",
             "witness": result._asdict()}, EXIT_NONEXISTENT
+
+
+def _check_ordering_args(p):
+    p.add_argument("digraph")
+    p.add_argument("ordering")
+    p.add_argument("--kind", choices=("duf", "reflexive", "cocomp"), required=True)
+    p.set_defaults(func=_cmd_check_ordering)
 
 
 def _cmd_check_ordering(args):
@@ -148,6 +189,13 @@ def _cmd_check_ordering(args):
             "witness": witness}, EXIT_NONEXISTENT
 
 
+def _build_rep_args(p):
+    p.add_argument("digraph")
+    p.add_argument("ordering")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_build_rep)
+
+
 def _cmd_build_rep(args):
     from .fileio import emit_interval_rep
     from .ordering import build_representation
@@ -155,59 +203,6 @@ def _cmd_build_rep(args):
     if args.json:
         return {"status": "ok", "instance": text}, EXIT_OK
     return text, EXIT_OK
-
-
-def _serialize_map(sub: SubdivisionMap) -> dict:
-    from .fileio import emit_digraph
-    return {
-        "k": sub.k,
-        "origin": emit_digraph(sub.origin),
-        "host": emit_digraph(sub.host),
-        "paths": {f"{u} {v}": path for (u, v), path in sorted(sub.paths.items())},
-    }
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _parse_map(text: str) -> SubdivisionMap:
-    """The map as ``subdivide`` writes it; any other shape is a ValueError."""
-    from .fileio import parse_digraph
-    from .pointpoint import SubdivisionMap
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("a subdivision map is a JSON object")
-    raw, k, origin, host = map(data.get, ("paths", "k", "origin", "host"))
-    if not (isinstance(raw, dict) and _is_int(k)
-            and isinstance(origin, str) and isinstance(host, str)):
-        raise ValueError('a subdivision map needs an object "paths", an integer "k" '
-                         'and digraph texts "origin" and "host"')
-    paths = {}
-    for key, ids in raw.items():
-        if not (isinstance(ids, list) and all(map(_is_int, ids))):
-            raise ValueError(f"path {key!r} is not a list of integers")
-        u, v = key.split()
-        paths[(int(u), int(v))] = tuple(ids)
-    return SubdivisionMap(origin=parse_digraph(origin), host=parse_digraph(host),
-                          k=k, paths=paths)
-
-
-def _cmd_subdivide(args):
-    from .fileio import parse_digraph
-    from .pointpoint import k_subdivision
-    sub = k_subdivision(parse_digraph(_read(args.digraph)), args.k)
-    return {"status": "ok", "map": _serialize_map(sub)}, EXIT_OK
-
-
-def _cmd_lift_project(args):
-    """``lift`` or ``project``, by ``lift_set`` or ``project_set``."""
-    from . import pointpoint
-    from .fileio import parse_vertex_set
-    move = pointpoint.lift_set if args.command == "lift" else pointpoint.project_set
-    sub = _parse_map(_read(args.map))
-    moved = move(sub, parse_vertex_set(_read(args.set)), args.kind)
-    return {"status": "ok", "set": moved, "size": len(moved)}, EXIT_OK
 
 
 def _load_instance(path: str):
@@ -222,6 +217,15 @@ def _load_instance(path: str):
     raise ValueError(f"expected a digraph or intervals file, got {kind}")
 
 
+def _verify_args(p):
+    p.add_argument("instance", help="digraph or intervals file")
+    p.add_argument("set", help="file of space-separated vertex ids")
+    p.add_argument("--kind", required=True,
+                   choices=("independent", "absorbing", "dominating", "kernel",
+                            "solution"))
+    p.set_defaults(func=_cmd_verify)
+
+
 def _cmd_verify(args):
     from .fileio import parse_vertex_set
     from .graphs import verify_set
@@ -234,169 +238,55 @@ def _cmd_verify(args):
     return payload, EXIT_OK if cert.all_checks_pass() else EXIT_NONEXISTENT
 
 
-def _cmd_oracle(args):
-    from . import oracle
-    from .fileio import parse_bigraph_rep
-    from .graphs import Digraph, underlying_undirected
-    if args.weights and args.problem not in ("kernel", "independent"):
-        raise ValueError(f"the {args.problem} oracle does not take weights")
-    b = args.budget_n
-    if b is not None and b < 0:
-        raise ValueError(f"--budget-n must be non-negative, got {b}")
-    budget = (oracle.DEFAULT_BUDGET if b is None
-              else oracle.OracleBudget(subset_n=b, perm_n=b, k33_n=b))
-    if args.problem == "red-blue":
-        rep = parse_bigraph_rep(_read(args.instance))
-        return _outcome(oracle.brute_red_blue(rep, budget=budget), "no-dominating-set")
-    g = _load_instance(args.instance)
-    if not isinstance(g, Digraph):
-        from .intervals import realize_digraph
-        g = realize_digraph(g)
-    if args.problem == "kernel":
-        objective = args.objective or "exists"
-        cert = oracle.brute_kernel(g, objective, _load_weights(args), budget=budget)
-        return _outcome(cert, "no-kernel")
-    if args.problem == "absorbing":
-        return _outcome(oracle.brute_min_absorbing(g, budget=budget))
-    if args.problem == "independent":
-        return _outcome(oracle.brute_max_independent(g, _load_weights(args), budget=budget))
-    if args.problem == "k33":
-        witness = oracle.find_induced_k33(underlying_undirected(g), budget=budget)
-        if witness is None:
-            return {"status": "none"}, EXIT_NONEXISTENT
-        return {"status": "ok", "parts": witness}, EXIT_OK
-    if args.problem == "ordering-search":
-        kind = args.kind or "duf"
-        if kind == "reflexive":
-            kind = "reflexive-interval"
-        found = oracle.brute_ordering_search(g, kind, budget=budget)
-        if found is None:
-            return {"status": "no-ordering", "kind": kind}, EXIT_NONEXISTENT
-        return {"status": "ok", "kind": kind, "ordering": found.perm}, EXIT_OK
-    witness = oracle.brute_anti_directed_walk(g, budget=budget)
-    if witness is None:
-        return {"status": "none"}, EXIT_NONEXISTENT
-    return {"status": "ok", "witness": witness._asdict()}, EXIT_OK
+# command -> (help line, the function declaring its arguments), in ``--help``
+# order; None for a tooling command, declared by ``tooling.ARGS``
+COMMANDS = {
+    "kernel": ("kernel of a reflexive interval representation", _sweep_args),
+    "absorbing": ("minimum absorbing set (reflexive rep)", _sweep_args),
+    "dominating": ("minimum dominating set (reflexive rep)", _sweep_args),
+    "min-kernel": ("minimum kernel (DUF DP)", _optimal_kernel_args),
+    "max-kernel": ("maximum kernel (DUF DP)", _optimal_kernel_args),
+    "mis": ("maximum independent set (DUF DP)", _mis_args),
+    "red-blue": ("minimum A-dominating subset of B", _red_blue_args),
+    "recognize-pp": ("point-point recognition with witness", _recognize_pp_args),
+    "check-ordering": ("validate an ordering", _check_ordering_args),
+    "build-rep": ("interval representation from an ordering", _build_rep_args),
+    "subdivide": ("k-subdivision of a loopless digraph", None),
+    "lift": ("lift a kernel/absorbing set through a subdivision", None),
+    "project": ("project a kernel/absorbing set through a subdivision", None),
+    "oracle": ("budgeted brute-force reference solvers", None),
+    "verify": ("run the definitional check on a set", _verify_args),
+    "gen": ("seeded random instance generators", None),
+}
 
 
-def _cmd_gen(args):
-    from . import generators
-    from .fileio import emit_bigraph_rep, emit_digraph, emit_interval_rep
-    seed = args.seed
-    if args.gen_kind == "reflexive-interval":
-        instance = emit_interval_rep(generators.gen_reflexive_interval(
-            args.n, seed, grid=args.grid, max_len=args.max_len))
-    elif args.gen_kind == "interval-bigraph":
-        instance = emit_bigraph_rep(generators.gen_interval_bigraph(
-            args.a, args.b, seed, grid=args.grid, max_len=args.max_len))
-    elif args.gen_kind == "random-digraph":
-        instance = emit_digraph(generators.gen_random_digraph(
-            args.n, args.p, args.loop_p, seed))
-    else:
-        sub = generators.gen_subdivided(args.n, args.p, args.k, seed)
-        instance = emit_digraph(sub.host)
-    if args.json:
-        return {"status": "ok", "instance": instance}, EXIT_OK
-    return instance, EXIT_OK
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of every command when it is None.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    A call runs one command, so ``main`` builds that command's parser only,
+    and loads ``tooling`` only for a tooling command.  Its one subparser
+    carries the metavar of all commands, so a usage line it prints reads as
+    the full parser's; the full parser sets none, since argparse would print
+    the metavar for ``command`` in its "required" and "invalid choice"
+    errors.
+    """
     parser = argparse.ArgumentParser(
         prog="intdigraph",
         description="Kernels, domination and independent sets in reflexive "
                     "interval digraphs.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (("kernel", "kernel of a reflexive interval representation"),
-                            ("absorbing", "minimum absorbing set (reflexive rep)"),
-                            ("dominating", "minimum dominating set (reflexive rep)")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("rep")
-        p.set_defaults(func=_cmd_sweep)
-
-    for name, objective in (("min-kernel", "min"), ("max-kernel", "max")):
-        p = sub.add_parser(name, help=f"{objective}imum kernel (DUF DP)")
-        p.add_argument("inputs", nargs="+",
-                       help="an intervals file, or a digraph file plus an ordering file")
-        p.add_argument("--adjusted", action="store_true",
-                       help="require matching left endpoints (adjusted representation); "
-                            "takes one intervals file and no weights")
-        p.add_argument("--weights", help="file of per-vertex integer weights")
-        p.set_defaults(func=lambda a, _obj=objective: _optimal_kernel(a, _obj))
-
-    p = sub.add_parser("mis", help="maximum independent set (DUF DP)")
-    p.add_argument("inputs", nargs="+",
-                   help="an intervals file, or a digraph file plus an ordering file")
-    p.add_argument("--weights", help="file of per-vertex integer weights")
-    p.set_defaults(func=_cmd_mis)
-
-    p = sub.add_parser("red-blue", help="minimum A-dominating subset of B")
-    p.add_argument("bigraph")
-    p.set_defaults(func=_cmd_red_blue)
-
-    p = sub.add_parser("recognize-pp", help="point-point recognition with witness")
-    p.add_argument("digraph")
-    p.set_defaults(func=_cmd_recognize_pp)
-
-    p = sub.add_parser("check-ordering", help="validate an ordering")
-    p.add_argument("digraph")
-    p.add_argument("ordering")
-    p.add_argument("--kind", choices=("duf", "reflexive", "cocomp"), required=True)
-    p.set_defaults(func=_cmd_check_ordering)
-
-    p = sub.add_parser("build-rep", help="interval representation from an ordering")
-    p.add_argument("digraph")
-    p.add_argument("ordering")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_build_rep)
-
-    p = sub.add_parser("subdivide", help="k-subdivision of a loopless digraph")
-    p.add_argument("digraph")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_subdivide)
-
-    for name in ("lift", "project"):
-        p = sub.add_parser(name, help=f"{name} a kernel/absorbing set through a subdivision")
-        p.add_argument("map", help="JSON map emitted by 'subdivide'")
-        p.add_argument("set", help="file of space-separated vertex ids")
-        p.add_argument("--kind", choices=("kernel", "absorbing"), default="kernel")
-        p.set_defaults(func=_cmd_lift_project)
-
-    p = sub.add_parser("oracle", help="budgeted brute-force reference solvers")
-    p.add_argument("problem", choices=("kernel", "absorbing", "independent",
-                                       "red-blue", "k33", "ordering-search",
-                                       "anti-walk"))
-    p.add_argument("instance", help="digraph or intervals file; a bigraph file for red-blue")
-    p.add_argument("--objective", choices=("exists", "min", "max"))
-    p.add_argument("--kind", choices=("duf", "reflexive"))
-    p.add_argument("--weights")
-    p.add_argument("--budget-n", type=int, dest="budget_n")
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("verify", help="run the definitional check on a set")
-    p.add_argument("instance", help="digraph or intervals file")
-    p.add_argument("set", help="file of space-separated vertex ids")
-    p.add_argument("--kind", required=True,
-                   choices=("independent", "absorbing", "dominating", "kernel",
-                            "solution"))
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("gen", help="seeded random instance generators")
-    p.add_argument("gen_kind", metavar="kind",
-                   choices=("reflexive-interval", "interval-bigraph",
-                            "random-digraph", "subdivided"))
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--a", type=int, default=4)
-    p.add_argument("--b", type=int, default=4)
-    p.add_argument("--p", type=float, default=0.3)
-    p.add_argument("--loop-p", type=float, default=0.0, dest="loop_p")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_gen)
-
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = COMMANDS
+    else:
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+        names = (command,)
+    for name in names:
+        help_text, declare = COMMANDS[name]
+        if declare is None:
+            from .tooling import ARGS
+            declare = ARGS[name]
+        declare(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -526,7 +416,9 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        args = build_parser(command).parse_args(argv)
         # The parser is cyclic garbage; with GC off since before it was built,
         # all of it is in the youngest generation, which one cheap pass frees.
         gc.collect(0)

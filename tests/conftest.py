@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -149,6 +151,20 @@ def placements(monkeypatch):
         return place(self, g)
     monkeypatch.setattr(Ordering, "place", counted)
     return seen
+
+
+@pytest.fixture
+def made_parsers(monkeypatch):
+    """A weak reference to every ``ArgumentParser`` built during the test, in
+    order: parsers left by earlier tests are neither counted nor held."""
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        made.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    return made
 
 
 # verify_set's modes, as the CLI's ``verify --kind`` lists them

@@ -9,6 +9,7 @@ fit a header count of at most 99, id lists that fit that count, or the map
 other records, integer lists, other JSON or raw characters.  So every
 reader, and the solver behind it, is hit."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intdigraph import Digraph, fileio, k_subdivision
-from intdigraph.cli import _serialize_map, main
+from intdigraph.cli import build_parser, main
+from intdigraph.tooling import _serialize_map
 
 HEADERS = ("digraph", "intervals", "bigraph", "", "graph")
 ODD = st.sampled_from(["A", "B", "1/2", "3/0", "7.5", "-", "x", "99", "-1"])
@@ -149,6 +151,14 @@ FORMS = (
     "gen reflexive-interval|interval-bigraph|random-digraph|subdivided --n ## --a # --b #"
     " --grid # --max-len # --p 0|0.3|1.5 --json",
 )
+
+
+def test_forms_name_every_command():
+    """A command the full parser declares cannot skip the fuzzer."""
+    (commands,) = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert {name for form in FORMS for name in form.split()[0].split("|")} == set(
+        commands.choices)
 
 
 @pytest.fixture(scope="module")

@@ -43,13 +43,13 @@ LOADS = {
     "check-reflexive-violation": ORDERED,
     "build-rep": ORDERED,
     "recognize-pp-no": {"pointpoint"},
-    "subdivide": {"pointpoint"},
-    "lift-kernel": {"pointpoint"},
-    "project-absorbing": {"pointpoint"},
+    "subdivide": {"tooling", "pointpoint"},
+    "lift-kernel": {"tooling", "pointpoint"},
+    "project-absorbing": {"tooling", "pointpoint"},
     "verify-irep-pass": {"intervals"},
     "verify-dg-fail": set(),
-    "oracle-anti-walk": {"oracle", "ordering", "pointpoint"},
-    "gen-bigraph-tied": {"generators", "intervals", "domination", "pointpoint"},
+    "oracle-anti-walk": {"tooling", "oracle", "ordering", "pointpoint"},
+    "gen-bigraph-tied": {"tooling", "generators", "intervals", "domination", "pointpoint"},
 }
 RUN_MAIN = ("import sys\n"
             "from intdigraph.cli import main\n"

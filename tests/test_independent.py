@@ -1,3 +1,4 @@
+import bisect
 import gc
 import itertools
 import random
@@ -9,6 +10,7 @@ from intdigraph import (Digraph, Ordering, brute_max_independent, chain_dag,
                         extract_duf_ordering, max_independent_duf, normalize,
                         realize_digraph, underlying_undirected,
                         verify_duf_ordering, verify_set)
+from intdigraph import independent
 from intdigraph.errors import NotDufOrdered
 from intdigraph.generators import gen_reflexive_interval
 
@@ -155,3 +157,24 @@ def test_chain_fill_doubles_linearly(chain_inputs):
         times = {n: _fill_seconds(*chain_inputs[n][family]) for n in DOUBLING_SIZES}
         for n in DOUBLING_SIZES[:-1]:
             assert times[2 * n] <= 3 * times[n] + 0.05, times
+
+
+def test_chain_fill_moves_at_most_m_entries(chain_inputs, monkeypatch):
+    """The work the timed test above bounds, counted: inserting position p
+    into the ranked list moves at most deg(p) entries, so a fill moves at
+    most m in all.  Under the identity ordering position p is vertex p;
+    a key's low digit in base n is n - 1 - p."""
+    moves = []
+
+    def counted(ranked, key):
+        moves.append((n - 1 - key % n, len(ranked) - bisect.bisect_right(ranked, key)))
+        bisect.insort(ranked, key)
+    monkeypatch.setattr(independent, "insort", counted)
+    for n in DOUBLING_SIZES:
+        for g, ordering in chain_inputs[n]:
+            moves.clear()
+            chain_dag(ordering, ordering.place(g))
+            assert len(moves) == n
+            for v, moved in moves:
+                assert moved <= len(set(g.out_adj[v]) | set(g.in_adj[v])), (n, v, moved)
+            assert sum(moved for _, moved in moves) <= g.m

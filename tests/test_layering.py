@@ -60,7 +60,8 @@ def test_no_module_level_path_to_intervals(module):
 
 @pytest.mark.parametrize("module, target", [
     ("kernels", "ordering"), ("independent", "ordering"),
-    ("fileio", "ordering"), ("fileio", "domination"), ("oracle", "domination")])
+    ("fileio", "ordering"), ("fileio", "domination"), ("oracle", "domination"),
+    ("cli", "tooling")])
 def test_deferred_edges_stay_deferred(module, target):
     assert target not in loaded_with(module)
     assert target in EDGES[module][1]
