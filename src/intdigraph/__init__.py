@@ -21,9 +21,9 @@ _EXPORTS = {
     "kernels": ("compute_kernel_table", "kernel_linear",
                 "min_independent_dominating_cocomp", "optimal_kernel_adjusted",
                 "optimal_kernel_duf", "z_sequence"),
-    "domination": ("Bigraph", "IntervalBigraphRep",
-                   "build_red_blue_state", "min_absorbing_reflexive",
-                   "min_dominating_reflexive", "red_blue_min_dominating"),
+    "domination": ("IntervalBigraphRep", "build_red_blue_state",
+                   "min_absorbing_reflexive", "min_dominating_reflexive",
+                   "red_blue_min_dominating"),
     "independent": ("chain_dag", "max_independent_duf"),
     "pointpoint": ("AntiWalkWitness", "PointRep", "SubdivisionMap",
                    "find_anti_directed_walk", "k_subdivision", "lift_set",

@@ -19,9 +19,9 @@ certificate and run no other.
 The sweep reads only the order of the endpoints, as four rank sequences
 in the form of a :class:`~intdigraph.intervals.NormalizedRep`.  The
 absorbing and dominating solvers hand the normalized representation over
-as it is; :func:`bigraph_ranks` ranks a raw :class:`IntervalBigraphRep`
-with the same :func:`~intdigraph.intervals.stable_ranks` as
-``normalize``, and its docstring states the bigraph's tie rule.
+as it is; :func:`bigraph_ranks` ranks the columns of a raw
+:class:`IntervalBigraphRep` with :func:`~intdigraph.intervals.stable_ranks`,
+as ``normalize`` does, and its docstring states the bigraph's tie rule.
 """
 
 from __future__ import annotations
@@ -29,71 +29,31 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Optional
 
-from .errors import DimensionMismatch
-from .graphs import Certificate, _in_sorted, transpose
+from .graphs import Certificate
 from .intervals import (Interval, IntervalRep, NormalizedRep, frontier_walk,
                         normalize, reach_line, require_reflexive, stable_ranks)
 
 
-class Bigraph:
-    """A bipartite graph on parts A and B with cross edges only.
-
-    ``adj_a`` is sorted once per A vertex; ``adj_b`` is its
-    :func:`~intdigraph.graphs.transpose`, one bucket pass."""
-
-    __slots__ = ("a_size", "b_size", "m", "adj_a", "adj_b")
-
-    def __init__(self, a_size: int, b_size: int, edges: Iterable[tuple[int, int]] = ()):
-        self.a_size = a_size
-        self.b_size = b_size
-        adj_a: list[list[int]] = [[] for _ in range(a_size)]
-        for a, b in edges:
-            if not (0 <= a < a_size and 0 <= b < b_size):
-                raise DimensionMismatch(f"edge ({a}, {b}) out of range "
-                                        f"for parts {a_size}, {b_size}")
-            adj_a[a].append(b)
-        self.adj_a = tuple(tuple(sorted(set(bs))) for bs in adj_a)
-        self.adj_b = transpose(self.adj_a, b_size)
-        self.m = sum(map(len, self.adj_a))
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """False whenever ``a`` or ``b`` is outside its part."""
-        return 0 <= a < self.a_size and 0 <= b < self.b_size and _in_sorted(self.adj_a[a], b)
-
-    def edges(self):
-        """Edges as (a, b) in sorted order."""
-        return ((a, b) for a, bs in enumerate(self.adj_a) for b in bs)
-
-    def __repr__(self):
-        return f"Bigraph(|A|={self.a_size}, |B|={self.b_size}, m={self.m})"
-
-
 class IntervalBigraphRep:
-    """One interval per vertex of each part; a-b adjacency by intersection."""
+    """One interval per vertex of each part as four coordinate columns, A
+    vertex i ``[a_lo[i], a_hi[i]]`` and B vertex j ``[b_lo[j], b_hi[j]]``,
+    each checked as an :class:`Interval`; a-b adjacency by intersection."""
 
-    __slots__ = ("a_intervals", "b_intervals")
+    __slots__ = ("a_lo", "a_hi", "b_lo", "b_hi")
 
     def __init__(self, a_intervals: Iterable[Interval], b_intervals: Iterable[Interval]):
-        self.a_intervals = tuple(iv if isinstance(iv, Interval) else Interval(*iv)
-                                 for iv in a_intervals)
-        self.b_intervals = tuple(iv if isinstance(iv, Interval) else Interval(*iv)
-                                 for iv in b_intervals)
+        a, b = ([iv if isinstance(iv, Interval) else Interval(*iv) for iv in ivs]
+                for ivs in (a_intervals, b_intervals))
+        self.a_lo, self.a_hi = tuple(iv.lo for iv in a), tuple(iv.hi for iv in a)
+        self.b_lo, self.b_hi = tuple(iv.lo for iv in b), tuple(iv.hi for iv in b)
 
     @property
     def a_size(self) -> int:
-        return len(self.a_intervals)
+        return len(self.a_lo)
 
     @property
     def b_size(self) -> int:
-        return len(self.b_intervals)
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return self.a_intervals[a].intersects(self.b_intervals[b])
-
-    def to_bigraph(self) -> Bigraph:
-        edges = [(a, b) for a in range(self.a_size) for b in range(self.b_size)
-                 if self.adjacent(a, b)]
-        return Bigraph(self.a_size, self.b_size, edges)
+        return len(self.b_lo)
 
     def __repr__(self):
         return f"IntervalBigraphRep(|A|={self.a_size}, |B|={self.b_size})"
@@ -113,10 +73,8 @@ def bigraph_ranks(rep) -> tuple:
     """
     if isinstance(rep, NormalizedRep):
         return rep.ls, rep.rs, rep.lt, rep.rt
-    a, b = rep.a_intervals, rep.b_intervals
-    rank = stable_ranks([iv.lo for iv in a] + [iv.lo for iv in b]
-                        + [iv.hi for iv in reversed(a)] + [iv.hi for iv in reversed(b)])
-    t, k = len(a), len(a) + len(b)
+    rank = stable_ranks([*rep.a_lo, *rep.b_lo, *reversed(rep.a_hi), *reversed(rep.b_hi)])
+    t, k = rep.a_size, rep.a_size + rep.b_size
     return rank[:t], rank[k:k + t][::-1], rank[t:k], rank[k + t:][::-1]
 
 

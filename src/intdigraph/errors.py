@@ -18,48 +18,49 @@ class DimensionMismatch(ValueError):
     """Two objects that must describe the same vertex set do not."""
 
 
-class NotReflexive(ValueError):
+class _AtVertex(ValueError):
+    """A violation at ``vertex``; ``_message`` is its default text."""
+
+    def __init__(self, vertex: int, message: str | None = None):
+        self.vertex = vertex
+        super().__init__(message or self._message.format(vertex))
+
+
+class NotReflexive(_AtVertex):
     """A vertex is missing the required self-intersection / self-loop."""
-
-    def __init__(self, vertex: int, message: str | None = None):
-        self.vertex = vertex
-        super().__init__(message or f"vertex {vertex} is not reflexive")
+    _message = "vertex {} is not reflexive"
 
 
-class NotIrreflexive(ValueError):
+class NotIrreflexive(_AtVertex):
     """A vertex carries a self-loop where none is allowed."""
-
-    def __init__(self, vertex: int, message: str | None = None):
-        self.vertex = vertex
-        super().__init__(message or f"vertex {vertex} has a self-loop")
+    _message = "vertex {} has a self-loop"
 
 
 class InvalidOrdering(ValueError):
     """An ordering is not a permutation of the vertex set."""
 
 
-class ForbiddenStructure(ValueError):
+class _Witnessed(ValueError):
+    """An ordering shown invalid by ``witness``; ``_message`` is its default text."""
+
+    def __init__(self, witness, message: str | None = None):
+        self.witness = witness
+        super().__init__(message or self._message.format(witness))
+
+
+class ForbiddenStructure(_Witnessed):
     """A vertex ordering contains one of the six forbidden patterns."""
-
-    def __init__(self, witness, message: str | None = None):
-        self.witness = witness
-        super().__init__(message or f"forbidden structure: {witness}")
+    _message = "forbidden structure: {}"
 
 
-class NotDufOrdered(ValueError):
+class NotDufOrdered(_Witnessed):
     """An ordering violates the directed umbrella-free condition."""
-
-    def __init__(self, witness, message: str | None = None):
-        self.witness = witness
-        super().__init__(message or f"not a DUF-ordering: {witness}")
+    _message = "not a DUF-ordering: {}"
 
 
-class NotCocompOrdered(ValueError):
+class NotCocompOrdered(_Witnessed):
     """An ordering violates the undirected umbrella-free condition."""
-
-    def __init__(self, witness, message: str | None = None):
-        self.witness = witness
-        super().__init__(message or f"not a cocomparability ordering: {witness}")
+    _message = "not a cocomparability ordering: {}"
 
 
 class NotAdjusted(ValueError):

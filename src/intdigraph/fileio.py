@@ -274,8 +274,9 @@ def parse_bigraph_rep(text: str) -> IntervalBigraphRep:
             raise ParseError(lineno, f"index {idx} out of range for part {tokens[0]}")
         if store[idx] is not None:
             raise ParseError(lineno, f"duplicate interval for {tokens[0]} {idx}")
+        lo, hi = _rational(tokens[2], lineno), _rational(tokens[3], lineno)
         try:
-            store[idx] = Interval(_rational(tokens[2], lineno), _rational(tokens[3], lineno))
+            store[idx] = Interval(lo, hi)
         except ValueError as exc:
             raise ParseError(lineno, str(exc)) from None
     return IntervalBigraphRep(a_ivs, b_ivs)
@@ -283,10 +284,10 @@ def parse_bigraph_rep(text: str) -> IntervalBigraphRep:
 
 def emit_bigraph_rep(rep: IntervalBigraphRep) -> str:
     lines = [f"bigraph {rep.a_size} {rep.b_size}"]
-    for i, iv in enumerate(rep.a_intervals):
-        lines.append(f"A {i} {iv.lo} {iv.hi}")
-    for j, iv in enumerate(rep.b_intervals):
-        lines.append(f"B {j} {iv.lo} {iv.hi}")
+    for i, (lo, hi) in enumerate(zip(rep.a_lo, rep.a_hi)):
+        lines.append(f"A {i} {lo} {hi}")
+    for j, (lo, hi) in enumerate(zip(rep.b_lo, rep.b_hi)):
+        lines.append(f"B {j} {lo} {hi}")
     return "\n".join(lines) + "\n"
 
 
@@ -297,8 +298,9 @@ def parse_ordering(text: str) -> Ordering:
     if len(rows) > 1:
         raise ParseError(rows[1][0], "ordering files hold a single line of vertex ids")
     lineno, tokens = rows[0] if rows else (1, [])
+    perm = tuple(_int(t, lineno) for t in tokens)
     try:
-        return Ordering(tuple(_int(t, lineno) for t in tokens))
+        return Ordering(perm)
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
 

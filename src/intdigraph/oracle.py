@@ -174,19 +174,20 @@ def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
 def brute_red_blue(instance, budget: OracleBudget = DEFAULT_BUDGET) -> Optional[Certificate]:
     """Minimum A-dominating subset of B by increasing-size enumeration.
 
-    Accepts either a :class:`Bigraph` or an :class:`IntervalBigraphRep`.
-    Returns None exactly when some A-vertex is isolated.
+    Accepts an :class:`IntervalBigraphRep` only; each B vertex's mask is
+    read off the columns.  Returns None exactly when some A-vertex is isolated.
     """
-    from .domination import Bigraph, IntervalBigraphRep
-    if not isinstance(instance, (Bigraph, IntervalBigraphRep)):
-        raise TypeError(f"expected Bigraph or IntervalBigraphRep, got {type(instance)}")
+    from .domination import IntervalBigraphRep
+    if not isinstance(instance, IntervalBigraphRep):
+        raise TypeError(f"expected IntervalBigraphRep, got {type(instance)}")
     _refuse("red-blue", instance.b_size, budget.subset_n)
-    big = instance.to_bigraph() if isinstance(instance, IntervalBigraphRep) else instance
-    if not all(big.adj_a):
+    a_ends = list(zip(instance.a_lo, instance.a_hi))
+    meets = [[a for a, (lo, hi) in enumerate(a_ends) if b_lo <= hi and lo <= b_hi]
+             for b_lo, b_hi in zip(instance.b_lo, instance.b_hi)]
+    if len(set().union(*meets)) < len(a_ends):
         return None  # without this, every subset of B would be tried
-    comb = _first_cover(_masks(big.adj_b), (1 << big.a_size) - 1, budget)
-    chosen = set(comb)
-    if not all(chosen.intersection(adj) for adj in big.adj_a):
+    comb = _first_cover(_masks(meets), (1 << len(a_ends)) - 1, budget)
+    if len(set().union(*(meets[j] for j in comb))) < len(a_ends):
         raise RuntimeError(f"red-blue oracle produced a set that misses an A-vertex: {comb}")
     return Certificate(vertices=comb, checks={"a-dominating": True},
                        algorithm="brute-red-blue", optimal=True,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from intdigraph.domination import Bigraph, IntervalBigraphRep
+from intdigraph.domination import IntervalBigraphRep
 from intdigraph.errors import DimensionMismatch, InvalidVertex
 from intdigraph.graphs import Digraph, UndirectedGraph
 from intdigraph.intervals import Interval, IntervalRep, normalize, verify_representation
@@ -86,15 +86,19 @@ def reflexive_path(n: int) -> tuple[Digraph, Ordering]:
 
 
 def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
-                      ) -> tuple[Bigraph, Optional[IntervalBigraphRep]]:
+                      ) -> tuple[tuple[tuple, tuple], Optional[IntervalBigraphRep]]:
     """Left/right split of ``g``; self-loops become cross edges too.
 
-    With a representation of ``g``, also returns the induced interval
-    bigraph model (S intervals on the left part, T on the right).
+    Returns the split's sorted adjacency lists ``(adj_a, adj_b)``: left copy
+    u meets the right copies of its out-neighbours, right copy v the left
+    copies of its in-neighbours.  With a representation of ``g``, also
+    returns the induced interval bigraph model (S intervals on the left
+    part, T on the right).
     """
-    edges = list(g.edges())
-    edges.extend((v, v) for v in range(g.n) if g.loops[v])
-    big = Bigraph(g.n, g.n, edges)
+    adj_a = tuple(tuple(sorted(vs + (u,))) if g.loops[u] else vs
+                  for u, vs in enumerate(g.out_adj))
+    adj_b = tuple(tuple(sorted(us + (v,))) if g.loops[v] else us
+                  for v, us in enumerate(g.in_adj))
     brep = None
     if rep is not None:
         rep = normalize(rep)
@@ -103,7 +107,7 @@ def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None
         if not verify_representation(rep, g):
             raise DimensionMismatch("representation does not realize the digraph")
         brep = IntervalBigraphRep(zip(rep.ls, rep.rs), zip(rep.lt, rep.rt))
-    return big, brep
+    return (adj_a, adj_b), brep
 
 
 def reverse(g: Digraph) -> Digraph:

@@ -2,11 +2,10 @@
 graph constructors, kept as differential references.
 
 :func:`verify_representation` realizes the whole digraph of ``rep`` and
-compares it with ``g``.  :class:`Digraph` and :class:`Bigraph` fill one
-``set`` per vertex and direction (per part) and sort each.  The library
-now checks a representation by one count of meeting pairs and builds each
-in-list (``adj_b``) by one bucket pass over the sorted out-lists
-(``adj_a``).
+compares it with ``g``.  :class:`Digraph` fills one ``set`` per vertex and
+direction and sorts each.  The library now checks a representation by one
+count of meeting pairs and builds each in-list by one bucket pass over the
+sorted out-lists.
 
 :class:`ArcDigraph` is the library's former constructor, which bucketed
 range-checked ``(u, v)`` pairs, and :func:`realize_digraph` the former
@@ -69,27 +68,6 @@ class Digraph:
         self.in_adj = tuple(tuple(sorted(s)) for s in inn)
         self.loops = tuple(loop_flags)
         self.m = sum(map(len, self.out_adj))  # self-loops excluded
-
-
-class Bigraph:
-    """The adjacency of the library's ``Bigraph``, built through sets."""
-
-    __slots__ = ("a_size", "b_size", "m", "adj_a", "adj_b")
-
-    def __init__(self, a_size: int, b_size: int, edges: Iterable[tuple[int, int]] = ()):
-        self.a_size = a_size
-        self.b_size = b_size
-        adj_a: list[set[int]] = [set() for _ in range(a_size)]
-        adj_b: list[set[int]] = [set() for _ in range(b_size)]
-        for a, b in edges:
-            if not (0 <= a < a_size and 0 <= b < b_size):
-                raise DimensionMismatch(f"edge ({a}, {b}) out of range "
-                                        f"for parts {a_size}, {b_size}")
-            adj_a[a].add(b)
-            adj_b[b].add(a)
-        self.adj_a = tuple(tuple(sorted(s)) for s in adj_a)
-        self.adj_b = tuple(tuple(sorted(s)) for s in adj_b)
-        self.m = sum(map(len, self.adj_a))
 
 
 class ArcDigraph:

@@ -4,8 +4,10 @@ masks, kept verbatim as a differential reference.
 They track the partial set with per-vertex counters and ``take``/``drop``
 closures (kernel, independent set), test each subset against ``set``
 membership (absorbing, red-blue) and scan quadruples with ``has_edge``
-(anti-directed walk).  ``intdigraph.oracle`` now carries the same searches
-on Python-int bit masks; ``test_oracle_reference.py`` checks that both
+(anti-directed walk).  The red-blue search reads its A-adjacency off the
+bigraph's coordinate columns through :meth:`Interval.intersects`.
+``intdigraph.oracle`` now carries the same searches on Python-int bit
+masks; ``test_oracle_reference.py`` checks that both
 return the same whole :class:`Certificate` or witness.
 """
 
@@ -14,8 +16,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional
 
-from intdigraph.domination import Bigraph, IntervalBigraphRep
+from intdigraph.domination import IntervalBigraphRep
 from intdigraph.graphs import Certificate, Digraph, check_weights, verify_set
+from intdigraph.intervals import Interval
 from intdigraph.oracle import DEFAULT_BUDGET, OracleBudget, _Deadline, _refuse
 from intdigraph.pointpoint import AntiWalkWitness
 
@@ -184,24 +187,27 @@ def brute_max_independent(g: Digraph, weights: Optional[Iterable[int]] = None,
 def brute_red_blue(instance, budget: OracleBudget = DEFAULT_BUDGET) -> Optional[Certificate]:
     """Minimum A-dominating subset of B by increasing-size enumeration.
 
-    Accepts either a :class:`Bigraph` or an :class:`IntervalBigraphRep`.
-    Returns None exactly when some A-vertex is isolated.
+    Accepts an :class:`IntervalBigraphRep` only; A vertex a meets the B
+    vertices whose :class:`Interval` intersects its own.  Returns None
+    exactly when some A-vertex is isolated.
     """
-    if not isinstance(instance, (Bigraph, IntervalBigraphRep)):
-        raise TypeError(f"expected Bigraph or IntervalBigraphRep, got {type(instance)}")
+    if not isinstance(instance, IntervalBigraphRep):
+        raise TypeError(f"expected IntervalBigraphRep, got {type(instance)}")
     _refuse("red-blue", instance.b_size, budget.subset_n)
-    big = instance.to_bigraph() if isinstance(instance, IntervalBigraphRep) else instance
+    b_ivs = list(map(Interval, instance.b_lo, instance.b_hi))
+    adj_a = [[b for b, b_iv in enumerate(b_ivs) if Interval(lo, hi).intersects(b_iv)]
+             for lo, hi in zip(instance.a_lo, instance.a_hi)]
     deadline = _Deadline(budget)
-    if any(len(big.adj_a[a]) == 0 for a in range(big.a_size)):
+    if any(len(adj_a[a]) == 0 for a in range(instance.a_size)):
         return None
     ticks = 0
-    for r in range(big.b_size + 1):
-        for comb in combinations(range(big.b_size), r):
+    for r in range(instance.b_size + 1):
+        for comb in combinations(range(instance.b_size), r):
             ticks += 1
             if ticks % 4096 == 0:
                 deadline.check()
             sset = set(comb)
-            if all(any(b in sset for b in big.adj_a[a]) for a in range(big.a_size)):
+            if all(any(b in sset for b in adj_a[a]) for a in range(instance.a_size)):
                 return Certificate(vertices=tuple(comb),
                                    checks={"a-dominating": True},
                                    algorithm="brute-red-blue", optimal=True,

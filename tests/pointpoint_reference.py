@@ -20,7 +20,7 @@ from fixtures import splitting_bigraph
 def _split_components(g: Digraph):
     """Components of the splitting bigraph; nodes 0..n-1 are left copies,
     n..2n-1 right copies.  Ids follow the smallest contained node."""
-    big, _ = splitting_bigraph(g)
+    (adj_a, adj_b), _ = splitting_bigraph(g)
     n = g.n
     comp = [-1] * (2 * n)
     comps: list[dict] = []
@@ -35,25 +35,25 @@ def _split_components(g: Digraph):
             node = stack.pop()
             if node < n:
                 x_nodes.append(node)
-                edge_count += len(big.adj_a[node])
-                nbrs = [n + b for b in big.adj_a[node]]
+                edge_count += len(adj_a[node])
+                nbrs = [n + b for b in adj_a[node]]
             else:
                 y_nodes.append(node - n)
-                nbrs = list(big.adj_b[node - n])
+                nbrs = list(adj_b[node - n])
             for w in nbrs:
                 if comp[w] == -1:
                     comp[w] = cid
                     stack.append(w)
         comps.append({"x": sorted(x_nodes), "y": sorted(y_nodes),
                       "edges": edge_count})
-    return big, comp, comps
+    return (adj_a, adj_b), comp, comps
 
 
 def recognize_point_point(g: Digraph):
     """A :class:`PointRep` when ``g`` is a point-point digraph, otherwise
     an :class:`AntiWalkWitness` extracted from the first non-complete
     component of the splitting bigraph."""
-    big, comp, comps = _split_components(g)
+    (adj_a, adj_b), comp, comps = _split_components(g)
     n = g.n
     for cid, c in enumerate(comps):
         if c["edges"] == len(c["x"]) * len(c["y"]):
@@ -61,9 +61,9 @@ def recognize_point_point(g: Digraph):
         # Some edge of this component has a neighbour pair that fails to
         # close into a complete bipartite block; scan in adjacency order.
         for u in c["x"]:
-            for v in big.adj_a[u]:
-                for first in big.adj_b[v]:
-                    for last in big.adj_a[u]:
+            for v in adj_a[u]:
+                for first in adj_b[v]:
+                    for last in adj_a[u]:
                         if not g.has_edge(first, last):
                             return AntiWalkWitness(a=first, b=v, c=u, d=last)
         raise RuntimeError(f"component {cid} is incomplete but no witness found")

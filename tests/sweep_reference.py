@@ -19,10 +19,9 @@ the library reads the stab off a prefix maximum over the rank line.
 over the rank line, :func:`count_line`; the library counts on a byte
 line instead (``intervals.below_counts``).
 :func:`set_is_independent` sweeps the members' endpoints with two active
-sets.  :class:`Digraph`,
-:class:`UndirectedGraph` and :class:`Bigraph` here keep every arc a second
-time in a ``frozenset`` and answer ``m``, ``has_edge``, ``edges()`` and
-``==`` from it; :func:`reverse`, :func:`induced_subgraph`,
+sets.  :class:`Digraph` and :class:`UndirectedGraph` here keep every arc a
+second time in a ``frozenset`` and answer ``m``, ``has_edge``, ``edges()``
+and ``==`` from it; :func:`reverse`, :func:`induced_subgraph`,
 :func:`underlying_undirected` and :func:`symmetric_digraph` read that set.
 The library now uses one frontier walk for both sweeps, one count for
 independence and the sorted adjacency tuples alone; ``test_sweep_reference.py`` checks on random inputs that both give
@@ -36,7 +35,7 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from intdigraph.errors import DimensionMismatch, InvalidVertex
+from intdigraph.errors import InvalidVertex
 from intdigraph.intervals import (IntervalRep, NormalizedRep, below_counts,
                                   frontier_walk, normalize, require_reflexive)
 
@@ -464,39 +463,3 @@ def symmetric_digraph(h: UndirectedGraph) -> Digraph:
         arcs.append((u, v))
         arcs.append((v, u))
     return Digraph(h.n, arcs)
-
-
-class Bigraph:
-    """A bipartite graph on parts A and B with cross edges only."""
-
-    __slots__ = ("a_size", "b_size", "adj_a", "adj_b", "_edges")
-
-    def __init__(self, a_size: int, b_size: int, edges: Iterable[tuple[int, int]] = ()):
-        self.a_size = a_size
-        self.b_size = b_size
-        adj_a: list[set[int]] = [set() for _ in range(a_size)]
-        adj_b: list[set[int]] = [set() for _ in range(b_size)]
-        edge_set = set()
-        for a, b in edges:
-            if not (0 <= a < a_size and 0 <= b < b_size):
-                raise DimensionMismatch(f"edge ({a}, {b}) out of range "
-                                        f"for parts {a_size}, {b_size}")
-            adj_a[a].add(b)
-            adj_b[b].add(a)
-            edge_set.add((a, b))
-        self.adj_a = tuple(tuple(sorted(s)) for s in adj_a)
-        self.adj_b = tuple(tuple(sorted(s)) for s in adj_b)
-        self._edges = frozenset(edge_set)
-
-    @property
-    def m(self) -> int:
-        return len(self._edges)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self._edges
-
-    def edges(self):
-        return iter(sorted(self._edges))
-
-    def __repr__(self):
-        return f"Bigraph(|A|={self.a_size}, |B|={self.b_size}, m={self.m})"

@@ -383,15 +383,15 @@ def test_criterion_9_class_separations():
     assert brute_ordering_search(oriented_k33_with_loops(),
                                  "reflexive-interval") is None
 
-    big, _ = splitting_bigraph(symmetric_triangle())
-    assert big.m == 6
-    assert all(len(big.adj_a[a]) == 2 for a in range(3))
-    assert all(len(big.adj_b[b]) == 2 for b in range(3))
+    (adj_a, adj_b), _ = splitting_bigraph(symmetric_triangle())
+    assert sum(map(len, adj_a)) == 6
+    assert all(len(adj_a[a]) == 2 for a in range(3))
+    assert all(len(adj_b[b]) == 2 for b in range(3))
     seen = {(0, "a")}
     frontier = [(0, "a")]
     while frontier:
         node, side = frontier.pop()
-        for w in (big.adj_a[node] if side == "a" else big.adj_b[node]):
+        for w in (adj_a[node] if side == "a" else adj_b[node]):
             nxt = (w, "b" if side == "a" else "a")
             if nxt not in seen:
                 seen.add(nxt)

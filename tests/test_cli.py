@@ -481,12 +481,22 @@ class TestErrors:
         ("bigraph 2 1\nA 5 0 1\nA 1 0 1\nB 0 0 2\n", "line 2: index 5 out of range for part A"),
         ("bigraph 2 1\nA 0 0 1\nA 0 0 2\nB 0 0 2\n", "line 3: duplicate interval for A 0"),
         ("bigraph 1 1\nA 0 3 1\nB 0 0 2\n", "line 2: interval [3, 1] has lo > hi"),
-    ], ids=["index", "duplicate", "lo-above-hi"])
+        ("bigraph 1 1\nA 0 0 1\nB 0 1.5 2\n",
+         "line 3: expected an integer or p/q rational, got '1.5'"),
+    ], ids=["index", "duplicate", "lo-above-hi", "not-rational"])
     def test_bad_bigraph_records(self, capsys, tmp_path, text, error):
         path = tmp_path / "bad.bg"
         path.write_text(text)
         code, payload = run_json(capsys, "red-blue", str(path))
         assert code == 1 and payload == {"status": "error", "error": error}
+
+    def test_bad_ordering_token(self, capsys, tmp_path):
+        (tmp_path / "g.dg").write_text("digraph 2\n")
+        (tmp_path / "o.ord").write_text("0 x\n")
+        code, payload = run_json(capsys, "check-ordering", str(tmp_path / "g.dg"),
+                                 str(tmp_path / "o.ord"), "--kind", "duf")
+        assert code == 1 and payload == {"status": "error",
+                                         "error": "line 1: expected an integer, got 'x'"}
 
     @pytest.mark.parametrize("change", [
         lambda m: [], lambda m: "s", lambda m: {**m, "paths": []},

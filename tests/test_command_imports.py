@@ -49,6 +49,8 @@ LOADS = {
     "verify-irep-pass": {"intervals"},
     "verify-dg-fail": set(),
     "oracle-anti-walk": {"tooling", "oracle", "ordering", "pointpoint"},
+    "oracle-red-blue-tied": {"tooling", "oracle", "ordering", "pointpoint", "intervals",
+                             "domination"},
     "gen-bigraph-tied": {"tooling", "generators", "intervals", "domination", "pointpoint"},
 }
 RUN_MAIN = ("import sys\n"

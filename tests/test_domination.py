@@ -10,25 +10,34 @@ from intdigraph import (Digraph, Interval, IntervalBigraphRep, IntervalRep,
                         min_dominating_reflexive, normalize, realize_digraph,
                         red_blue_min_dominating, verify_set)
 from intdigraph.domination import bigraph_ranks
-from intdigraph.errors import DimensionMismatch, NotReflexive
+from intdigraph.errors import DimensionMismatch, MalformedInterval, NotReflexive
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
 
 from fixtures import reverse, splitting_bigraph, symmetric_triangle, two_vertex_example_rep
 from conftest import interval_reps
 
 
+def _edges(adj):
+    return [(u, v) for u, vs in enumerate(adj) for v in vs]
+
+
+def _meets(rep, a, b):
+    """Whether A interval ``a`` and B interval ``b`` of ``rep`` intersect."""
+    return Interval(rep.a_lo[a], rep.a_hi[a]).intersects(Interval(rep.b_lo[b], rep.b_hi[b]))
+
+
 class TestSplittingBigraph:
     def test_symmetric_triangle_is_six_cycle(self):
-        big, _ = splitting_bigraph(symmetric_triangle())
-        assert big.m == 6
-        assert all(len(big.adj_a[a]) == 2 for a in range(3))
-        assert all(len(big.adj_b[b]) == 2 for b in range(3))
+        (adj_a, adj_b), _ = splitting_bigraph(symmetric_triangle())
+        assert len(_edges(adj_a)) == 6
+        assert all(len(adj_a[a]) == 2 for a in range(3))
+        assert all(len(adj_b[b]) == 2 for b in range(3))
         # connected + 2-regular + bipartite on six vertices => one C6
         seen = {(0, "a")}
         frontier = [(0, "a")]
         while frontier:
             node, side = frontier.pop()
-            nbrs = big.adj_a[node] if side == "a" else big.adj_b[node]
+            nbrs = adj_a[node] if side == "a" else adj_b[node]
             for w in nbrs:
                 nxt = (w, "b" if side == "a" else "a")
                 if nxt not in seen:
@@ -37,23 +46,23 @@ class TestSplittingBigraph:
         assert len(seen) == 6
 
     def test_single_loop_vertex(self):
-        big, _ = splitting_bigraph(Digraph(1, loops=[0]))
-        assert list(big.edges()) == [(0, 0)]
+        (adj_a, adj_b), _ = splitting_bigraph(Digraph(1, loops=[0]))
+        assert _edges(adj_a) == _edges(adj_b) == [(0, 0)]
 
     def test_directed_triangle_is_perfect_matching(self):
-        big, _ = splitting_bigraph(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
-        assert big.m == 3
-        assert all(len(big.adj_a[a]) == 1 for a in range(3))
-        assert all(len(big.adj_b[b]) == 1 for b in range(3))
+        (adj_a, adj_b), _ = splitting_bigraph(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
+        assert len(_edges(adj_a)) == 3
+        assert all(len(adj_a[a]) == 1 for a in range(3))
+        assert all(len(adj_b[b]) == 1 for b in range(3))
 
     def test_with_representation(self):
         rep = normalize(two_vertex_example_rep())
         g = realize_digraph(rep)
-        big, brep = splitting_bigraph(g, rep)
+        (adj_a, adj_b), brep = splitting_bigraph(g, rep)
         assert brep is not None
         for a in range(2):
             for b in range(2):
-                assert brep.adjacent(a, b) == big.has_edge(a, b)
+                assert _meets(brep, a, b) == (b in adj_a[a]) == (a in adj_b[b])
 
     def test_mismatched_representation(self):
         rep = normalize(two_vertex_example_rep())
@@ -61,6 +70,15 @@ class TestSplittingBigraph:
             splitting_bigraph(Digraph(3), rep)
         with pytest.raises(DimensionMismatch):
             splitting_bigraph(Digraph(2, [(1, 0)], loops=[0, 1]), rep)
+
+
+def test_bigraph_columns_from_intervals_or_pairs():
+    rep = IntervalBigraphRep([Interval(0, 1), (2, Fraction(7, 2))], [(0.5, 2)])
+    assert (rep.a_lo, rep.a_hi, rep.b_lo, rep.b_hi) == (
+        (0, 2), (1, Fraction(7, 2)), (Fraction(1, 2),), (2,))
+    assert (rep.a_size, rep.b_size) == (2, 1)
+    with pytest.raises(MalformedInterval):
+        IntervalBigraphRep([], [(2, 1)])
 
 
 FIXTURE_A = [Interval(0, 1), Interval(2, 3), Interval(4, 5)]
@@ -84,7 +102,7 @@ class TestRedBlueState:
                 continue
             a_first, cover = steps
             for a, b in zip(a_first, cover):
-                assert rep.b_intervals[b].intersects(rep.a_intervals[a])
+                assert _meets(rep, a, b)
             _, b_hi = bigraph_ranks(rep)[2:]
             ends = [b_hi[b] for b in cover]
             assert all(x < y for x, y in zip(ends, ends[1:]))
@@ -97,9 +115,8 @@ class TestRedBlueState:
             steps = build_red_blue_state(*bigraph_ranks(rep))
             if steps is None:
                 continue
-            covers = [rep.b_intervals[b] for b in steps[1]]
-            for a_iv in rep.a_intervals:
-                assert any(b_iv.intersects(a_iv) for b_iv in covers)
+            for a in range(rep.a_size):
+                assert any(_meets(rep, a, b) for b in steps[1])
 
 
 class TestRedBlueMinDominating:

@@ -197,8 +197,8 @@ class TestBigraphFormat:
                                  [Interval(1, 2)])
         text = emit_bigraph_rep(rep)
         back = parse_bigraph_rep(text)
-        assert back.a_intervals == rep.a_intervals
-        assert back.b_intervals == rep.b_intervals
+        assert (back.a_lo, back.a_hi, back.b_lo, back.b_hi) == (
+            rep.a_lo, rep.a_hi, rep.b_lo, rep.b_hi) == ((0, 2), (1, Fraction(7, 2)), (1,), (2,))
         assert normalize_ws(emit_bigraph_rep(back)) == normalize_ws(text)
 
     def test_bad_part(self):

@@ -51,6 +51,7 @@ CASES = [
     ("min-kernel-adjusted-weights", 1,
      "min-kernel @adjusted.irep --adjusted --weights @tied.w"),
     ("min-kernel-none", 2, "min-kernel @nk.dg @nk.ord"),
+    ("min-kernel-not-duf", 1, "min-kernel @umb.dg @umb.ord"),
     ("max-kernel-none", 2, "max-kernel @nk.dg @nk.ord"),
     ("mis", 0, "mis @tied.dg @tied.ord"),
     ("mis-weights", 0, "mis @tied.dg @tied.ord --weights @tied.w"),

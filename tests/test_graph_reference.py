@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from intdigraph import (Bigraph, Digraph, Interval, IntervalRep, normalize,
+from intdigraph import (Digraph, Interval, IntervalRep, normalize,
                         realize_digraph, verify_representation)
-from intdigraph.errors import DimensionMismatch, InvalidVertex
+from intdigraph.errors import InvalidVertex
 from intdigraph.generators import gen_reflexive_interval
 
 import graph_reference as ref
@@ -146,17 +146,6 @@ def test_realize_matches_the_former_sweep(rep):
     _same_digraph(realize_digraph(rep), ref.realize_digraph(rep))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 7), st.integers(0, 7), st.data())
-def test_bigraph_matches_the_set_constructor(a_size, b_size, data):
-    edges = data.draw(st.lists(st.tuples(st.integers(0, a_size - 1),
-                                         st.integers(0, b_size - 1)),
-                               max_size=3 * (a_size + b_size))
-                      if a_size and b_size else st.just([]))
-    big, r = Bigraph(a_size, b_size, edges), ref.Bigraph(a_size, b_size, edges)
-    assert (big.m, big.adj_a, big.adj_b) == (r.m, r.adj_a, r.adj_b)
-
-
 def _error(build):
     with pytest.raises(Exception) as exc:
         build()
@@ -174,9 +163,4 @@ def test_first_out_of_range_edge_raises_the_same_error(n, data):
         assert _error(lambda: Digraph(n, edges, loops)) == _error(
             lambda: ref.Digraph(n, edges, loops))
         assert _error(lambda: Digraph(n, edges, loops))[0] is InvalidVertex
-    b_size = data.draw(st.integers(0, 5))
-    if not all(0 <= a < n and 0 <= b < b_size for a, b in edges):
-        assert _error(lambda: Bigraph(n, b_size, edges)) == _error(
-            lambda: ref.Bigraph(n, b_size, edges))
-        assert _error(lambda: Bigraph(n, b_size, edges))[0] is DimensionMismatch
 

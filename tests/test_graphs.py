@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import (Bigraph, Digraph, IntervalRep, Ordering, PointRep,
+from intdigraph import (Digraph, IntervalRep, Ordering, PointRep,
                         UndirectedGraph, brute_kernel, brute_max_independent,
                         check_reflexive_interval_ordering, extract_duf_ordering,
                         k_subdivision, kernel_linear, lift_set, max_independent_duf,
@@ -150,8 +150,7 @@ def test_has_edge_is_false_out_of_range():
     and loop are all set here, and raise on n."""
     n = 3
     for g in (Digraph(n, [(2, 0), (2, 1)], loops=[2]),
-              UndirectedGraph(n, [(2, 0), (2, 1)]),
-              Bigraph(n, n, [(2, 0), (2, 1), (2, 2)])):
+              UndirectedGraph(n, [(2, 0), (2, 1)])):
         assert g.has_edge(2, 0)
         assert not g.has_edge(-1, 0)
         assert not g.has_edge(n, 0)

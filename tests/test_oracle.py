@@ -9,6 +9,7 @@ from intdigraph import (Digraph, IntervalBigraphRep, Interval, OracleBudget,
                         brute_min_absorbing, brute_ordering_search,
                         brute_red_blue, find_induced_k33,
                         realize_digraph, underlying_undirected, verify_set)
+from intdigraph import oracle
 from intdigraph.errors import BudgetExceeded
 from intdigraph.generators import gen_random_digraph, gen_reflexive_interval
 
@@ -123,21 +124,20 @@ class TestBruteRedBlue:
         rep = IntervalBigraphRep([Interval(0, 1), Interval(5, 6)], [Interval(0, 2)])
         assert brute_red_blue(rep) is None
 
-    def test_accepts_bigraph_type(self):
-        from intdigraph import Bigraph
-        big = Bigraph(2, 2, [(0, 0), (1, 1)])
-        assert brute_red_blue(big).size == 2
+    def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             brute_red_blue("nonsense")
 
-    def test_budget_is_checked_before_building_the_bigraph(self, monkeypatch):
-        def refuse_to_build(self):
-            raise AssertionError("to_bigraph ran before the budget check")
+    def test_budget_is_checked_before_any_mask_is_built(self, monkeypatch):
+        def refuse_to_build(lists):
+            raise AssertionError("masks built before the budget check")
 
-        monkeypatch.setattr(IntervalBigraphRep, "to_bigraph", refuse_to_build)
+        monkeypatch.setattr(oracle, "_masks", refuse_to_build)
         rep = IntervalBigraphRep([Interval(0, 1)], [Interval(0, 1)] * 17)
         with pytest.raises(BudgetExceeded):
             brute_red_blue(rep)
+        with pytest.raises(AssertionError, match="masks built"):
+            brute_red_blue(IntervalBigraphRep([Interval(0, 1)], [Interval(0, 1)] * 16))
 
 
 def naive_k33(h: UndirectedGraph):

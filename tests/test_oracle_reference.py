@@ -70,8 +70,6 @@ def test_red_blue_gets_the_reference_answers(a_size, b_size, seed, grid, max_len
     # small grids tie endpoints; short intervals leave A vertices isolated
     rep = gen_interval_bigraph(a_size, b_size, seed, grid=grid, max_len=max_len)
     _same(brute_red_blue(rep), ref.brute_red_blue(rep))
-    big = rep.to_bigraph()
-    _same(brute_red_blue(big), ref.brute_red_blue(big))
 
 
 @st.composite

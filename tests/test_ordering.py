@@ -233,7 +233,8 @@ def test_the_checks_realize_no_digraph(monkeypatch):
         build_representation(g, bad)
     assert exc.value.witness == expected[1]
     _, again = splitting_bigraph(g, rep)
-    assert (again.a_intervals, again.b_intervals) == (brep.a_intervals, brep.b_intervals)
+    assert (again.a_lo, again.a_hi, again.b_lo, again.b_hi) == (
+        brep.a_lo, brep.a_hi, brep.b_lo, brep.b_hi)
     with pytest.raises(DimensionMismatch):
         splitting_bigraph(Digraph(g.n, g.edges()), rep)
 

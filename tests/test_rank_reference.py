@@ -40,8 +40,8 @@ def bigraphs(draw):
     if kind == "fraction":
         scale = draw(st.sampled_from([Fraction(1, 3), Fraction(5, 7)]))
         rep = IntervalBigraphRep(
-            [Interval(iv.lo * scale, iv.hi * scale) for iv in rep.a_intervals],
-            [Interval(iv.lo * scale, iv.hi * scale) for iv in rep.b_intervals])
+            [(lo * scale, hi * scale) for lo, hi in zip(rep.a_lo, rep.a_hi)],
+            [(lo * scale, hi * scale) for lo, hi in zip(rep.b_lo, rep.b_hi)])
     return rep
 
 
@@ -52,7 +52,8 @@ def _order(values):
 @settings(max_examples=400, deadline=None)
 @given(bigraphs())
 def test_bigraph_ranks_match_the_reference(rep):
-    a, b = _endpoint_ranks(rep.a_intervals, rep.b_intervals)
+    a, b = _endpoint_ranks(list(map(Interval, rep.a_lo, rep.a_hi)),
+                           list(map(Interval, rep.b_lo, rep.b_hi)))
     ref = ([lo for lo, _ in a], [hi for _, hi in a], [lo for lo, _ in b], [hi for _, hi in b])
     ranks = bigraph_ranks(rep)
     assert _order(sum(ranks, [])) == _order(sum(ref, []))

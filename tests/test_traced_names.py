@@ -110,3 +110,4 @@ def test_every_exported_name_resolves():
     for name in intdigraph.__all__:
         assert namespace[name] is getattr(intdigraph, name)
     assert intdigraph.oracle.brute_kernel is intdigraph.brute_kernel
+    assert not hasattr(intdigraph, "Bigraph")  # an interval bigraph is columns only
