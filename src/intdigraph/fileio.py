@@ -16,9 +16,9 @@ up to whitespace for canonical files.
 Clean integer digraph and intervals files, with ``"\\n"`` or CRLF line
 ends, are read by one ``json.loads`` per chunk of about ``_CHUNK``
 characters of whole lines, which makes no token a string; a digraph is
-bucketed chunk by chunk, each head stored as the one int object of its
-id, so the file is never one list of all its integers.  Every other file,
-and every file with one unclean chunk, takes the line walk, the only
+bucketed and an intervals file split into its four endpoint columns chunk
+by chunk, so the file is never one list of all its integers.  Every other
+file, and every file with one unclean chunk, takes the line walk, the only
 reader of ``p/q`` and the only source of :class:`ParseError`, so errors
 keep their lines.
 """
@@ -104,22 +104,6 @@ def _chunks(text: str, pos: int, end: int, step: int):
             return
         del fields[step - 1::step]
         yield fields
-
-
-def _int_fields(text: str, kind: str, width: int):
-    """``(n, fields)``: the header's n and the records' integers in file
-    order, the chunks of :func:`_int_chunks` joined, when every chunk is
-    clean; else None, and the caller walks the lines."""
-    read = _int_chunks(text, kind, width)
-    if read is None:
-        return None
-    n, chunks = read
-    fields: list[int] = []
-    for chunk in chunks:
-        if chunk is None:
-            return None
-        fields += chunk
-    return n, fields
 
 
 def _header(rows, kind: str, usage: str):
@@ -222,32 +206,40 @@ def emit_digraph(g: Digraph) -> str:
 
 
 def parse_interval_rep(text: str) -> IntervalRep:
-    from .intervals import Interval, IntervalRep  # deferred: a digraph file needs none
-    clean = _int_fields(text, "intervals", 5)
-    if clean is not None:
-        n, fields = clean
-        ids, ls, rs, lt, rt = (fields[i::5] for i in range(5))
-        if (len(ids) == n and ids == list(range(n))
-                and all(map(le, ls, rs)) and all(map(le, lt, rt))):
-            return IntervalRep.from_columns(ls, rs, lt, rt)
+    """The four endpoint columns of an intervals file; the line walk checks
+    each interval as :class:`Interval` does but keeps only its endpoints."""
+    from .intervals import IntervalRep  # deferred: a digraph file needs none
+    read = _int_chunks(text, "intervals", 5)
+    if read is not None:
+        n, chunks = read
+        cols = ls, rs, lt, rt = [], [], [], []
+        for fields in chunks:  # ids 0, 1, ... in file order, else the line walk
+            if fields is None or fields[::5] != list(range(len(ls), len(ls) + len(fields) // 5)):
+                break
+            for i, col in enumerate(cols, 1):
+                col += fields[i::5]
+        else:
+            if len(ls) == n and all(map(le, ls, rs)) and all(map(le, lt, rt)):
+                return IntervalRep.from_columns(ls, rs, lt, rt)
     rows = list(_lines(text))
     lineno, header = _header(rows, "intervals", "intervals <n>")
     n, = _counts(header[1:], lineno, len(rows) - 1)
-    pairs: list = [None] * n
+    cols = ls, rs, lt, rt = [[None] * n for _ in range(4)]
     for lineno, tokens in rows[1:]:
         if len(tokens) != 5:
             raise ParseError(lineno, "expected '<v> <lS> <rS> <lT> <rT>'")
         v = _int(tokens[0], lineno)
         if not (0 <= v < n):
             raise ParseError(lineno, f"vertex {v} out of range for n={n}")
-        if pairs[v] is not None:
+        if ls[v] is not None:
             raise ParseError(lineno, f"duplicate intervals for vertex {v}")
-        vals = [_rational(t, lineno) for t in tokens[1:]]
-        try:
-            pairs[v] = (Interval(vals[0], vals[1]), Interval(vals[2], vals[3]))
-        except ValueError as exc:
-            raise ParseError(lineno, str(exc)) from None
-    return IntervalRep(pairs)
+        ends = [_rational(t, lineno) for t in tokens[1:]]
+        for lo, hi in (ends[:2], ends[2:]):
+            if lo > hi:  # Interval's check, S first
+                raise ParseError(lineno, f"interval [{lo}, {hi}] has lo > hi")
+        for col, x in zip(cols, ends):
+            col[v] = x
+    return IntervalRep.from_columns(ls, rs, lt, rt)
 
 
 def emit_interval_rep(rep: IntervalRep) -> str:

@@ -13,11 +13,10 @@ Two nested conditions appear throughout:
   only hunt for an explicit witness when verification fails.
 
 The DUF checks and the suffix table read only a digraph and an ordering,
-so this module imports :mod:`intdigraph.intervals` only inside the three
-functions that build or verify a representation: ``_scaled_rep``,
-``_scaled_check`` and :func:`build_representation`.  ``mis``, ``min-kernel``
-/ ``max-kernel`` on a digraph file and ``check-ordering --kind duf|cocomp``
-never load it.
+so this module imports :mod:`intdigraph.intervals` only inside the two
+functions that build or verify a representation: ``_scaled_check`` and
+:func:`build_representation`.  ``mis``, ``min-kernel`` / ``max-kernel`` on
+a digraph file and ``check-ordering --kind duf|cocomp`` never load it.
 """
 
 from __future__ import annotations
@@ -331,24 +330,16 @@ def _construct_scaled(g: Digraph, ordering: Ordering):
     return ls, rs, lt, rt
 
 
-def _scaled_rep(g: Digraph, ordering: Ordering) -> IntervalRep:
-    from .intervals import IntervalRep  # deferred: see the module docstring
-    return IntervalRep.from_columns(*(map(col.__getitem__, ordering.positions)
-                                      for col in _construct_scaled(g, ordering)))
-
-
-def _require_reflexive_digraph(g: Digraph) -> None:
+def _scaled_check(g: Digraph, ordering: Ordering, find_witness: bool):
+    """``(rep, witness)``: the scaled representation, by vertex, and the
+    check's verdict; a vertex without a self-loop raises NotReflexive."""
+    from .intervals import IntervalRep, verify_representation  # deferred: see the module docstring
+    _require_matching(g, ordering)
     for v in range(g.n):
         if not g.loops[v]:
             raise NotReflexive(v, f"vertex {v} has no self-loop")
-
-
-def _scaled_check(g: Digraph, ordering: Ordering, find_witness: bool):
-    """``(rep, witness)``: the scaled representation and the check's verdict."""
-    from .intervals import verify_representation  # deferred, as in _scaled_rep
-    _require_matching(g, ordering)
-    _require_reflexive_digraph(g)
-    rep = _scaled_rep(g, ordering)
+    rep = IntervalRep.from_columns(*(map(col.__getitem__, ordering.positions)
+                                     for col in _construct_scaled(g, ordering)))
     if verify_representation(rep, g):
         return rep, None
     if find_witness and g.n <= WITNESS_SEARCH_CAP:
@@ -386,7 +377,7 @@ def build_representation(g: Digraph, ordering: Ordering) -> IntervalRep:
     left ends the matching minima).
     """
     from fractions import Fraction  # loaded only here, not at start-up
-    from .intervals import IntervalRep  # deferred, as in _scaled_rep
+    from .intervals import IntervalRep  # deferred, as in _scaled_check
 
     rep, witness = _scaled_check(g, ordering, True)
     if witness is not None:

@@ -41,12 +41,17 @@ def _parse_map(text: str) -> SubdivisionMap:
             and isinstance(origin, str) and isinstance(host, str)):
         raise ValueError('a subdivision map needs an object "paths", an integer "k" '
                          'and digraph texts "origin" and "host"')
+    if k < 1:  # k_subdivision's own check
+        raise ValueError(f"subdivision needs k >= 1, got {k}")
     paths = {}
     for key, ids in raw.items():
         if not (isinstance(ids, list) and all(map(_is_int, ids))):
             raise ValueError(f"path {key!r} is not a list of integers")
-        u, v = key.split()
-        paths[(int(u), int(v))] = tuple(ids)
+        try:
+            u, v = map(int, key.split())
+        except ValueError:
+            raise ValueError(f"path key {key!r} is not two vertex ids") from None
+        paths[(u, v)] = tuple(ids)
     return SubdivisionMap(origin=parse_digraph(origin), host=parse_digraph(host),
                           k=k, paths=paths)
 
@@ -93,12 +98,18 @@ def _oracle_args(p):
     p.set_defaults(func=_cmd_oracle)
 
 
+# option -> the problems that read it; every problem reads --budget-n
+_ORACLE_READS = {"weights": ("kernel", "independent"), "objective": ("kernel",),
+                 "kind": ("ordering-search",)}
+
+
 def _cmd_oracle(args):
     from . import oracle
     from .fileio import parse_bigraph_rep
     from .graphs import Digraph, underlying_undirected
-    if args.weights and args.problem not in ("kernel", "independent"):
-        raise ValueError(f"the {args.problem} oracle does not take weights")
+    for option, problems in _ORACLE_READS.items():
+        if getattr(args, option) is not None and args.problem not in problems:
+            raise ValueError(f"the {args.problem} oracle does not take {option}")
     b = args.budget_n
     if b is not None and b < 0:
         raise ValueError(f"--budget-n must be non-negative, got {b}")

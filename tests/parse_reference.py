@@ -21,7 +21,12 @@ list.  :func:`json_parse_digraph` and :func:`json_parse_interval_rep` give
 what the library's parsers returned from that whole-body scan, or None for
 a text they left to the line walk.  The library's reader scans the same
 body in bounded chunks of lines and must agree with the third reader on
-every text, whatever the chunk size.
+every text, whatever the chunk size: :func:`_chunked_int_fields` joins
+its chunks, as the library's ``_int_fields`` did before an intervals file
+was split into its columns chunk by chunk.  :func:`pairs_parse_interval_rep`
+is the library's ``parse_interval_rep`` of that time, which sliced the
+joined list into columns and built two :class:`Interval` objects per
+vertex on the line walk.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from itertools import chain, islice
 from operator import le
 
 from intdigraph.errors import ParseError
+from intdigraph.fileio import _header, _int_chunks
 from intdigraph.graphs import Digraph
 from intdigraph.intervals import Interval, IntervalRep
 
@@ -216,6 +222,50 @@ def parse_interval_rep(text: str) -> IntervalRep:
     lineno, header = rows[0]
     if len(header) != 2:
         raise ParseError(lineno, "expected 'intervals <n>' header")
+    n, = _counts(header[1:], lineno, len(rows) - 1)
+    pairs: list = [None] * n
+    for lineno, tokens in rows[1:]:
+        if len(tokens) != 5:
+            raise ParseError(lineno, "expected '<v> <lS> <rS> <lT> <rT>'")
+        v = _int(tokens[0], lineno)
+        if not (0 <= v < n):
+            raise ParseError(lineno, f"vertex {v} out of range for n={n}")
+        if pairs[v] is not None:
+            raise ParseError(lineno, f"duplicate intervals for vertex {v}")
+        vals = [_rational(t, lineno) for t in tokens[1:]]
+        try:
+            pairs[v] = (Interval(vals[0], vals[1]), Interval(vals[2], vals[3]))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    return IntervalRep(pairs)
+
+
+def _chunked_int_fields(text: str, kind: str, width: int):
+    """``(n, fields)``: the header's n and the records' integers in file
+    order, the chunks of :func:`_int_chunks` joined, when every chunk is
+    clean; else None, and the caller walks the lines."""
+    read = _int_chunks(text, kind, width)
+    if read is None:
+        return None
+    n, chunks = read
+    fields: list[int] = []
+    for chunk in chunks:
+        if chunk is None:
+            return None
+        fields += chunk
+    return n, fields
+
+
+def pairs_parse_interval_rep(text: str) -> IntervalRep:
+    clean = _chunked_int_fields(text, "intervals", 5)
+    if clean is not None:
+        n, fields = clean
+        ids, ls, rs, lt, rt = (fields[i::5] for i in range(5))
+        if (len(ids) == n and ids == list(range(n))
+                and all(map(le, ls, rs)) and all(map(le, lt, rt))):
+            return IntervalRep.from_columns(ls, rs, lt, rt)
+    rows = list(_lines(text))
+    lineno, header = _header(rows, "intervals", "intervals <n>")
     n, = _counts(header[1:], lineno, len(rows) - 1)
     pairs: list = [None] * n
     for lineno, tokens in rows[1:]:

@@ -7,6 +7,7 @@ per criterion; each test also prints an ``ACCEPTANCE n PASS`` line.
 import itertools
 import random
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -24,7 +25,10 @@ from intdigraph import (Digraph, IntervalRep, OracleBudget, Ordering,
                         underlying_undirected,
                         verify_duf_ordering, verify_representation, verify_set,
                         PointRep, build_representation)
+from intdigraph import domination, intervals
+from intdigraph import ordering as ordering_module
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
+from intdigraph.kernels import compute_kernel_table
 
 from fixtures import (directed_triangle, no_kernel_duf,
                       oriented_k33_with_loops, reverse, splitting_bigraph,
@@ -373,6 +377,68 @@ def test_criterion_8_scaling_sanity():
                f"{dp_times[2000]/max(dp_times[1000],1e-9):.1f}x; MIS ratios "
                f"{mis_times[1000]/max(mis_times[500],1e-9):.1f}x, "
                f"{mis_times[2000]/max(mis_times[1000],1e-9):.1f}x")
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+RANK_LINE_PASSES = ("rank_order", "reach_line", "below_counts")
+
+
+def test_criterion_8_sweep_work_counts(monkeypatch):
+    """The work the timed sweep bounds above measure, counted, so that load
+    cannot fail it: per solve the rank-line passes are as many at both
+    sizes, and the frontier asks ``reach`` at most n times."""
+    calls = Counter()
+    for name in RANK_LINE_PASSES:
+        fn = getattr(intervals, name)
+        for module in (intervals, domination):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, _counted(calls, name, fn))
+    walk = intervals.frontier_walk
+
+    def frontier_walk(lo, hi, reach, size):
+        return walk(lo, hi, _counted(calls, "reach", reach), size)
+    monkeypatch.setattr(intervals, "frontier_walk", frontier_walk)
+    monkeypatch.setattr(domination, "frontier_walk", frontier_walk)
+    passes = {}
+    for n in (2_000, 8_000):
+        rep = normalize(gen_reflexive_interval(n, seed=42, grid=4 * n, max_len=6))
+        for solve in (kernel_linear, min_absorbing_reflexive):
+            calls.clear()
+            solve(rep)
+            assert 0 < calls["reach"] <= n, (solve.__name__, n, calls)
+            passes[solve, n] = [calls[name] for name in RANK_LINE_PASSES]
+    for solve in (kernel_linear, min_absorbing_reflexive):
+        assert passes[solve, 2_000] == passes[solve, 8_000], passes
+        assert passes[solve, 2_000][0] >= 1  # the frontier's own order
+
+
+def test_criterion_8_kernel_table_work_counts(monkeypatch):
+    """The kernel table's coverage counts, counted: position i tries c0(i),
+    its first non-in-neighbour above it, and the out-neighbours of c0(i)
+    above c0(i), so ``covered`` runs at most sum over i of d+(c0(i))."""
+    calls = Counter()
+    monkeypatch.setattr(ordering_module, "covered",
+                        _counted(calls, "covered", ordering_module.covered))
+    for n in (500, 2_000):
+        rep = normalize(gen_reflexive_interval(n, seed=11, grid=4 * n, max_len=6))
+        g, ordering = realize_digraph(rep), extract_duf_ordering(rep)
+        out_pos, in_pos = placed = ordering.place(g)
+        bound = 0
+        for i in range(n):
+            c0 = i + 1
+            while c0 in in_pos[i]:
+                c0 += 1
+            bound += len(out_pos[c0]) if c0 < n else 0
+        for objective in ("min", "max"):
+            calls.clear()
+            compute_kernel_table(ordering, placed, objective)
+            assert 0 < calls["covered"] <= bound, (n, objective, calls, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ it replaced, at chunk sizes that put every record, blank line and bad
 line on a chunk edge.
 
 ``fileio._int_chunks`` reads the body in chunks of whole lines of about
-``fileio._CHUNK`` characters.  At any chunk size, ``fileio._int_fields``
-must give exactly what ``parse_reference._json_int_fields`` gave, a
+``fileio._CHUNK`` characters.  At any chunk size, its chunks joined
+(``parse_reference._chunked_int_fields``) must give exactly what
+``parse_reference._json_int_fields`` gave, a
 decline included, and ``parse_digraph`` / ``parse_interval_rep`` must
 return what the whole-body scan returned (``parse_reference``'s
 ``json_parse_*``) or, on a text it left to the line walk, agree with the
@@ -19,6 +20,7 @@ from intdigraph import fileio
 from intdigraph.fileio import parse_digraph, parse_interval_rep
 
 import parse_reference
+from parse_reference import _chunked_int_fields
 import test_int_fields
 from test_int_fields import HOSTILE, _assert_like_the_line_walk, integer_texts
 from test_parse_reference import files
@@ -46,7 +48,7 @@ def _texts(kind):
 
 def _assert_like_the_whole_body_scan(parse, text):
     kind, width = KIND[parse]
-    assert fileio._int_fields(text, kind, width) == parse_reference._json_int_fields(
+    assert _chunked_int_fields(text, kind, width) == parse_reference._json_int_fields(
         text, kind, width)
     want = WHOLE_BODY[parse](text)
     if want is None:

@@ -36,6 +36,7 @@ def files(tmp_path):
         "set0.txt": "0\n",
         "set1.txt": "1\n",
         "bad.irep": "intervals 1\n0 5 1 0 1\n",
+        "one.bg": "bigraph 1 1\nA 0 0 1\nB 0 1 2\n",
     }
     out = {}
     for name, text in paths.items():
@@ -297,6 +298,24 @@ class TestOracleCommands:
                 "status": "error",
                 "error": f"ValueError: the {problem} oracle does not take weights"}
 
+    @pytest.mark.parametrize("problem,instance,option", [
+        ("absorbing", "nk.dg", ["--objective", "max"]),
+        ("independent", "two.irep", ["--objective", "min"]),
+        ("red-blue", "one.bg", ["--objective", "min"]),
+        ("kernel", "nk.dg", ["--kind", "duf"]),
+        ("anti-walk", "aw.dg", ["--kind", "reflexive"]),
+        ("ordering-search", "tri.dg", ["--objective", "exists"]),
+        ("ordering-search", "tri.dg", ["--weights", "set1.txt"]),
+    ])
+    def test_oracle_rejects_an_option_it_does_not_read(self, files, capsys, problem,
+                                                       instance, option):
+        name, value = option
+        value = files.get(value, value)
+        code, payload = run_json(capsys, "oracle", problem, files[instance], name, value)
+        assert code == 1 and payload == {
+            "status": "error",
+            "error": f"ValueError: the {problem} oracle does not take {name[2:]}"}
+
     def test_oracle_ordering_search(self, files, capsys):
         code, payload = run_json(capsys, "oracle", "ordering-search",
                                  files["tri.dg"], "--kind", "duf")
@@ -513,6 +532,25 @@ class TestErrors:
         path.write_text(json.dumps(change(payload["map"])))
         code, payload = run_json(capsys, command, str(path), files["set0.txt"])
         assert code == 1 and payload["status"] == "error"
+
+    @pytest.mark.parametrize("change,error", [
+        (lambda m: {**m, "k": 0}, "subdivision needs k >= 1, got 0"),
+        (lambda m: {**m, "k": -2}, "subdivision needs k >= 1, got -2"),
+        (lambda m: {**m, "paths": {"x": [2, 3]}}, "path key 'x' is not two vertex ids"),
+        (lambda m: {**m, "paths": {"0 a": [2, 3]}}, "path key '0 a' is not two vertex ids"),
+        (lambda m: {**m, "paths": {"0 1 2": [2, 3]}},
+         "path key '0 1 2' is not two vertex ids"),
+    ], ids=["k-zero", "k-negative", "key-one-token", "key-not-int", "key-three-tokens"])
+    @pytest.mark.parametrize("command", ["lift", "project"])
+    def test_bad_subdivision_map_names_its_fault(self, files, capsys, tmp_path,
+                                                 command, change, error):
+        """An input error, not the solver's self-check: ``lift`` on k = 0 used
+        to exit with ``RuntimeError: lifted set has 2 vertices, expected 1``."""
+        code, payload = run_json(capsys, "subdivide", files["ab.dg"], "--k", "2")
+        path = tmp_path / "bad.map"
+        path.write_text(json.dumps(change(payload["map"])))
+        code, payload = run_json(capsys, command, str(path), files["set0.txt"])
+        assert code == 1 and payload == {"status": "error", "error": f"ValueError: {error}"}
 
     @pytest.mark.parametrize("argv", [
         ["mis", "@path.dg", "@path.ord", "--weights", "@w.txt"],

@@ -1,8 +1,9 @@
 """The JSON-scanner reader of clean integer files against the flat split
 it replaced, and the parsers on hostile bodies against the line walk.
 
-``fileio._int_fields`` turns a body into one JSON array and scans it
-once.  It must give the flat split's ``(n, fields)`` (kept as
+``fileio._int_chunks`` turns a body into JSON arrays, one per chunk,
+joined by ``parse_reference._chunked_int_fields``.  The join must give
+the flat split's ``(n, fields)`` (kept as
 ``parse_reference._flat_int_fields``) whenever it reads a text, and may
 decline a text the flat split read only for a token that is an integer to
 ``int`` but not a JSON number; a CRLF text is held to the flat split of
@@ -15,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import fileio
 from intdigraph.errors import ParseError
 from intdigraph.fileio import parse_digraph, parse_interval_rep
 
 import parse_reference
+from parse_reference import _chunked_int_fields
 from test_parse_reference import (_first_arc_out_of_range, _outcome,
                                   assert_json_reader_matches_the_flat_split)
 
@@ -103,7 +104,7 @@ def test_tokens_json_rejects_fail_on_their_line(parse, text, line):
     """A lone ``-`` and a token past the digit limit are declined by the
     JSON reader, and the line walk names their line."""
     kind = "digraph" if parse is parse_digraph else "intervals"
-    assert fileio._int_fields(text, kind, WIDTH[kind]) is None
+    assert _chunked_int_fields(text, kind, WIDTH[kind]) is None
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert exc.value.line == line
@@ -118,7 +119,7 @@ def test_spellings_json_rejects_take_the_line_walk(parse, text):
     """``007``, ``+2``, ``1_000``: integers to ``int``, declined by the
     JSON reader, read by the line walk as before."""
     kind = "digraph" if parse is parse_digraph else "intervals"
-    assert fileio._int_fields(text, kind, WIDTH[kind]) is None
+    assert _chunked_int_fields(text, kind, WIDTH[kind]) is None
     assert parse_reference._flat_int_fields(text, kind, WIDTH[kind]) is not None
     _assert_like_the_line_walk(parse, text)
 
@@ -130,7 +131,7 @@ def test_a_line_break_inside_the_header(parse, brk):
     header is split, as in the line walk."""
     kind = "digraph" if parse is parse_digraph else "intervals"
     text = f"{kind}{brk}1\n" + ("0 0\n" if kind == "digraph" else "0 0 1 0 1\n")
-    assert fileio._int_fields(text, kind, WIDTH[kind]) is None
+    assert _chunked_int_fields(text, kind, WIDTH[kind]) is None
     _assert_like_the_line_walk(parse, text)
 
 
@@ -143,7 +144,7 @@ def test_a_line_break_inside_the_header(parse, brk):
 def test_an_arc_end_out_of_range_fails_on_its_line(text, line):
     """A clean file is read in bulk and then range-checked: a negative end
     (which ``heads[-1]`` would take) or one of n goes to the line walk."""
-    assert fileio._int_fields(text, "digraph", 2) is not None
+    assert _chunked_int_fields(text, "digraph", 2) is not None
     with pytest.raises(ParseError) as exc:
         parse_digraph(text)
     assert exc.value.line == line
@@ -159,9 +160,9 @@ def test_crlf_files_take_the_bulk_reader(parse, text):
     one lone ``\\r`` sends the file to the line walk."""
     kind = "digraph" if parse is parse_digraph else "intervals"
     lf = text.replace("\r\n", "\n")
-    assert fileio._int_fields(text, kind, WIDTH[kind]) == fileio._int_fields(lf, kind, WIDTH[kind])
-    assert fileio._int_fields(text, kind, WIDTH[kind]) is not None
+    assert _chunked_int_fields(text, kind, WIDTH[kind]) == _chunked_int_fields(
+        lf, kind, WIDTH[kind]) is not None
     _assert_like_the_line_walk(parse, text)
     lone = text.replace("\r\n", "\r", 1)
-    assert fileio._int_fields(lone, kind, WIDTH[kind]) is None
+    assert _chunked_int_fields(lone, kind, WIDTH[kind]) is None
     _assert_like_the_line_walk(parse, lone)

@@ -12,7 +12,6 @@ from intdigraph import (Digraph, Interval, IntervalRep, Ordering,
                         realize_digraph, underlying_undirected,
                         verify_cocomparability_ordering,
                         verify_duf_ordering, verify_set, z_sequence)
-from intdigraph import graphs, kernels
 from intdigraph.errors import (InvalidOrdering, NotAdjusted, NotCocompOrdered, NotDufOrdered,
                               NotReflexive)
 from intdigraph.generators import gen_reflexive_interval
@@ -242,16 +241,18 @@ class TestMinIndependentDominatingCocomp:
         assert placements == ["UndirectedGraph"]
 
     def test_builds_no_symmetric_digraph(self, monkeypatch):
-        """The certificate is checked on ``h`` itself."""
+        """The certificate is checked on ``h`` itself: the call builds no
+        :class:`Digraph` by either constructor."""
         rep = normalize(gen_reflexive_interval(30, 6, max_len=6))
         h, ordering = underlying_undirected(realize_digraph(rep)), extract_duf_ordering(rep)
         want = min_independent_dominating_cocomp(h, ordering)
 
-        def refuse(h):
-            raise AssertionError("symmetric digraph built")
-        monkeypatch.setattr(graphs, "symmetric_digraph", refuse, raising=False)
-        monkeypatch.setattr(kernels, "symmetric_digraph", refuse, raising=False)
-        cert = min_independent_dominating_cocomp(h, ordering)
+        def refuse(*args, **kwargs):
+            raise AssertionError("digraph built")
+        with monkeypatch.context() as mp:
+            mp.setattr(Digraph, "__init__", refuse)
+            mp.setattr(Digraph, "from_heads", refuse)
+            cert = min_independent_dominating_cocomp(h, ordering)
         assert cert == want and cert.checks == {"independent": True, "dominating": True}
 
     def test_rejects_bad_ordering(self):

@@ -6,9 +6,10 @@ any mix of the line breaks of ``str.splitlines``, and may hold non-ASCII
 spaces and digits or the ``;`` that the library's flat split uses as its
 line marker.
 
-One property per drawn file makes all three comparisons: the library's
-parser against the line walk, its bulk reader against the per-line split,
-and the JSON reader against the flat split."""
+One property per drawn file makes all the comparisons: the library's
+parser against the line walk and, on an intervals file, against the pair
+reader it replaced, its bulk reader against the per-line split, and the
+JSON reader against the flat split."""
 
 import re
 
@@ -16,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import fileio
 from intdigraph.errors import ParseError
 from intdigraph.fileio import parse_digraph, parse_interval_rep
 from intdigraph.intervals import normalize
 
 import parse_reference
+from parse_reference import _chunked_int_fields
 
 MUTATIONS = ("none", "drop", "add", "x", "1/0", "3/2", "split", "duplicate",
              "out-of-range", "lo>hi", "header+1", "header-1", "header<0",
@@ -166,7 +167,7 @@ def assert_json_reader_matches_the_flat_split(text, kind, width):
     """Equal fields wherever the JSON reader reads a text; a text the flat
     split read (CRLF line ends made ``"\\n"``) is declined only for a token
     JSON rejects."""
-    got = fileio._int_fields(text, kind, width)
+    got = _chunked_int_fields(text, kind, width)
     want = parse_reference._flat_int_fields(text.replace("\r\n", "\n"), kind, width)
     if got is not None:
         assert got == want
@@ -195,9 +196,18 @@ def _assert_every_reader_agrees(text, kind, width, parse):
         assert got == (_first_arc_out_of_range(text), want[1])
     else:
         assert got == want
+    if kind == "intervals":
+        # the column reader against the pair reader it replaced
+        old_kind, old = _outcome(parse_reference.pairs_parse_interval_rep, text)
+        assert old_kind == got_kind
+        if old_kind == "ok":
+            assert (got.ls, got.rs, got.lt, got.rt) == (old.ls, old.rs, old.lt, old.rt)
+            assert got.pairs() == old.pairs() and got.adjusted == old.adjusted
+        else:
+            assert got == old
     # the bulk reader against the per-line split it replaced: the same
     # fields, and a decline only of a text the flat split may not read
-    got = fileio._int_fields(text, kind, width)
+    got = _chunked_int_fields(text, kind, width)
     want = parse_reference._int_fields(text, kind, width)
     if got is not None:
         assert got == want
