@@ -10,8 +10,9 @@ uncovered A-vertex whose interval ends first with its furthest-reaching
 B-neighbour.  Every uncovered A interval ends later, so that neighbour
 covers exactly those starting before it ends, a prefix of the left-end
 order: the sweep is :func:`~intdigraph.intervals.frontier_walk`, the
-forward pass of the kernel sweep too, and its steps are the walk's
-``(a_first, cover)`` pair as it is.  Its one re-check, a prefix maximum
+forward pass of the kernel sweep too, with each A interval's bound the
+furthest right end of the B intervals meeting it; the covers are the B
+intervals owning the picked bounds.  Its one re-check, a prefix maximum
 over the chosen B intervals, is on a reflexive representation the
 absorbing (swapped, dominating) check, so those solvers relabel its
 certificate and run no other.
@@ -78,27 +79,26 @@ def bigraph_ranks(rep) -> tuple:
     return rank[:t], rank[k:k + t][::-1], rank[t:k], rank[k + t:][::-1]
 
 
-def furthest_cover(a_lo, a_hi, b_lo, b_hi):
-    """``cover(i)``: the ``(b_hi[j], j)`` of the B interval meeting A interval
-    i that reaches furthest right, or None."""
-    top = reach_line(2 * (len(a_lo) + len(b_lo)), b_lo, b_hi)
-    owner = dict(zip(b_hi, range(len(b_hi))))
-
-    def cover(i):
-        r = top[a_hi[i]]
-        return (r, owner[r]) if r > a_lo[i] else None
-    return cover
-
-
 def build_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[tuple]:
     """The sweep over the A intervals ``[a_lo[i], a_hi[i]]`` and the B
     intervals ``[b_lo[j], b_hi[j]]``, their endpoints the ranks 0..2(|A| +
     |B|)-1: ``(a_first, cover)``, where ``a_first[k]`` is the uncovered A
     index ending first at step k and ``cover[k]`` its B-neighbour reaching
     furthest right, so the covers' right ends strictly increase.  None when
-    it reaches an A-vertex with no B-neighbour."""
-    return frontier_walk(a_lo, a_hi, furthest_cover(a_lo, a_hi, b_lo, b_hi),
-                         2 * (len(a_lo) + len(b_lo)))
+    it reaches an A-vertex with no B-neighbour.
+
+    A interval i's bound is ``top[a_hi[i]]`` of the B intervals'
+    :func:`~intdigraph.intervals.reach_line`, the furthest right end of
+    those starting at most at its right end; one of them meets it exactly
+    when that bound is above ``a_lo[i]``.
+    """
+    size = 2 * (len(a_lo) + len(b_lo))
+    reach = list(map(reach_line(size, b_lo, b_hi).__getitem__, a_hi))
+    a_first = frontier_walk(a_lo, a_hi, reach, size)
+    if a_first is None:
+        return None
+    owner = dict(zip(b_hi, range(len(b_hi))))
+    return a_first, tuple(owner[reach[i]] for i in a_first)
 
 
 def red_blue_min_dominating(rep) -> Optional[Certificate]:

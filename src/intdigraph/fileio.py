@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import count
 from operator import le
 
 from .errors import InvalidVertex, ParseError
@@ -243,10 +244,9 @@ def parse_interval_rep(text: str) -> IntervalRep:
 
 
 def emit_interval_rep(rep: IntervalRep) -> str:
-    lines = [f"intervals {rep.n}"]
-    for v, ends in enumerate(zip(rep.ls, rep.rs, rep.lt, rep.rt)):
-        lines.append(" ".join(map(str, (v, *ends))))  # a Fraction prints as p/q or p
-    return "\n".join(lines) + "\n"
+    # a Fraction formats as str prints it, p/q or p
+    records = map("{} {} {} {} {}".format, count(), rep.ls, rep.rs, rep.lt, rep.rt)
+    return "\n".join([f"intervals {rep.n}", *records]) + "\n"
 
 
 def parse_bigraph_rep(text: str) -> IntervalBigraphRep:

@@ -35,7 +35,7 @@ def gen_reflexive_interval(n: int, seed: int, grid: Optional[int] = None,
     _check_grid(grid, max_len)
     rng = random.Random(seed)
     grid = 4 * n if grid is None else grid
-    pairs = []
+    ls, rs, lt, rt = [], [], [], []
     for _ in range(n):
         if max_len is None:
             lo_s = rng.randint(0, grid)
@@ -51,8 +51,11 @@ def gen_reflexive_interval(n: int, seed: int, grid: Optional[int] = None,
             len_t = rng.randint(0, min(max_len, grid))
             lo_t = rng.randint(max(0, anchor - len_t), min(anchor, grid - len_t))
             hi_t = lo_t + len_t
-        pairs.append((Interval(lo_s, hi_s), Interval(lo_t, hi_t)))
-    return IntervalRep(pairs)
+        ls.append(lo_s)
+        rs.append(hi_s)
+        lt.append(lo_t)
+        rt.append(hi_t)
+    return IntervalRep.from_columns(ls, rs, lt, rt)
 
 
 def gen_interval_bigraph(a_size: int, b_size: int, seed: int,

@@ -120,9 +120,6 @@ class Digraph:
     def loop_vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.loops[v])
 
-    def is_reflexive(self) -> bool:
-        return all(self.loops)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented

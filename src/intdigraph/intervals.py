@@ -337,29 +337,25 @@ def below_counts(size: int, marked, queried):
     return map(operator.sub, compress(count(), flags), count())
 
 
-def frontier_walk(lo, hi, reach, size: int):
-    """The greedy of both interval sweeps: ``(firsts, payloads)``.
+def frontier_walk(lo, hi, bound, size: int):
+    """The greedy of both interval sweeps: its steps in order, or None.
 
-    Items, with distinct ranks below ``size``, are taken by rising ``hi``.
-    An item the frontier has not passed is a step: ``reach(i)`` gives its
-    ``(bound, payload)``, or None, which stops the walk and returns None.
-    The frontier, the largest bound so far (never a ``lo``), has passed the
-    items with ``lo`` below it.
+    Items, with distinct ranks below ``size``, are taken by rising ``hi``;
+    the frontier has passed those with ``lo`` below it.  Any other item is
+    a step and moves the frontier to ``bound[i]``, unless that bound is
+    not above ``lo[i]``, which stops the walk and returns None.  A step's
+    ``lo`` is at least the old frontier, so the frontier only rises.
     """
     front = 0
-    firsts: list[int] = []
-    payloads: list = []
+    steps: list[int] = []
     for i in rank_order(hi, size):
         if lo[i] < front:
             continue
-        step = reach(i)
-        if step is None:
+        front = bound[i]
+        if front <= lo[i]:
             return None
-        bound, payload = step
-        front = max(front, bound)
-        firsts.append(i)
-        payloads.append(payload)
-    return tuple(firsts), tuple(payloads)
+        steps.append(i)
+    return tuple(steps)
 
 
 # --- definitional set checks computed through the representation ----------

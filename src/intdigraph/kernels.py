@@ -61,15 +61,14 @@ def z_sequence(rep: IntervalRep) -> tuple[int, ...]:
     r(S_v) because v is reflexive, so a survivor u is an in-neighbour of v
     exactly when l(S_u) < r(T_v).  Those survivors are a prefix of the l(S)
     order, and a popped prefix stays empty, so this is the
-    :func:`~intdigraph.intervals.frontier_walk` with bound r(T_v).  The
-    frontier passes v too, as l(S_v) < r(T_v), so every vertex it passes was
-    still a survivor.
+    :func:`~intdigraph.intervals.frontier_walk` with the r(T) column as its
+    bounds.  The frontier passes v too, as l(S_v) < r(T_v), so every vertex
+    it passes was still a survivor, and the walk never stops early.
     """
     from .intervals import frontier_walk, normalize, require_reflexive
     rep = normalize(rep)
     require_reflexive(rep)
-    rt = rep.rt
-    return frontier_walk(rep.ls, rep.rs, lambda v: (rt[v], None), 4 * rep.n)[0]
+    return frontier_walk(rep.ls, rep.rs, rep.rt, 4 * rep.n)
 
 
 def kernel_linear(rep: IntervalRep) -> Certificate:

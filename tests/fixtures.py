@@ -7,10 +7,13 @@ builds the splitting bigraph of a digraph for the tests and references;
 :func:`reverse`, :func:`induced_subgraph`, :func:`symmetric_digraph` and
 :func:`structure_present`, likewise uncalled by the library, derive other
 instances from a graph or re-check a forbidden-structure witness.
+:func:`gen_nest` and :func:`gen_catch` draw seeded representations in the
+shapes of two of the paper's subclasses of reflexive interval digraphs.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -83,6 +86,45 @@ def reflexive_path(n: int) -> tuple[Digraph, Ordering]:
     """Arcs i -> i+1 with loops everywhere and the natural ordering."""
     g = Digraph(n, [(i, i + 1) for i in range(n - 1)], loops=range(n))
     return g, Ordering(range(n))
+
+
+def _subclass_rep(n: int, seed: int, ties: bool, shape) -> IntervalRep:
+    """n vertices, each an interval [lo, hi] on the grid 0..4n, or 0..n//2
+    when ``ties`` (about n/2 points, so endpoints often coincide), and the
+    pair ``shape(rng, lo, hi)`` gives its S and T."""
+    rng = random.Random(seed)
+    grid = n // 2 if ties else 4 * n
+    ls, rs, lt, rt = [], [], [], []
+    for _ in range(n):
+        lo, hi = sorted((rng.randint(0, grid), rng.randint(0, grid)))
+        (a, b), (c, d) = shape(rng, lo, hi)
+        ls.append(a)
+        rs.append(b)
+        lt.append(c)
+        rt.append(d)
+    return IntervalRep.from_columns(ls, rs, lt, rt)
+
+
+def _nest(rng, lo, hi):
+    inner = tuple(sorted((rng.randint(lo, hi), rng.randint(lo, hi))))
+    return ((lo, hi), inner) if rng.random() < 0.5 else (inner, (lo, hi))
+
+
+def _catch(rng, lo, hi):
+    point = rng.randint(lo, hi)
+    return (lo, hi), (point, point)
+
+
+def gen_nest(n: int, seed: int, ties: bool = False) -> IntervalRep:
+    """An interval nest shape: one of each vertex's intervals lies inside
+    the other, S inside T or T inside S by a coin flip per vertex."""
+    return _subclass_rep(n, seed, ties, _nest)
+
+
+def gen_catch(n: int, seed: int, ties: bool = False) -> IntervalRep:
+    """An interval catch shape: each vertex's T is a single point of its S,
+    so u -> v exactly when S_u holds v's point."""
+    return _subclass_rep(n, seed, ties, _catch)
 
 
 def splitting_bigraph(g: Digraph, rep: Optional[IntervalRep] = None

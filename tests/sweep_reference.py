@@ -9,6 +9,10 @@ l(S), answering every in-neighbour query.  :func:`below_counts_z_sequence`
 is the frontier-walk forward pass as it was before it returned the picks
 alone: it also counted each step's removals by one ``below_counts`` and
 kept the picks' right ends, both in a :class:`ZSequence`.
+:func:`frontier_walk` and :func:`furthest_cover` are the walk as it was
+before it took a bound column: it asked a callback for each step's
+``(bound, payload)``, and ``furthest_cover`` answered it for the red-blue
+sweep with the furthest-reaching B interval's ``(right end, index)``.
 :func:`build_red_blue_state`
 stabs every A interval and stores, per slot of the right-end order, the
 first slot its cover does not reach; :func:`walk` follows those jumps.
@@ -23,9 +27,10 @@ sets.  :class:`Digraph` and :class:`UndirectedGraph` here keep every arc a
 second time in a ``frozenset`` and answer ``m``, ``has_edge``, ``edges()``
 and ``==`` from it; :func:`reverse`, :func:`induced_subgraph`,
 :func:`underlying_undirected` and :func:`symmetric_digraph` read that set.
-The library now uses one frontier walk for both sweeps, one count for
-independence and the sorted adjacency tuples alone; ``test_sweep_reference.py`` checks on random inputs that both give
-the same answers.
+The library now uses one frontier walk over a bound column for both
+sweeps, one count for independence and the sorted adjacency tuples alone;
+``test_sweep_reference.py`` and ``test_rank_reference.py`` check on random
+inputs that both give the same answers.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from intdigraph.errors import InvalidVertex
 from intdigraph.intervals import (IntervalRep, NormalizedRep, below_counts,
-                                  frontier_walk, normalize, require_reflexive)
+                                  normalize, rank_order, reach_line,
+                                  require_reflexive)
 
 
 class ZSequence(NamedTuple):
@@ -183,6 +189,59 @@ class _SurvivorIndex:
         return out
 
 
+def frontier_walk(lo, hi, reach, size: int):
+    """The greedy of both interval sweeps: ``(firsts, payloads)``.
+
+    Items, with distinct ranks below ``size``, are taken by rising ``hi``.
+    An item the frontier has not passed is a step: ``reach(i)`` gives its
+    ``(bound, payload)``, or None, which stops the walk and returns None.
+    The frontier, the largest bound so far (never a ``lo``), has passed the
+    items with ``lo`` below it.
+    """
+    front = 0
+    firsts: list[int] = []
+    payloads: list = []
+    for i in rank_order(hi, size):
+        if lo[i] < front:
+            continue
+        step = reach(i)
+        if step is None:
+            return None
+        bound, payload = step
+        front = max(front, bound)
+        firsts.append(i)
+        payloads.append(payload)
+    return tuple(firsts), tuple(payloads)
+
+
+def furthest_cover(a_lo, a_hi, b_lo, b_hi):
+    """``cover(i)``: the ``(b_hi[j], j)`` of the B interval meeting A interval
+    i that reaches furthest right, or None."""
+    top = reach_line(2 * (len(a_lo) + len(b_lo)), b_lo, b_hi)
+    owner = dict(zip(b_hi, range(len(b_hi))))
+
+    def cover(i):
+        r = top[a_hi[i]]
+        return (r, owner[r]) if r > a_lo[i] else None
+    return cover
+
+
+def walk_red_blue_state(a_lo, a_hi, b_lo, b_hi) -> Optional[tuple]:
+    """The red-blue sweep's ``(a_first, cover)`` as it was: the former walk's
+    steps with :func:`furthest_cover` as its callback, or None."""
+    return frontier_walk(a_lo, a_hi, furthest_cover(a_lo, a_hi, b_lo, b_hi),
+                         2 * (len(a_lo) + len(b_lo)))
+
+
+def walk_z_sequence(rep: IntervalRep) -> tuple[int, ...]:
+    """The kernel sweep's forward pass as it was: the former walk's firsts
+    with the callback ``v -> (r(T_v), None)``."""
+    rep = normalize(rep)
+    require_reflexive(rep)
+    rt = rep.rt
+    return frontier_walk(rep.ls, rep.rs, lambda v: (rt[v], None), 4 * rep.n)[0]
+
+
 def z_sequence(rep: IntervalRep) -> ZSequence:
     """Run the forward pass of the kernel sweep on a reflexive representation."""
     rep = normalize(rep)
@@ -218,7 +277,7 @@ def below_counts_z_sequence(rep: IntervalRep) -> ZSequence:
     r(S_v) because v is reflexive, so a survivor u is an in-neighbour of v
     exactly when l(S_u) < r(T_v).  Those survivors are a prefix of the l(S)
     order, and a popped prefix stays empty, so this is the
-    :func:`~intdigraph.intervals.frontier_walk` with bound r(T_v).  The
+    :func:`frontier_walk` with bound r(T_v).  The
     frontier passes v too, as l(S_v) < r(T_v), so every vertex it passes was
     still a survivor.  The frontier had not passed v, so l(S_v) is at least
     the old frontier and r(T_v) is the new one.  So the picked r(T) ranks

@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intdigraph import (Digraph, Interval, IntervalBigraphRep, IntervalRep,
                         brute_min_absorbing, brute_red_blue,
-                        build_red_blue_state, kernel_linear, min_absorbing_reflexive,
-                        min_dominating_reflexive, normalize, realize_digraph,
-                        red_blue_min_dominating, verify_set)
+                        build_red_blue_state, is_reflexive, kernel_linear,
+                        min_absorbing_reflexive, min_dominating_reflexive, normalize,
+                        realize_digraph, red_blue_min_dominating, verify_set)
 from intdigraph.domination import bigraph_ranks
 from intdigraph.errors import DimensionMismatch, MalformedInterval, NotReflexive
 from intdigraph.generators import gen_interval_bigraph, gen_reflexive_interval
 
-from fixtures import reverse, splitting_bigraph, symmetric_triangle, two_vertex_example_rep
+from fixtures import (gen_catch, gen_nest, reverse, splitting_bigraph, symmetric_triangle,
+                      two_vertex_example_rep)
 from conftest import interval_reps
 
 
@@ -259,7 +261,33 @@ class TestAbsorbingDominating:
 @settings(max_examples=60, deadline=None)
 @given(interval_reps(max_n=10, reflexive=True))
 def test_sweeps_match_the_oracles(rep):
+    _sweeps_match_the_oracles(rep)
+
+
+def _sweeps_match_the_oracles(rep):
+    assert is_reflexive(rep)
     g = realize_digraph(rep)
     assert min_absorbing_reflexive(rep).value == brute_min_absorbing(g).value
     assert min_dominating_reflexive(rep).value == brute_min_absorbing(reverse(g)).value
     assert verify_set(g, kernel_linear(rep).vertices, "kernel").all_checks_pass()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32), st.booleans())
+def test_nest_shapes_match_the_oracles(n, seed, ties):
+    """One interval of each vertex inside the other, on a grid of about n/2
+    points when ``ties``."""
+    rep = gen_nest(n, seed, ties)
+    assert all(a <= c <= d <= b or c <= a <= b <= d
+               for a, b, c, d in zip(rep.ls, rep.rs, rep.lt, rep.rt))
+    _sweeps_match_the_oracles(rep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**32), st.booleans())
+def test_catch_shapes_match_the_oracles(n, seed, ties):
+    """Each vertex's T a single point of its S, on a grid of about n/2
+    points when ``ties``."""
+    rep = gen_catch(n, seed, ties)
+    assert all(a <= c == d <= b for a, b, c, d in zip(rep.ls, rep.rs, rep.lt, rep.rt))
+    _sweeps_match_the_oracles(rep)

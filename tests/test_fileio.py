@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intdigraph
-from intdigraph import (Digraph, Interval, IntervalBigraphRep, Ordering, normalize,
-                        realize_digraph)
+from intdigraph import (Digraph, Interval, IntervalBigraphRep, IntervalRep, Ordering,
+                        normalize, realize_digraph)
 from intdigraph.errors import ParseError
 from intdigraph.fileio import (detect_kind, emit_bigraph_rep, emit_digraph,
                                emit_interval_rep, emit_ordering,
@@ -180,6 +180,14 @@ class TestIntervalFormat:
         back = parse_interval_rep(text)
         assert back.pairs() == rep.pairs()
         assert normalize_ws(emit_interval_rep(back)) == normalize_ws(text)
+
+    def test_fractions_print_as_str_does(self):
+        """``p/q``, or ``p`` for a whole Fraction, signed as ``str`` prints it."""
+        rep = IntervalRep([(Interval(Fraction(-3, 4), Fraction(4, 2)),
+                            Interval(0, Fraction(1, 3)))])
+        text = emit_interval_rep(rep)
+        assert text == "intervals 1\n0 -3/4 2 0 1/3\n"
+        assert parse_interval_rep(text).pairs() == rep.pairs()
 
     def test_missing_vertex(self):
         with pytest.raises(ParseError) as exc:

@@ -1,4 +1,5 @@
 import bisect
+import builtins
 import gc
 import itertools
 import random
@@ -178,3 +179,27 @@ def test_chain_fill_moves_at_most_m_entries(chain_inputs, monkeypatch):
             for v, moved in moves:
                 assert moved <= len(set(g.out_adj[v]) | set(g.in_adj[v])), (n, v, moved)
             assert sum(moved for _, moved in moves) <= g.m
+
+
+def test_chain_fill_probes_at_most_deg_plus_one_entries(chain_inputs, monkeypatch):
+    """The probes the timed test above bounds, counted: position p reads at
+    most deg(p) + 1 entries of the ranked list from its end, so a fill reads
+    at most n + 2m.  The fill reads the list only through ``reversed``, once
+    per position from n - 1 down; under the identity ordering position p is
+    vertex p."""
+    probes = []
+
+    def counted(ranked):
+        probes.append(0)
+        for key in builtins.reversed(ranked):
+            probes[-1] += 1
+            yield key
+    monkeypatch.setattr(independent, "reversed", counted, raising=False)
+    for n in DOUBLING_SIZES:
+        for g, ordering in chain_inputs[n]:
+            probes.clear()
+            chain_dag(ordering, ordering.place(g))
+            assert len(probes) == n and sum(probes) > 0
+            for p, read in zip(range(n - 1, -1, -1), probes):
+                assert read <= len(set(g.out_adj[p]) | set(g.in_adj[p])) + 1, (n, p, read)
+            assert sum(probes) <= n + 2 * g.m

@@ -1,19 +1,23 @@
 """The library's bigraph ranking against ``rank_reference._endpoint_ranks``,
-its red-blue sweep against the jump table of ``sweep_reference`` and its
-rank-line stab against the ``StabIndex`` kept there: the same endpoint
-order, the same red-blue certificate and the same (hi, payload) stabs."""
+its red-blue sweep against the jump table of ``sweep_reference`` and
+against the former callback walk kept there, and that walk's rank-line
+stab against the ``StabIndex`` kept there: the same endpoint order, the
+same red-blue certificate and steps and the same (hi, payload) stabs."""
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intdigraph import Interval, IntervalBigraphRep, red_blue_min_dominating
-from intdigraph.domination import bigraph_ranks, furthest_cover
+from intdigraph import (Interval, IntervalBigraphRep, build_red_blue_state, normalize,
+                        red_blue_min_dominating)
+from intdigraph.domination import bigraph_ranks
 from intdigraph.generators import gen_interval_bigraph
 
 import sweep_reference
+from conftest import interval_reps
 from rank_reference import _endpoint_ranks
 
 
@@ -59,10 +63,32 @@ def test_bigraph_ranks_match_the_reference(rep):
     assert _order(sum(ranks, [])) == _order(sum(ref, []))
     a_lo, a_hi, b_lo, b_hi = ranks
     index = sweep_reference.StabIndex(zip(b_lo, b_hi, range(rep.b_size)))
-    assert (list(map(furthest_cover(a_lo, a_hi, b_lo, b_hi), range(rep.a_size)))
+    cover = sweep_reference.furthest_cover(a_lo, a_hi, b_lo, b_hi)
+    assert (list(map(cover, range(rep.a_size)))
             == [index.stab(lo, hi) for lo, hi in zip(a_lo, a_hi)])
     cert = red_blue_min_dominating(rep)
     state = sweep_reference.build_red_blue_state(*ref)
     assert (cert is None) == (state is None)
     if cert is not None:
         assert cert.vertices == sweep_reference.walk(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bigraphs(), interval_reps(max_n=10), interval_reps(max_n=10, reflexive=True)))
+def test_red_blue_walk_matches_the_former_walk(rep):
+    """The bound-column walk takes the former callback walk's steps on
+    bigraphs and on splitting models, or both stop on an isolated A vertex."""
+    ranks = bigraph_ranks(rep if isinstance(rep, IntervalBigraphRep) else normalize(rep))
+    assert build_red_blue_state(*ranks) == sweep_reference.walk_red_blue_state(*ranks)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([(0, 1)], []),
+    ([(0, 1)], [(5, 6)]),
+    ([(0, 1), (5, 6)], [(0, 2)]),
+    ([(0, 1), (4, Fraction(9, 2))], [(Fraction(1, 2), Fraction(7, 2)), (5, 6)]),
+])
+def test_an_isolated_a_vertex_stops_both_walks(a, b):
+    ranks = bigraph_ranks(IntervalBigraphRep(a, b))
+    assert build_red_blue_state(*ranks) is None
+    assert sweep_reference.walk_red_blue_state(*ranks) is None

@@ -1,8 +1,9 @@
 """The frontier-walk forward sweep, the counting independence check, its
 byte-line pair count and the adjacency-only graph types against the segment
-tree and the counting forward pass, the active-set sweep, the bisection and
-count-line counts and the arc sets kept in ``sweep_reference``; the
-splitting bigraph's adjacency lists against the split of that arc set."""
+tree, the counting forward pass and the former callback walk, the
+active-set sweep, the bisection and count-line counts and the arc sets
+kept in ``sweep_reference``; the splitting bigraph's adjacency lists
+against the split of that arc set."""
 
 import random
 
@@ -43,6 +44,14 @@ def test_z_sequence_matches_the_segment_tree(rep):
     former = ref.below_counts_z_sequence(rep)
     assert z_sequence(rep) == former.vertices
     assert former == ref.z_sequence(rep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(reflexive_reps(), interval_reps(max_n=10, reflexive=True)))
+def test_z_sequence_matches_the_former_walk(rep):
+    """The bound-column walk picks what the former callback walk picked, on
+    random, tied, adjusted and ``p/q`` representations."""
+    assert z_sequence(rep) == ref.walk_z_sequence(rep)
 
 
 @settings(max_examples=200, deadline=None)
